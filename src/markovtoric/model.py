@@ -103,7 +103,8 @@ class ModelSpec:
     """
 
     __slots__ = ("states", "order", "horizon", "homogeneous", "absorbing",
-                 "_state_index", "_succ", "_histories", "_initial", "_pairs")
+                 "_state_index", "_succ", "_histories", "_initial", "_initial_set",
+                 "_pairs")
 
     def __init__(self, states, order, horizon, *, forbidden=(), absorbing=(),
                  initial=None, allowed=None, homogeneous=False):
@@ -186,6 +187,7 @@ class ModelSpec:
             self._initial = tuple(sorted(blocks, key=self.block_key))
         if not self._initial:
             raise SpecificationError("no admissible initial block")
+        self._initial_set = frozenset(self._initial)
 
     def _require_state(self, s):
         if s not in self._state_index:
@@ -254,7 +256,7 @@ class ModelSpec:
         if len(seq) < self.order + 1:
             raise InadmissiblePathError(
                 f"sequence of length {len(seq)} is shorter than order + 1 = {self.order + 1}")
-        if seq[:self.order] not in set(self._initial):
+        if seq[:self.order] not in self._initial_set:
             raise InadmissiblePathError(
                 f"initial block {seq[:self.order]} is not allowed")
         for level in range(self.order + 1, len(seq) + 1):

@@ -11,6 +11,7 @@ other.  All arithmetic is exact; a reported zero is a zero.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .errors import ParameterError, RelationError
@@ -24,6 +25,46 @@ VANISHES = "vanishes-exactly"
 NONZERO = "nonzero"
 
 
+def _row_layout(spec):
+    """Rows of the sampling stream and the place of each symbol in them.
+
+    Row 0 holds the initial blocks; one row per (level, history) with
+    successors follows, in spec.symbols() order.  Returns the row widths
+    and a mapping symbol -> (row, entry).
+    """
+    widths, position, rows = [], {}, {}
+    for sym in spec.symbols():
+        row = rows.setdefault(sym[:-1] if sym[0] == "a" else "pi", len(rows))
+        if row == len(widths):
+            widths.append(0)
+        position[sym] = (row, widths[row])
+        widths[row] += 1
+    return widths, position
+
+
+def _check_denominator_bound(widths, denominator_bound):
+    if denominator_bound < 1:
+        raise ParameterError("denominator_bound must be at least 1")
+    widest = max(widths)
+    if denominator_bound < widest:
+        raise ParameterError(
+            f"denominator_bound {denominator_bound} is smaller than the widest "
+            f"row ({widest} entries)")
+
+
+def _check_trials(trials):
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
+
+
+def _draw_weights(widths, seed, denominator_bound):
+    # The one definition of the sampling stream: integer weights in
+    # 1..denominator_bound, row by row.  Drawing fewer rows yields a
+    # prefix of the same values.
+    randint = random.Random(seed).randint
+    return [[randint(1, denominator_bound) for _ in range(w)] for w in widths]
+
+
 def sample_parameters(spec, seed, denominator_bound=DEFAULT_DENOMINATOR_BOUND):
     """Random strictly positive rational parameter point.
 
@@ -32,28 +73,17 @@ def sample_parameters(spec, seed, denominator_bound=DEFAULT_DENOMINATOR_BOUND):
     every allowed entry is strictly positive.  Deterministic in seed;
     seeds may be any hashable accepted by random.Random.
     """
-    if denominator_bound < 1:
-        raise ParameterError("denominator_bound must be at least 1")
-    widest = max((len(spec.successors(h)) for h in spec.histories), default=0)
-    widest = max(widest, len(spec.initial_blocks))
-    if denominator_bound < widest:
-        raise ParameterError(
-            f"denominator_bound {denominator_bound} is smaller than the widest "
-            f"row ({widest} entries)")
-    rng = random.Random(seed)
-    weights = [rng.randint(1, denominator_bound) for _ in spec.initial_blocks]
-    total = sum(weights)
-    pi = {b: Fraction(w, total) for b, w in zip(spec.initial_blocks, weights)}
-    trans = {}
-    for level in spec.levels():
-        for h in spec.histories:
-            succ = spec.successors(h)
-            if not succ:
-                continue
-            ws = [rng.randint(1, denominator_bound) for _ in succ]
-            t = sum(ws)
-            for s, w in zip(succ, ws):
-                trans[(level, h, s)] = Fraction(w, t)
+    widths, position = _row_layout(spec)
+    _check_denominator_bound(widths, denominator_bound)
+    weights = _draw_weights(widths, seed, denominator_bound)
+    totals = [sum(row) for row in weights]
+    pi, trans = {}, {}
+    for sym, (row, entry) in position.items():
+        value = Fraction(weights[row][entry], totals[row])
+        if sym[0] == "pi":
+            pi[sym[1]] = value
+        else:
+            trans[sym[1:]] = value
     return ParameterPoint(pi, trans)
 
 
@@ -121,7 +151,8 @@ def _relation_rng_seed(seed, relation_index):
 
 def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
                       seed=0, relation_index=0,
-                      denominator_bound=DEFAULT_DENOMINATOR_BOUND):
+                      denominator_bound=DEFAULT_DENOMINATOR_BOUND, *,
+                      _layout=None):
     """Evaluate a binomial at sampled model points until one is nonzero.
 
     Returns a RelationCheck whose status is "vanishes-exactly" when all
@@ -130,19 +161,60 @@ def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
     certificate, not a proof: it samples strictly positive points, so a
     binomial outside the ideal fails with overwhelming probability but
     a pass is only evidence.
+
+    Trial t uses the point sample_parameters(spec, "seed:index:t")
+    would return.  Each path probability there is a product of integer
+    weights over a product of row totals, so both sides are evaluated
+    in integers and compared by cross-multiplying; a Fraction is built
+    only for a witness's residual.  trials must be at least 1.
     """
+    _check_trials(trials)
     if table is None:
         table = enumerate_paths(spec)
+    widths, position = _row_layout(spec) if _layout is None else _layout
+    _check_denominator_bound(widths, denominator_bound)
+    factors = {j: _path_factors(spec, position, table, j)
+               for j in binomial.support()}
+    plus_entries, plus_rows = _side_exponents(binomial.plus, factors)
+    minus_entries, minus_rows = _side_exponents(binomial.minus, factors)
+    drawn = widths[:1 + max((r for r, _ in plus_rows + minus_rows), default=0)]
     rng_seed = _relation_rng_seed(seed, relation_index)
-    support = binomial.support()
     for t in range(trials):
-        params = sample_parameters(spec, f"{rng_seed}:{t}", denominator_bound)
-        assignment = {j: path_probability(spec, params, table[j]) for j in support}
-        residual = evaluate_binomial(binomial, assignment)
-        if residual != 0:
+        w = _draw_weights(drawn, f"{rng_seed}:{t}", denominator_bound)
+        pn = prod(w[r][e] ** c for (r, e), c in plus_entries)
+        pd = prod(sum(w[r]) ** c for r, c in plus_rows)
+        mn = prod(w[r][e] ** c for (r, e), c in minus_entries)
+        md = prod(sum(w[r]) ** c for r, c in minus_rows)
+        if pn * md != mn * pd:
             return RelationCheck(NONZERO, trials, seed, relation_index,
-                                 Witness(t, residual))
+                                 Witness(t, Fraction(pn, pd) - Fraction(mn, md)))
     return RelationCheck(VANISHES, trials, seed, relation_index)
+
+
+def _path_factors(spec, position, table, j):
+    # (row, entry) of each factor of path j's probability monomial.
+    if not 0 <= j < len(table):
+        raise RelationError(f"path index {j} out of range 0..{len(table) - 1}")
+    path = tuple(table[j])
+    spec.check_sequence(path)
+    k = spec.order
+    out = [position[("pi", path[:k])]]
+    for level in range(k + 1, spec.horizon + 1):
+        lv = None if spec.homogeneous else level
+        out.append(position[("a", lv, path[level - k - 1:level - 1],
+                             path[level - 1])])
+    return out
+
+
+def _side_exponents(terms, factors):
+    # One side's monomial as ((row, entry), exponent) pairs, and its
+    # denominator as (row, exponent of the row total) pairs.
+    entries, rows = {}, {}
+    for j, e in terms:
+        for f in factors[j]:
+            entries[f] = entries.get(f, 0) + e
+            rows[f[0]] = rows.get(f[0], 0) + e
+    return tuple(entries.items()), tuple(rows.items())
 
 
 def kernel_membership(binomial, design):
@@ -204,13 +276,17 @@ def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
     The design matrix defaults to the spec's own; pass one explicitly
     to reuse it across calls.  Entries keep the set's order, and each
     relation gets its own random stream derived from (seed, index).
+    trials must be at least 1.
     """
+    _check_trials(trials)
     if design is None:
         design = build_design_matrix(spec, relset.table)
+    layout = _row_layout(spec)
     entries = []
     for idx, (binomial, tag) in enumerate(relset):
         check = vanishes_on_model(binomial, spec, relset.table, trials,
-                                  seed, idx, denominator_bound)
+                                  seed, idx, denominator_bound,
+                                  _layout=layout)
         kc = kernel_membership(binomial, design)
         entries.append(RelationEntry(idx, tag, check, kc))
     return VerificationReport(tuple(entries), trials, seed)

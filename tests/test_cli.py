@@ -115,6 +115,13 @@ class TestRelationsAndVerify:
                            "--relations", str(rel), "--trials", "3")
         assert code == 2
 
+    def test_zero_trials_exits_one_with_named_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--spec", ILLNESS,
+                             "--trials", "0")
+        assert code == 1
+        assert out == ""
+        assert "trials must be at least 1, got 0" in err
+
     def test_text_output_counts_relations(self, capsys):
         code, out, _ = run(capsys, "relations", "--spec", ILLNESS)
         assert code == 0

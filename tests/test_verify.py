@@ -1,11 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from markovtoric import (
+    Binomial,
+    ModelSpec,
     ParameterError,
     RelationError,
+    RelationSet,
     build_design_matrix,
     canonicalize,
     enumerate_paths,
@@ -17,8 +21,13 @@ from markovtoric import (
     vanishes_on_model,
     verify_relation_set,
 )
-from markovtoric.verify import assignment_from_parameters, evaluate_binomial
-from conftest import make_binary_chain
+from markovtoric.verify import (
+    NONZERO,
+    VANISHES,
+    assignment_from_parameters,
+    evaluate_binomial,
+)
+from conftest import make_binary_chain, make_vc_chain
 
 
 class TestSampleParameters:
@@ -94,6 +103,32 @@ class TestVanishesOnModel:
         c1 = vanishes_on_model(bad, spec, table, trials=5, seed=9)
         c2 = vanishes_on_model(bad, spec, table, trials=5, seed=9)
         assert c1 == c2
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        spec = make_binary_chain(1, 4)
+        table = enumerate_paths(spec)
+        bad = canonicalize(
+            {table.index(("0", "0", "0", "0")): 1,
+             table.index(("1", "1", "1", "1")): 1},
+            {table.index(("0", "0", "0", "1")): 1,
+             table.index(("1", "1", "1", "0")): 1})
+        with pytest.raises(ParameterError, match="trials must be at least 1"):
+            vanishes_on_model(bad, spec, table, trials=trials)
+        rs = RelationSet(table, (bad,), ("file",))
+        with pytest.raises(ParameterError, match="trials must be at least 1"):
+            verify_relation_set(rs, spec, trials=trials)
+
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_path_index_out_of_range_rejected(self, index):
+        spec = make_binary_chain(1, 4)
+        table = enumerate_paths(spec)
+        b = Binomial(((index, 1),), ((0, 1),))
+        message = rf"path index {index} out of range 0\.\.{len(table) - 1}"
+        with pytest.raises(RelationError, match=message):
+            vanishes_on_model(b, spec, table, trials=2)
+        with pytest.raises(RelationError, match=message):
+            kernel_membership(b, build_design_matrix(spec, table))
 
     def test_relation_index_shifts_the_stream(self, illness_death):
         # the sampled points for different relation indices differ
@@ -171,3 +206,67 @@ def test_assignment_values_are_probabilities(seed):
     assignment = assignment_from_parameters(spec, params, table)
     assert sum(assignment.values()) == 1
     assert all(0 < v < 1 for v in assignment.values())
+
+
+def _fraction_route(binomial, spec, table, trials, seed, idx):
+    """The numeric route evaluated with Fractions: one sampled parameter
+    point per trial, every path probability, then the exact residual."""
+    for t in range(trials):
+        params = sample_parameters(spec, f"{seed}:{idx}:{t}")
+        assignment = assignment_from_parameters(spec, params, table)
+        residual = evaluate_binomial(binomial, assignment)
+        if residual != 0:
+            return NONZERO, t, residual
+    return VANISHES, None, None
+
+
+def _window_statistics(spec, path):
+    k = spec.order
+    stats = Counter({path[:k]: 1})
+    for end in range(k, len(path)):
+        level = None if spec.homogeneous else end + 1
+        stats[(level, path[end - k:end + 1])] += 1
+    return stats
+
+
+def _equivalence_case(spec):
+    table = enumerate_paths(spec)
+    stats = [_window_statistics(spec, p) for p in table]
+    return spec, table, generators_for(spec, table).binomials, stats
+
+
+EQUIVALENCE_CASES = [
+    _equivalence_case(ModelSpec(["0", "1", "2"], 1, 4)),
+    _equivalence_case(make_binary_chain(1, 5, homogeneous=True)),
+    _equivalence_case(make_vc_chain(5)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(EQUIVALENCE_CASES),
+       seed=st.one_of(st.integers(min_value=0, max_value=10**6),
+                      st.text(max_size=4)),
+       idx=st.integers(min_value=0, max_value=10_000),
+       member=st.booleans(),
+       quadric=st.tuples(*[st.integers(min_value=0, max_value=10_000)] * 4),
+       trials=st.integers(min_value=1, max_value=4))
+def test_integer_route_matches_fraction_route(case, seed, idx, member,
+                                              quadric, trials):
+    spec, table, members, stats = case
+    if member:
+        binomial = members[idx % len(members)]
+    else:
+        # p_a p_b - p_c p_d with unequal window statistics on the two
+        # sides vanishes nowhere on the model
+        a, b, c, d = (q % len(table) for q in quadric)
+        assume(stats[a] + stats[b] != stats[c] + stats[d])
+        binomial = canonicalize(Counter((a, b)), Counter((c, d)))
+    check = vanishes_on_model(binomial, spec, table, trials=trials,
+                              seed=seed, relation_index=idx)
+    status, trial, residual = _fraction_route(binomial, spec, table, trials,
+                                              seed, idx)
+    assert check.status == status
+    if check.witness is None:
+        assert trial is None
+    else:
+        assert (check.witness.trial, check.witness.residual) == (trial, residual)
