@@ -232,38 +232,45 @@ def _load_trajectories(args, spec):
     if args.trajectories:
         return iofiles.ingest_trajectories(args.trajectories, spec)
     counts = iofiles.read_counts(args.counts, enumerate_paths(spec))
-    records = tuple((p, c) for p, c in zip(counts.table, counts.counts) if c)
-    if not records:
+    if counts.total == 0:
         raise SystemExit_(EXIT_VALIDATION, "counts file is all zero")
-    return TrajectorySet(records).check(spec)
+    return TrajectorySet.from_counts(counts).check(spec)
+
+
+def _estimate(args, spec, trajs):
+    n = args.n if args.n is not None else min(spec.horizon, trajs.length)
+    if spec.homogeneous:
+        return mle_homogeneous(trajs, spec, n=n, window=args.window)
+    return mle_nonhomogeneous(trajs, spec, n=n)
+
+
+def _parameter_lines(pi, trans, undefined, decimals, unset):
+    """Text lines of a parameter table; unset describes an undefined row."""
+    pi_items, trans_items, undefined_rows = iofiles.parameter_items(
+        pi, trans, undefined)
+    lines = [f"{format_symbol(('pi', block))} = {_pp(value, decimals)}"
+             for block, value in pi_items]
+    lines += [f"{format_symbol(('a',) + key)} = {_pp(value, decimals)}"
+              for key, value in trans_items]
+    for level, h in undefined_rows:
+        where = "" if level is None else f" at level {level}"
+        lines.append(f"history {','.join(h)}{where}: {unset}")
+    return lines
 
 
 def _estimate_lines(report, decimals):
-    lines = [f"kind: {report.kind}  order: {report.order}"
-             f"  horizon: {report.horizon}  window: {report.window}"
-             f"  total: {report.total}"]
-    for block, value in sorted(report.pi.items()):
-        sym = format_symbol(("pi", block))
-        lines.append(f"{sym} = {_pp(value, decimals)}")
-    for (level, h, s), value in sorted(
-            report.trans.items(),
-            key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2])):
-        sym = format_symbol(("a", level, h, s))
-        lines.append(f"{sym} = {_pp(value, decimals)}")
-    for level, h in sorted(report.undefined, key=lambda x: (x[0] or 0, x[1])):
-        where = "" if level is None else f" at level {level}"
-        lines.append(f"history {','.join(h)}{where}: undefined (never occupied)")
-    return lines
+    return [f"kind: {report.kind}  order: {report.order}"
+            f"  horizon: {report.horizon}  window: {report.window}"
+            f"  total: {report.total}",
+            *_parameter_lines(report.pi, report.trans, report.undefined,
+                              decimals, "undefined (never occupied)")]
 
 
 def cmd_mle(args):
     spec = _load_spec(args)
     trajs = _load_trajectories(args, spec)
-    n = args.n if args.n is not None else min(spec.horizon, trajs.length)
-    if spec.homogeneous:
-        report = mle_homogeneous(trajs, spec, n=n, window=args.window)
-    else:
-        report = mle_nonhomogeneous(trajs, spec, n=n)
+    report = _estimate(args, spec, trajs)
+    n = report.horizon
     lines = _estimate_lines(report, args.decimals)
     jsonable = {"estimate": iofiles.estimate_to_jsonable(report, args.decimals)}
     fit_spec = spec if n == spec.horizon else spec.with_horizon(n)
@@ -293,17 +300,8 @@ def cmd_recover(args):
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     rec = recover_parameters(assignment, spec, table)
-    lines = []
-    for block, value in sorted(rec.params.pi.items()):
-        lines.append(f"{format_symbol(('pi', block))} = {_pp(value, args.decimals)}")
-    for (level, h, s), value in sorted(
-            rec.params.trans.items(),
-            key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2])):
-        lines.append(f"{format_symbol(('a', level, h, s))} = "
-                     f"{_pp(value, args.decimals)}")
-    for level, h in sorted(rec.undefined, key=lambda x: (x[0] or 0, x[1])):
-        where = "" if level is None else f" at level {level}"
-        lines.append(f"history {','.join(h)}{where}: undetermined")
+    lines = _parameter_lines(rec.params.pi, rec.params.trans, rec.undefined,
+                             args.decimals, "undetermined")
     for c in rec.inconsistencies:
         lines.append(
             f"inconsistent ratios for {','.join(c.history)} -> {c.next_state}: "
@@ -404,12 +402,7 @@ def cmd_report(args):
         "verification": iofiles.verification_to_jsonable(verification, relset),
     }
     if args.trajectories or args.counts:
-        trajs = _load_trajectories(args, spec)
-        n = args.n if args.n is not None else min(spec.horizon, trajs.length)
-        if spec.homogeneous:
-            est = mle_homogeneous(trajs, spec, n=n, window=args.window)
-        else:
-            est = mle_nonhomogeneous(trajs, spec, n=n)
+        est = _estimate(args, spec, _load_trajectories(args, spec))
         lines += _estimate_lines(est, args.decimals)
         jsonable["estimate"] = iofiles.estimate_to_jsonable(est, args.decimals)
     _emit(args, lines, jsonable)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EstimationError, ParameterError, RelationError
-from .model import ParameterPoint
+from .model import ParameterPoint, _join
 from .paths import enumerate_paths
 
 PREFIX = "prefix"
@@ -103,6 +103,15 @@ class CountVector:
         return self.counts[i]
 
 
+def _resolve_horizon(trajs, spec, n):
+    n = trajs.length if n is None else int(n)
+    if n < spec.order + 1:
+        raise EstimationError(f"n = {n} is shorter than order + 1")
+    if n > trajs.length:
+        raise EstimationError(f"n = {n} exceeds the trajectory length {trajs.length}")
+    return n
+
+
 def counts_from_trajectories(trajs, spec, n=None, table=None):
     """Count each admissible length-n prefix path of the data.
 
@@ -110,12 +119,7 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     prefix window (positions 1..n), not sliding windows.  The result is
     indexed by the path table of the spec at horizon n.
     """
-    n = spec.horizon if n is None else int(n)
-    if n < spec.order + 1:
-        raise EstimationError(f"n = {n} is shorter than order + 1")
-    if n > trajs.length:
-        raise EstimationError(
-            f"n = {n} exceeds the trajectory length {trajs.length}")
+    n = _resolve_horizon(trajs, spec, spec.horizon if n is None else n)
     spec_n = spec if n == spec.horizon else spec.with_horizon(n)
     if table is None:
         table = enumerate_paths(spec_n)
@@ -159,13 +163,42 @@ class EstimateReport:
         return self.trans.get(key, Fraction(0))
 
 
-def _resolve_horizon(trajs, spec, n):
-    n = trajs.length if n is None else int(n)
-    if n < spec.order + 1:
-        raise EstimationError(f"n = {n} is shorter than order + 1")
-    if n > trajs.length:
-        raise EstimationError(f"n = {n} exceeds the trajectory length {trajs.length}")
-    return n
+def _tally(records, k, last, pooled):
+    """Summed weights of (sequence, weight) records per initial block,
+    per window (level, history, next) and per history (level, history),
+    over levels k+1..last; level is None when pooled."""
+    starts = [(None if pooled else level, level - k - 1)
+              for level in range(k + 1, last + 1)]
+    initial, windows, histories = {}, {}, {}
+    for seq, weight in records:
+        block = seq[:k]
+        initial[block] = initial.get(block, 0) + weight
+        for level, i in starts:
+            window = (level, seq[i:i + k], seq[i + k])
+            windows[window] = windows.get(window, 0) + weight
+    for (level, h, _), weight in windows.items():
+        histories[(level, h)] = histories.get((level, h), 0) + weight
+    return initial, windows, histories
+
+
+def _conditionals(spec, records, last, pooled, total):
+    """(pi, trans, undefined) of weighted records: block weight over
+    total, and window weight over history weight per (level, history)
+    row.  A row whose history weight is zero is undefined, never zero."""
+    initial, windows, histories = _tally(records, spec.order, last, pooled)
+    pi = {b: Fraction(initial.get(b, 0), total) for b in spec.initial_blocks}
+    levels = (None,) if pooled else range(spec.order + 1, last + 1)
+    trans = {}
+    undefined = set()
+    for level in levels:
+        for h in spec.histories:
+            d = histories.get((level, h), 0)
+            if d == 0:
+                undefined.add((level, h))
+                continue
+            for s in spec.successors(h):
+                trans[(level, h, s)] = Fraction(windows.get((level, h, s), 0), d)
+    return pi, trans, frozenset(undefined)
 
 
 def mle_nonhomogeneous(trajs, spec, n=None):
@@ -179,32 +212,10 @@ def mle_nonhomogeneous(trajs, spec, n=None):
     if spec.homogeneous:
         raise EstimationError("spec is homogeneous; use mle_homogeneous")
     n = _resolve_horizon(trajs, spec, n)
-    k = spec.order
     M = trajs.total
-    pi_counts = {}
-    num = {}
-    den = {}
-    for traj, mult in trajs.records:
-        block = traj[:k]
-        pi_counts[block] = pi_counts.get(block, 0) + mult
-        for level in range(k + 1, n + 1):
-            h = traj[level - k - 1:level - 1]
-            s = traj[level - 1]
-            num[(level, h, s)] = num.get((level, h, s), 0) + mult
-            den[(level, h)] = den.get((level, h), 0) + mult
-    pi = {b: Fraction(pi_counts.get(b, 0), M) for b in spec.initial_blocks}
-    trans = {}
-    undefined = set()
-    for level in range(k + 1, n + 1):
-        for h in spec.histories:
-            d = den.get((level, h), 0)
-            if d == 0:
-                undefined.add((level, h))
-                continue
-            for s in spec.successors(h):
-                trans[(level, h, s)] = Fraction(num.get((level, h, s), 0), d)
-    return EstimateReport("nonhomogeneous", k, n, M, pi, trans,
-                          frozenset(undefined))
+    pi, trans, undefined = _conditionals(spec, trajs.records, n, False, M)
+    return EstimateReport("nonhomogeneous", spec.order, n, M, pi, trans,
+                          undefined)
 
 
 def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
@@ -220,32 +231,11 @@ def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
     if window not in (PREFIX, SLIDE):
         raise EstimationError(f"unknown window mode {window!r}")
     n = _resolve_horizon(trajs, spec, n)
-    k = spec.order
     M = trajs.total
     last = trajs.length if window == SLIDE else n
-    pi_counts = {}
-    num = {}
-    den = {}
-    for traj, mult in trajs.records:
-        block = traj[:k]
-        pi_counts[block] = pi_counts.get(block, 0) + mult
-        for level in range(k + 1, last + 1):
-            h = traj[level - k - 1:level - 1]
-            s = traj[level - 1]
-            num[(h, s)] = num.get((h, s), 0) + mult
-            den[h] = den.get(h, 0) + mult
-    pi = {b: Fraction(pi_counts.get(b, 0), M) for b in spec.initial_blocks}
-    trans = {}
-    undefined = set()
-    for h in spec.histories:
-        d = den.get(h, 0)
-        if d == 0:
-            undefined.add((None, h))
-            continue
-        for s in spec.successors(h):
-            trans[(None, h, s)] = Fraction(num.get((h, s), 0), d)
-    return EstimateReport("homogeneous", k, n, M, pi, trans,
-                          frozenset(undefined), window)
+    pi, trans, undefined = _conditionals(spec, trajs.records, last, True, M)
+    return EstimateReport("homogeneous", spec.order, n, M, pi, trans,
+                          undefined, window)
 
 
 def fitted_path_probabilities(report, spec, table):
@@ -266,26 +256,23 @@ def fitted_path_probabilities(report, spec, table):
         raise EstimationError(
             f"nonhomogeneous report was tallied at horizon {report.horizon}, "
             f"spec needs {spec.horizon}")
-    k = spec.order
     out = {}
     blocked = []
     for j, path in enumerate(table):
-        value = report.pi_value(path[:k])
-        for level in range(k + 1, spec.horizon + 1):
+        (_, block), *windows = spec.path_symbols(path)
+        value = report.pi_value(block)
+        for _, level, h, s in windows:
             if value == 0:
                 break
-            h = path[level - k - 1:level - 1]
-            lv = None if hom else level
-            if (lv, h) in report.undefined:
+            if (level, h) in report.undefined:
                 blocked.append(path)
                 value = None
                 break
-            value *= report.trans.get((lv, h, path[level - 1]), Fraction(0))
+            value *= report.trans.get((level, h, s), Fraction(0))
         if value is not None:
             out[j] = value
     if blocked:
-        labels = ", ".join("".join(p) if all(len(s) == 1 for s in p)
-                           else str(p) for p in blocked[:5])
+        labels = ", ".join(_join(p) for p in blocked[:5])
         raise EstimationError(
             f"{len(blocked)} paths with positive mass need an undefined row "
             f"(first few: {labels})")
@@ -298,13 +285,13 @@ def mle_paths_hierarchical(u, spec, table=None):
     For the nonhomogeneous model the fitted probability of a path
     factors over its windows:
 
-        p_hat = prod_j count(window at j-k..j) /
-                (M * prod_j count(window at j-k+1..j))
+        p_hat = prod_l count(window of level l) /
+                (M * prod_l count(history of level l))
 
-    with numerators over the n-k windows of length k+1 and denominators
-    over the n-k-1 interior windows of length k.  Marginals are summed
-    over the admissible path table.  A path whose denominator vanishes
-    gets None (undefined), never zero.
+    with numerators over the n-k windows of levels k+1..n and
+    denominators over the n-k-1 histories of levels k+2..n.  Marginals
+    are summed over the admissible path table.  A path whose
+    denominator vanishes gets None (undefined), never zero.
     """
     if spec.homogeneous:
         raise EstimationError(
@@ -314,28 +301,16 @@ def mle_paths_hierarchical(u, spec, table=None):
         table = enumerate_paths(spec)
     if u.table is not table and tuple(u.table.paths) != tuple(table.paths):
         raise EstimationError("count vector is indexed by a different table")
-    k, n = spec.order, spec.horizon
     M = u.total
     if M == 0:
         raise EstimationError("empty count vector")
-    marg = {}
-    for path, c in zip(table, u.counts):
-        if c == 0:
-            continue
-        for start in range(0, n - k):
-            w = (start, path[start:start + k + 1])
-            marg[w] = marg.get(w, 0) + c
-        for start in range(1, n - k):
-            w = (start, path[start:start + k])
-            marg[w] = marg.get(w, 0) + c
+    records = [(path, c) for path, c in zip(table, u.counts) if c]
+    _, windows, histories = _tally(records, spec.order, spec.horizon, False)
     out = {}
     for j, path in enumerate(table):
-        num = 1
-        for start in range(0, n - k):
-            num *= marg.get((start, path[start:start + k + 1]), 0)
-        den = M
-        for start in range(1, n - k):
-            den *= marg.get((start, path[start:start + k]), 0)
+        _, *factors = spec.path_symbols(path)
+        num = math.prod(windows.get(f[1:], 0) for f in factors)
+        den = M * math.prod(histories.get(f[1:3], 0) for f in factors[1:])
         out[j] = Fraction(num, den) if den != 0 else None
     return out
 
@@ -393,59 +368,28 @@ def recover_parameters(p, spec, table=None):
     total = sum((p[j] for j in range(len(table))), Fraction(0))
     if total == 0:
         raise ParameterError("assignment sums to zero; nothing to recover")
-    k, n = spec.order, spec.horizon
+    records = [(path, p[j]) for j, path in enumerate(table)]
+    pi, per_level, undefined = _conditionals(spec, records, spec.horizon,
+                                             False, total)
+    if not spec.homogeneous:
+        return Recovery(ParameterPoint(pi, per_level), undefined)
 
-    pi = {}
-    for j, path in enumerate(table):
-        b = path[:k]
-        pi[b] = pi.get(b, Fraction(0)) + p[j]
-    pi = {b: v / total for b, v in pi.items()}
-    for b in spec.initial_blocks:
-        pi.setdefault(b, Fraction(0))
-
-    hist_marg = {}
-    trans_marg = {}
-    for j, path in enumerate(table):
-        for level in range(k + 1, n + 1):
-            h = path[level - k - 1:level - 1]
-            s = path[level - 1]
-            hist_marg[(level, h)] = hist_marg.get((level, h), Fraction(0)) + p[j]
-            trans_marg[(level, h, s)] = trans_marg.get((level, h, s), Fraction(0)) + p[j]
-
+    levels = range(spec.order + 1, spec.horizon + 1)
     trans = {}
-    undefined = set()
+    pooled_undefined = set()
     conflicts = []
-    if spec.homogeneous:
-        for h in spec.histories:
-            witness = None
-            for level in range(k + 1, n + 1):
-                m = hist_marg.get((level, h), Fraction(0))
-                if m == 0:
-                    continue
-                ratios = {s: trans_marg.get((level, h, s), Fraction(0)) / m
-                          for s in spec.successors(h)}
-                if witness is None:
-                    witness = (level, ratios)
-                    for s, r in ratios.items():
-                        trans[(None, h, s)] = r
-                else:
-                    for s, r in ratios.items():
-                        if r != witness[1][s]:
-                            conflicts.append(RatioConflict(
-                                h, s, witness[0], witness[1][s], level, r))
-            if witness is None:
-                undefined.add((None, h))
-    else:
-        for level in range(k + 1, n + 1):
-            for h in spec.histories:
-                m = hist_marg.get((level, h), Fraction(0))
-                if m == 0:
-                    undefined.add((level, h))
-                    continue
-                for s in spec.successors(h):
-                    trans[(level, h, s)] = (
-                        trans_marg.get((level, h, s), Fraction(0)) / m)
-    return Recovery(ParameterPoint(pi, trans), frozenset(undefined),
+    for h in spec.histories:
+        defined = [level for level in levels if (level, h) not in undefined]
+        if not defined:
+            pooled_undefined.add((None, h))
+        for level in defined:
+            for s in spec.successors(h):
+                r = per_level[(level, h, s)]
+                witness = trans.setdefault((None, h, s), r)
+                if r != witness:
+                    conflicts.append(RatioConflict(h, s, defined[0], witness,
+                                                   level, r))
+    return Recovery(ParameterPoint(pi, trans), frozenset(pooled_undefined),
                     tuple(conflicts))
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import yaml
 
 from .errors import InadmissiblePathError, ParseError, SpecificationError
-from .estimate import TrajectorySet
+from .estimate import CountVector, TrajectorySet
 from .model import ModelSpec, format_symbol
 from .relations import RelationSet, canonicalize
 
@@ -62,15 +62,42 @@ def _label(x):
     return x if isinstance(x, str) else str(x)
 
 
+def _state_labels(value, what, path, length=None):
+    """Check a YAML list of state labels (strings, or integers such as 0)."""
+    if (not isinstance(value, list) or length not in (None, len(value))
+            or not all(isinstance(x, (str, int)) for x in value)):
+        size = "" if length is None else f"{length} "
+        raise ParseError(f"{what} must be a list of {size}state labels, "
+                         f"got {value!r}", filename=path)
+    return value
+
+
+def _list_field(doc, key, path):
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list, got {value!r}", filename=path)
+    return value
+
+
+def _integer_field(doc, key, path, default=None):
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key} must be an integer, got {value!r}", filename=path)
+    return value
+
+
 def parse_model_spec(path):
     """Read a model spec file.
 
     Keys: states (list of labels), k, n, and optionally homogeneous,
     forbid (list of [from, to] pairs), absorbing (list of states),
-    initial (list of states for k = 1, or of blocks).  Unknown keys are
-    rejected by name.  Structural violations (duplicate states, an
-    absorbing state with a forbidden self-loop, ...) surface as
-    SpecificationError from the ModelSpec constructor.
+    initial (list of states for k = 1, or of blocks).  Unknown keys,
+    values of the wrong type and a homogeneous flag that is not a YAML
+    boolean raise ParseError naming the file.  Structural violations
+    (duplicate states, an absorbing state with a forbidden self-loop,
+    ...) surface as SpecificationError from the ModelSpec constructor.
     """
     doc = _load_yaml(path)
     if not isinstance(doc, dict):
@@ -83,16 +110,20 @@ def parse_model_spec(path):
         if key not in doc:
             raise ParseError(f"model spec is missing required key {key!r}",
                              filename=path)
-    states = [_label(s) for s in doc["states"]]
-    forbid = [(_label(a), _label(b)) for a, b in doc.get("forbid") or []]
-    absorbing = [_label(s) for s in doc.get("absorbing") or []]
+    states = _state_labels(doc["states"], "states", path)
+    forbid = [_state_labels(pair, "each forbid entry", path, 2)
+              for pair in _list_field(doc, "forbid", path)]
+    absorbing = _state_labels(doc.get("absorbing") or [], "absorbing", path)
     initial = doc.get("initial")
     if initial is not None:
-        initial = [[_label(s) for s in b] if isinstance(b, (list, tuple))
-                   else _label(b) for b in initial]
+        initial = _list_field(doc, "initial", path)
+    homogeneous = doc.get("homogeneous", False)
+    if not isinstance(homogeneous, bool):
+        raise ParseError(f"homogeneous must be true or false, got {homogeneous!r}",
+                         filename=path)
     return ModelSpec(states, doc["k"], doc["n"],
                      forbidden=forbid, absorbing=absorbing, initial=initial,
-                     homogeneous=bool(doc.get("homogeneous", False)))
+                     homogeneous=homogeneous)
 
 
 def _data_lines(path):
@@ -164,8 +195,6 @@ def read_counts(path, table):
     Paths absent from the file count zero; a path listed twice is an
     error rather than a silent sum.
     """
-    from .estimate import CountVector
-
     counts = [0] * len(table)
     seen = set()
     for lineno, line in _data_lines(path):
@@ -406,13 +435,12 @@ def read_corpus_spec(path):
     else:
         raise ParseError("alphabet must be a mapping or the word 'letters'",
                          filename=path)
-    horizon = doc.get("horizon")
-    if horizon in ("max", None):
-        horizon = None
+    horizon = (None if doc.get("horizon") == "max"
+               else _integer_field(doc, "horizon", path))
     return CorpusSpec(alphabet=alphabet, pad=_label(doc["pad"]),
                       horizon=horizon,
-                      min_word_length=int(doc.get("min_word_length", 1)),
-                      max_word_length=doc.get("max_word_length"),
+                      min_word_length=_integer_field(doc, "min_word_length", path, 1),
+                      max_word_length=_integer_field(doc, "max_word_length", path),
                       overlong=doc.get("overlong", "error"),
                       drop_chars=doc.get("drop_chars", DEFAULT_DROP_CHARS))
 
@@ -451,7 +479,8 @@ def read_relations(path, table):
     """Load a relation file back against a path table.
 
     Binomials are re-canonicalized on the way in, so a hand-edited file
-    cannot smuggle in a non-canonical or degenerate relation.
+    cannot smuggle in a non-canonical or degenerate relation.  A
+    malformed term or a path outside the table raises ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -472,12 +501,18 @@ def read_relations(path, table):
             out[j] = out.get(j, 0) + int(term.get("power", 1))
         return out
 
-    binomials, tags = [], []
-    for rec in doc["relations"]:
-        binomials.append(canonicalize(side(rec["plus"]), side(rec["minus"])))
-        tags.append(rec.get("provenance", "file"))
-    slice_paths = tuple(tuple(p) for p in doc.get("slice", []))
-    return RelationSet(table, tuple(binomials), tuple(tags), slice_paths)
+    try:
+        sides = [(side(rec["plus"]), side(rec["minus"]))
+                 for rec in doc["relations"]]
+        tags = tuple(rec.get("provenance", "file") for rec in doc["relations"])
+        slice_paths = tuple(tuple(p) for p in doc.get("slice", []))
+    except InadmissiblePathError as exc:
+        raise ParseError(str(exc), filename=path) from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed relation file: {exc!r}",
+                         filename=path) from None
+    binomials = tuple(canonicalize(plus, minus) for plus, minus in sides)
+    return RelationSet(table, binomials, tags, slice_paths)
 
 
 def _value_pair(value, decimals):
@@ -485,25 +520,39 @@ def _value_pair(value, decimals):
             "decimal": float(decimal_string(value, decimals))}
 
 
+def parameter_items(pi, trans, undefined):
+    """The pi items, trans items and undefined rows of a parameter table,
+    in the output order of the text and JSON renderers: by level (None
+    first), then by label text."""
+    return (sorted(pi.items()),
+            sorted(trans.items(),
+                   key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2])),
+            sorted(undefined, key=lambda row: (row[0] or 0, row[1])))
+
+
+def _parameters_to_jsonable(pi, trans, undefined, decimals):
+    pi_items, trans_items, undefined_rows = parameter_items(pi, trans, undefined)
+    return {
+        "pi": [{"block": list(b), **_value_pair(v, decimals)}
+               for b, v in pi_items],
+        "transitions": [
+            {"level": level, "history": list(h), "next": s,
+             **_value_pair(v, decimals)}
+            for (level, h, s), v in trans_items],
+        "undefined": [{"level": lv, "history": list(h)}
+                      for lv, h in undefined_rows],
+    }
+
+
 def estimate_to_jsonable(report, decimals=DEFAULT_DECIMALS):
-    pi = [{"block": list(b), **_value_pair(v, decimals)}
-          for b, v in sorted(report.pi.items())]
-    trans = []
-    for (level, h, s), v in sorted(report.trans.items(),
-                                   key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2])):
-        trans.append({"level": level, "history": list(h), "next": s,
-                      **_value_pair(v, decimals)})
     return {
         "kind": report.kind,
         "order": report.order,
         "horizon": report.horizon,
         "window": report.window,
         "total": report.total,
-        "pi": pi,
-        "transitions": trans,
-        "undefined": [{"level": lv, "history": list(h)}
-                      for lv, h in sorted(report.undefined,
-                                          key=lambda x: (x[0] or 0, x[1]))],
+        **_parameters_to_jsonable(report.pi, report.trans, report.undefined,
+                                  decimals),
     }
 
 
@@ -548,19 +597,9 @@ def verification_to_jsonable(vr, relset):
 
 
 def recovery_to_jsonable(rec, decimals=DEFAULT_DECIMALS):
-    params = rec.params
     return {
-        "pi": [{"block": list(b), **_value_pair(v, decimals)}
-               for b, v in sorted(params.pi.items())],
-        "transitions": [
-            {"level": level, "history": list(h), "next": s,
-             **_value_pair(v, decimals)}
-            for (level, h, s), v in sorted(
-                params.trans.items(),
-                key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2]))],
-        "undefined": [{"level": lv, "history": list(h)}
-                      for lv, h in sorted(rec.undefined,
-                                          key=lambda x: (x[0] or 0, x[1]))],
+        **_parameters_to_jsonable(rec.params.pi, rec.params.trans,
+                                  rec.undefined, decimals),
         "consistent": rec.consistent,
         "inconsistencies": [
             {"history": list(c.history), "next": c.next_state,

@@ -23,16 +23,13 @@ label text.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     InadmissiblePathError,
     ParameterError,
     SpecificationError,
 )
-
-Block = tuple
-PathT = tuple
-Symbol = tuple
 
 
 def _as_label(x):
@@ -202,15 +199,6 @@ class ModelSpec:
                       if not b or (b[-1], s) in pairs]
         return blocks
 
-    # Short aliases used heavily in formulas.
-    @property
-    def k(self):
-        return self.order
-
-    @property
-    def n(self):
-        return self.horizon
-
     @property
     def histories(self):
         return self._histories
@@ -223,12 +211,6 @@ class ModelSpec:
     def transition_pairs(self):
         """Set of (state, state) pairs realized by some allowed transition."""
         return self._pairs
-
-    def state_index(self, s):
-        try:
-            return self._state_index[s]
-        except KeyError:
-            raise InadmissiblePathError(f"unknown state label {s!r}") from None
 
     def block_key(self, block):
         """Sort key placing blocks in declaration-lexicographic order."""
@@ -265,6 +247,20 @@ class ModelSpec:
             if nxt not in self._succ.get(hist, ()):
                 raise InadmissiblePathError(
                     f"transition {hist} -> {nxt!r} into position {level} is forbidden")
+
+    def path_symbols(self, path):
+        """Parameter symbols of a path's probability monomial, one per factor.
+
+        Returns [("pi", initial block)] followed by ("a", level, history,
+        next) for each level l in k+1..len(path), level None when
+        homogeneous.  The path is not checked; see check_sequence.
+        """
+        k = self.order
+        symbols = [("pi", path[:k])]
+        for level in range(k + 1, len(path) + 1):
+            symbols.append(("a", None if self.homogeneous else level,
+                            path[level - k - 1:level - 1], path[level - 1]))
+        return symbols
 
     def is_admissible(self, path):
         try:
@@ -366,14 +362,8 @@ def uniform_parameters(spec):
     """The uniform parameter point: equal weight on every allowed entry."""
     m = len(spec.initial_blocks)
     pi = {b: Fraction(1, m) for b in spec.initial_blocks}
-    trans = {}
-    for level in spec.levels():
-        for h in spec.histories:
-            succ = spec.successors(h)
-            if not succ:
-                continue
-            for s in succ:
-                trans[(level, h, s)] = Fraction(1, len(succ))
+    trans = {sym[1:]: Fraction(1, len(spec.successors(sym[2])))
+             for sym in spec.a_symbols()}
     return ParameterPoint(pi, trans)
 
 
@@ -467,12 +457,6 @@ def validate_parameters(spec, params):
     return problems
 
 
-def require_valid_parameters(spec, params):
-    problems = validate_parameters(spec, params)
-    if problems:
-        raise ParameterError("; ".join(problems))
-
-
 def path_probability(spec, params, path):
     """Exact probability of an admissible path under a parameter point.
 
@@ -485,46 +469,4 @@ def path_probability(spec, params, path):
     """
     path = tuple(path)
     spec.check_sequence(path)
-    value = params.initial(path[:spec.order])
-    for level in range(spec.order + 1, spec.horizon + 1):
-        hist = path[level - spec.order - 1:level - 1]
-        lv = None if spec.homogeneous else level
-        value *= params.transition(lv, hist, path[level - 1])
-    return value
-
-
-def path_probability_extended(spec, params, path):
-    """Like path_probability, but inadmissible paths evaluate to 0.
-
-    The path must still have the spec's horizon length and use known
-    state labels; only forbidden transitions and disallowed initial
-    blocks are silently sent to zero.
-    """
-    path = tuple(path)
-    for s in path:
-        spec.state_index(s)
-    if len(path) != spec.horizon:
-        raise InadmissiblePathError(
-            f"path has length {len(path)}, expected horizon {spec.horizon}")
-    if not spec.is_admissible(path):
-        return Fraction(0)
-    return path_probability(spec, params, path)
-
-
-def symbolic_path_monomial(spec, path):
-    """Exponent vector of the path's probability monomial.
-
-    Maps each parameter symbol to its multiplicity in the product
-    pi(initial block) * prod_l a(level l window).  Levels are pooled to
-    None for homogeneous specs, so repeated windows accumulate.
-    """
-    path = tuple(path)
-    spec.check_sequence(path)
-    out = {}
-    out[("pi", path[:spec.order])] = 1
-    for level in range(spec.order + 1, spec.horizon + 1):
-        hist = path[level - spec.order - 1:level - 1]
-        lv = None if spec.homogeneous else level
-        sym = ("a", lv, hist, path[level - 1])
-        out[sym] = out.get(sym, 0) + 1
-    return out
+    return prod(map(params.value, spec.path_symbols(path)))

@@ -1,7 +1,6 @@
 """Path enumeration, sufficient statistics, and the design matrix."""
 
 from .errors import InadmissiblePathError, RelationError
-from .model import format_symbol
 
 
 class PathTable:
@@ -73,12 +72,8 @@ def block_counts(spec, path):
     """
     path = tuple(path)
     spec.check_sequence(path)
-    k = spec.order
-    counts = {("pi", path[:k]): 1}
-    for end in range(k, len(path)):
-        window = path[end - k:end + 1]
-        lv = None if spec.homogeneous else end + 1
-        sym = ("a", lv, window[:k], window[k])
+    counts = {}
+    for sym in spec.path_symbols(path):
         counts[sym] = counts.get(sym, 0) + 1
     return counts
 
@@ -121,9 +116,6 @@ class DesignMatrix:
             if not 0 <= j < ncols:
                 raise RelationError(f"path index {j} out of range 0..{ncols - 1}")
         return [sum(row[j] * c for j, c in coeffs.items()) for row in self.rows]
-
-    def row_labels(self):
-        return tuple(format_symbol(s) for s in self.row_symbols)
 
     def __repr__(self):
         r, c = self.shape

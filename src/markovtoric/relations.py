@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import RelationError
+from .model import _join
 from .paths import enumerate_paths, block_counts
 
 PROV_NONHOM = "nonhom-exchange"
@@ -52,16 +53,10 @@ class Binomial:
         def side(terms):
             parts = []
             for i, e in terms:
-                var = "p_" + _label(table[i])
+                var = "p_" + _join(table[i])
                 parts.append(var if e == 1 else f"{var}^{e}")
             return "*".join(parts) if parts else "1"
         return f"{side(self.plus)} - {side(self.minus)}"
-
-
-def _label(path):
-    if all(len(s) == 1 for s in path):
-        return "".join(path)
-    return ",".join(path)
 
 
 def _lex_larger(u, v):
@@ -140,7 +135,7 @@ class RelationSet:
 
     def text_lines(self):
         lines = [f"{b.text(self.table)}  [{t}]" for b, t in self]
-        lines += [f"p_{_label(p)} = 0  [{PROV_SLICE}]" for p in self.slice_paths]
+        lines += [f"p_{_join(p)} = 0  [{PROV_SLICE}]" for p in self.slice_paths]
         return lines
 
 
@@ -191,10 +186,7 @@ def nonhomogeneous_generators(spec, table=None):
                     {table.index(I + J + S): 1, table.index(I2 + J + S2): 1},
                     {table.index(cross1): 1, table.index(cross2): 1}))
     binomials, tags = _dedup(raw, PROV_NONHOM)
-    slice_paths = ()
-    if len(table) != len(spec.states) ** n:
-        slice_paths = slice_linear_generators(spec)
-    return RelationSet(table, binomials, tags, slice_paths)
+    return RelationSet(table, binomials, tags, _slice_paths(spec, table))
 
 
 def slice_linear_generators(spec):
@@ -212,6 +204,14 @@ def slice_linear_generators(spec):
         if path not in admissible:
             out.append(path)
     return tuple(out)
+
+
+def _slice_paths(spec, table):
+    # A restricted spec admits fewer than |S|^n paths; its forbidden
+    # paths are the slice variables.
+    if len(table) == len(spec.states) ** spec.horizon:
+        return ()
+    return slice_linear_generators(spec)
 
 
 def homogeneous_family(spec, table=None):
@@ -266,7 +266,7 @@ def homogeneous_family(spec, table=None):
                         continue
                     try:
                         raw.append(canonicalize(
-                            {i1: 1, i2: 1} if i1 != i2 else {i1: 2},
+                            _pair(i1, i2),
                             _pair(table.index(m1), table.index(m2))))
                     except RelationError:
                         continue  # exchanged pair equals the original pair
@@ -292,11 +292,9 @@ def generators_for(spec, table=None):
         return nonhomogeneous_generators(spec, table)
     fam = homogeneous_family(spec, table)
     lin = permutation_linear_relations(spec, table)
-    slice_paths = ()
-    if len(table) != len(spec.states) ** spec.horizon:
-        slice_paths = slice_linear_generators(spec)
     return RelationSet(table, fam.binomials + lin.binomials,
-                       fam.provenance + lin.provenance, slice_paths)
+                       fam.provenance + lin.provenance,
+                       _slice_paths(spec, table))
 
 
 def permutation_linear_relations(spec, table=None):

@@ -197,13 +197,7 @@ def _path_factors(spec, position, table, j):
         raise RelationError(f"path index {j} out of range 0..{len(table) - 1}")
     path = tuple(table[j])
     spec.check_sequence(path)
-    k = spec.order
-    out = [position[("pi", path[:k])]]
-    for level in range(k + 1, spec.horizon + 1):
-        lv = None if spec.homogeneous else level
-        out.append(position[("a", lv, path[level - k - 1:level - 1],
-                             path[level - 1])])
-    return out
+    return [position[sym] for sym in spec.path_symbols(path)]
 
 
 def _side_exponents(terms, factors):

@@ -1,9 +1,19 @@
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from markovtoric import enumerate_paths, read_counts, generators_for
+from markovtoric import (
+    enumerate_paths,
+    generators_for,
+    parse_model_spec,
+    read_counts,
+    sample_parameters,
+    write_relations,
+)
+from markovtoric.verify import assignment_from_parameters
 from markovtoric.cli import main
 from conftest import DATA
 from reference_data import WORKED_PATHS, WORKED_COUNTS, WORKED_PI
@@ -51,6 +61,58 @@ class TestValidate:
     def test_missing_file_exits_three(self, capsys):
         code, _, err = run(capsys, "validate", "--spec", "/nonexistent.yaml")
         assert code == 3
+
+
+@pytest.mark.parametrize("value", ['"no"', "1"])
+def test_homogeneous_must_be_boolean(capsys, tmp_path, value):
+    f = tmp_path / "spec.yaml"
+    f.write_text(f"states: [0, 1]\nk: 1\nn: 3\nhomogeneous: {value}\n")
+    code, out, err = run(capsys, "report", "--spec", str(f), "--trials", "1")
+    assert code == 3
+    assert str(f) in err
+    assert "homogeneous" not in out
+
+
+def _spec_file(tmp_path, text):
+    f = tmp_path / "spec.yaml"
+    f.write_text(text)
+    return f, ["validate", "--spec", str(f)]
+
+
+def _corpus_config(tmp_path, text):
+    f = tmp_path / "corpus.yaml"
+    f.write_text(text)
+    return f, ["ingest", "--spec", VC_BOX,
+               "--corpus", str(DATA / "sample_corpus.txt"),
+               "--corpus-config", str(f),
+               "--collapse", str(DATA / "vc_collapse.yaml")]
+
+
+def _relation_file(tmp_path, edit):
+    spec = parse_model_spec(ILLNESS)
+    f = tmp_path / "relations.json"
+    write_relations(generators_for(spec), f)
+    doc = json.loads(f.read_text())
+    edit(doc["relations"][0]["plus"][0])
+    f.write_text(json.dumps(doc))
+    return f, ["verify", "--spec", ILLNESS, "--relations", str(f),
+               "--trials", "1"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: _spec_file(d, "states: 5\nk: 1\nn: 3\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: [[a]]\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\n"
+                                "min_word_length: x\n"),
+    lambda d: _relation_file(d, lambda term: term.pop("path")),
+    lambda d: _relation_file(d, lambda term: term.update(path=["1", "0", "0", "0"])),
+], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
+        "term-without-path", "path-outside-table"])
+def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
+    f, argv = make(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert str(f) in err
 
 
 class TestUsageErrors:
@@ -219,6 +281,42 @@ class TestRecover:
                            "--probabilities", str(probs))
         assert code == 2
         assert "inconsistent" in out
+
+
+def test_mle_and_recover_list_the_same_parameters(capsys, tmp_path):
+    # counts proportional to a model point: the MLE and the recovery are
+    # that point, so both renderers must list it identically
+    spec = parse_model_spec(VC_BOX)
+    table = enumerate_paths(spec)
+    p = assignment_from_parameters(spec, sample_parameters(spec, seed=11),
+                                   table)
+    scale = math.lcm(*(v.denominator for v in p.values()))
+    counts, probs = tmp_path / "counts.txt", tmp_path / "p.txt"
+    counts.write_text("".join(f"{','.join(path)} {p[j] * scale}\n"
+                              for j, path in enumerate(table)))
+    probs.write_text("".join(f"{','.join(path)} {p[j]}\n"
+                             for j, path in enumerate(table)))
+    mle = ["mle", "--spec", VC_BOX, "--counts", str(counts)]
+    recover = ["recover", "--spec", VC_BOX, "--probabilities", str(probs)]
+
+    def parameter_lines(argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return [line for line in out.splitlines()
+                if re.match(r"(pi|a\d*)_\S+ = |history ", line)]
+
+    lines = parameter_lines(mle)
+    assert len(lines) == len(spec.symbols())
+    assert parameter_lines(recover) == lines
+
+    def tables(argv):
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0
+        doc = json.loads(out)
+        doc = doc.get("estimate", doc)
+        return [doc[key] for key in ("pi", "transitions", "undefined")]
+
+    assert tables(recover) == tables(mle)
 
 
 def enumerate_paths_cached():

@@ -243,6 +243,13 @@ class TestHierarchicalPathMle:
         with pytest.raises(EstimationError):
             mle_paths_hierarchical(u, illness_death_hom, table)
 
+    def test_integer_counts_give_fractions(self, illness_death):
+        table = enumerate_paths(illness_death)
+        u = CountVector(table, tuple(WORKED_COUNTS))
+        fitted = mle_paths_hierarchical(u, illness_death, table)
+        values = [v for v in fitted.values() if v is not None]
+        assert values and all(type(v) is Fraction for v in values)
+
 
 class TestRecoverParameters:
     def test_nonhomogeneous_round_trip(self, illness_death):
@@ -281,6 +288,15 @@ class TestRecoverParameters:
         table = enumerate_paths(illness_death)
         with pytest.raises(Exception):
             recover_parameters({0: Fraction(1)}, illness_death, table)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_integer_weights_give_fractions(self, homogeneous):
+        # every p[j] = 1: int sums must still divide exactly
+        spec = make_illness_death(homogeneous)
+        table = enumerate_paths(spec)
+        rec = recover_parameters({j: 1 for j in range(len(table))}, spec, table)
+        values = [*rec.params.pi.values(), *rec.params.trans.values()]
+        assert values and all(type(v) is Fraction for v in values)
 
     def test_recovered_point_is_valid_when_all_rows_reachable(self):
         spec = make_binary_chain(1, 4)

@@ -59,7 +59,8 @@ class TestParseModelSpec:
     def test_reads_bundled_spec(self, data_dir, illness_death):
         spec = parse_model_spec(data_dir / "illness.yaml")
         assert spec.states == illness_death.states
-        assert (spec.k, spec.n) == (illness_death.k, illness_death.n)
+        assert (spec.order, spec.horizon) == (illness_death.order,
+                                              illness_death.horizon)
         assert spec.transition_pairs == illness_death.transition_pairs
         assert spec.absorbing == illness_death.absorbing
         assert spec.initial_blocks == illness_death.initial_blocks

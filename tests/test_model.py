@@ -10,11 +10,10 @@ from markovtoric import (
     ParameterPoint,
     SpecificationError,
     as_fraction,
+    block_counts,
     enumerate_paths,
     format_symbol,
     path_probability,
-    path_probability_extended,
-    symbolic_path_monomial,
     uniform_parameters,
     validate_model,
     validate_parameters,
@@ -181,11 +180,6 @@ class TestPathProbability:
         with pytest.raises(InadmissiblePathError):
             path_probability(illness_death, params, ("1", "0", "0", "0"))
 
-    def test_extended_gives_zero_off_model(self, illness_death):
-        params = uniform_parameters(illness_death)
-        assert path_probability_extended(
-            illness_death, params, ("1", "0", "0", "0")) == 0
-
     def test_uniform_probabilities_sum_to_one(self, illness_death):
         params = uniform_parameters(illness_death)
         total = sum(path_probability(illness_death, params, p)
@@ -200,7 +194,7 @@ class TestPathProbability:
     def test_symbolic_monomial_matches_numeric(self, illness_death):
         params = uniform_parameters(illness_death)
         path = ("0", "0", "1", "2")
-        mono = symbolic_path_monomial(illness_death, path)
+        mono = block_counts(illness_death, path)
         value = Fraction(1)
         for sym, e in mono.items():
             if sym[0] == "pi":
