@@ -94,10 +94,11 @@ def parse_model_spec(path):
     Keys: states (list of labels), k, n, and optionally homogeneous,
     forbid (list of [from, to] pairs), absorbing (list of states),
     initial (list of states for k = 1, or of blocks).  Unknown keys,
-    values of the wrong type and a homogeneous flag that is not a YAML
-    boolean raise ParseError naming the file.  Structural violations
-    (duplicate states, an absorbing state with a forbidden self-loop,
-    ...) surface as SpecificationError from the ModelSpec constructor.
+    values of the wrong type (k or n not an integer, ...) and a
+    homogeneous flag that is not a YAML boolean raise ParseError naming
+    the file.  Structural violations (k < 1, duplicate states, an
+    absorbing state with a forbidden self-loop, ...) surface as
+    SpecificationError from the ModelSpec constructor.
     """
     doc = _load_yaml(path)
     if not isinstance(doc, dict):
@@ -121,7 +122,8 @@ def parse_model_spec(path):
     if not isinstance(homogeneous, bool):
         raise ParseError(f"homogeneous must be true or false, got {homogeneous!r}",
                          filename=path)
-    return ModelSpec(states, doc["k"], doc["n"],
+    return ModelSpec(states, _integer_field(doc, "k", path),
+                     _integer_field(doc, "n", path),
                      forbidden=forbid, absorbing=absorbing, initial=initial,
                      homogeneous=homogeneous)
 
@@ -228,9 +230,11 @@ def read_probabilities(path, table):
     """Read 'path value' lines into an assignment over the table.
 
     Values may be rationals like 469/685 or decimal strings; both are
-    read exactly.  Paths absent from the file get probability zero.
+    read exactly.  Paths absent from the file get probability zero; a
+    path listed twice is an error rather than a silent overwrite.
     """
     out = {j: Fraction(0) for j in range(len(table))}
+    seen = set()
     for lineno, line in _data_lines(path):
         fields = line.split()
         if len(fields) != 2:
@@ -240,6 +244,10 @@ def read_probabilities(path, table):
             j = table.index(path_tuple)
         except InadmissiblePathError as exc:
             raise ParseError(str(exc), filename=path, line=lineno)
+        if j in seen:
+            raise ParseError(f"duplicate value for path {fields[0]}",
+                             filename=path, line=lineno)
+        seen.add(j)
         try:
             out[j] = Fraction(fields[1])
         except (ValueError, ZeroDivisionError):
@@ -480,7 +488,9 @@ def read_relations(path, table):
 
     Binomials are re-canonicalized on the way in, so a hand-edited file
     cannot smuggle in a non-canonical or degenerate relation.  A
-    malformed term or a path outside the table raises ParseError.
+    malformed term, a path or slice entry that is not a list, a power
+    that is not a positive integer, or a path outside the table raises
+    ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -494,18 +504,28 @@ def read_relations(path, table):
         raise ParseError("relation file must contain a 'relations' list",
                          filename=path)
 
+    def path_list(value, what):
+        if not isinstance(value, list):
+            raise ParseError(f"{what} must be a list of state labels, got {value!r}",
+                             filename=path)
+        return tuple(value)
+
     def side(terms):
         out = {}
         for term in terms:
-            j = table.index(tuple(term["path"]))
-            out[j] = out.get(j, 0) + int(term.get("power", 1))
+            j = table.index(path_list(term["path"], "a term's path"))
+            power = term.get("power", 1)
+            if isinstance(power, bool) or not isinstance(power, int) or power < 1:
+                raise ParseError(f"power must be a positive integer, got {power!r}",
+                                 filename=path)
+            out[j] = out.get(j, 0) + power
         return out
 
     try:
         sides = [(side(rec["plus"]), side(rec["minus"]))
                  for rec in doc["relations"]]
         tags = tuple(rec.get("provenance", "file") for rec in doc["relations"])
-        slice_paths = tuple(tuple(p) for p in doc.get("slice", []))
+        slice_paths = tuple(path_list(p, "a slice entry") for p in doc.get("slice", []))
     except InadmissiblePathError as exc:
         raise ParseError(str(exc), filename=path) from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

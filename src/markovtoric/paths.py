@@ -87,12 +87,13 @@ class DesignMatrix:
     kernel-membership checks.
     """
 
-    __slots__ = ("row_symbols", "table", "rows")
+    __slots__ = ("row_symbols", "table", "rows", "_columns")
 
     def __init__(self, row_symbols, table, rows):
         self.row_symbols = tuple(row_symbols)
         self.table = table
         self.rows = tuple(tuple(r) for r in rows)
+        self._columns = None  # nonzero (row, value) entries per column, built on demand
 
     @property
     def shape(self):
@@ -115,7 +116,18 @@ class DesignMatrix:
         for j in coeffs:
             if not 0 <= j < ncols:
                 raise RelationError(f"path index {j} out of range 0..{ncols - 1}")
-        return [sum(row[j] * c for j, c in coeffs.items()) for row in self.rows]
+        if self._columns is None:
+            columns = [[] for _ in range(ncols)]
+            for i, row in enumerate(self.rows):
+                for j, a in enumerate(row):
+                    if a:
+                        columns[j].append((i, a))
+            self._columns = columns
+        out = [0] * len(self.rows)
+        for j, c in coeffs.items():
+            for i, a in self._columns[j]:
+                out[i] += a * c
+        return out
 
     def __repr__(self):
         r, c = self.shape

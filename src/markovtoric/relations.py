@@ -9,6 +9,7 @@ exchange family is sound but known incomplete: pooled models can satisfy
 relations of higher degree that no quadratic family reaches.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -232,44 +233,69 @@ def homogeneous_family(spec, table=None):
     with full length-k context on both sides.  Relations whose four
     paths are not all admissible are dropped.  The family is sound but
     known incomplete: it need not generate the full pooled ideal.
+
+    Each (path, position) slot is keyed by its clipped context (G, D).
+    A clipped block's length fixes the position, so two slots can
+    exchange exactly when their keys are equal and their letters
+    differ.  Pairs are visited in (path1, path2, r1, r2) order, path1 <=
+    path2, which fixes the order of the output.
     """
     if not spec.homogeneous:
         raise RelationError("spec is nonhomogeneous; use nonhomogeneous_generators")
     if table is None:
         table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
-    interior = range(k, n - k)  # 0-based positions with full context
-    raw = []
     paths = table.paths
+    # context (G, D) -> bucket {letter: [(path index, position), ...]},
+    # each list in (index, position) order; slots[i][r] is the bucket of
+    # position r of path i
+    buckets, slots = {}, []
+    for i, p in enumerate(paths):
+        own = []
+        for r in range(n):
+            bucket = buckets.setdefault((p[max(r - k, 0):r], p[r + 1:r + 1 + k]), {})
+            bucket.setdefault(p[r], []).append((i, r))
+            own.append(bucket)
+        slots.append(own)
+
+    swapped = {}
+
+    def swap(i, r, letter):
+        # index of path i with `letter` at position r, or None if inadmissible
+        at = (i, r, letter)
+        if at not in swapped:
+            p = paths[i]
+            m = p[:r] + (letter,) + p[r + 1:]
+            swapped[at] = table.index(m) if m in table else None
+        return swapped[at]
+
+    raw, done = [], set()
     for i1, p1 in enumerate(paths):
-        for i2 in range(i1, len(paths)):
-            p2 = paths[i2]
-            for r1 in range(n):
-                for r2 in range(n):
-                    x, y = p1[r1], p2[r2]
-                    if x == y:
-                        continue
-                    if r1 != r2:
-                        if r1 not in interior or r2 not in interior:
-                            continue
-                        g = d = k
-                    else:
-                        g = min(k, r1)
-                        d = min(k, n - 1 - r1)
-                    if p1[r1 - g:r1] != p2[r2 - g:r2]:
-                        continue
-                    if p1[r1 + 1:r1 + 1 + d] != p2[r2 + 1:r2 + 1 + d]:
-                        continue
-                    m1 = p1[:r1] + (y,) + p1[r1 + 1:]
-                    m2 = p2[:r2] + (x,) + p2[r2 + 1:]
-                    if m1 not in table or m2 not in table:
-                        continue
-                    try:
-                        raw.append(canonicalize(
-                            _pair(i1, i2),
-                            _pair(table.index(m1), table.index(m2))))
-                    except RelationError:
-                        continue  # exchanged pair equals the original pair
+        pairs = []
+        for r1, bucket in enumerate(slots[i1]):
+            x = p1[r1]
+            for y, members in bucket.items():
+                if y == x:
+                    continue
+                j1 = swap(i1, r1, y)
+                if j1 is None:
+                    continue
+                for i2, r2 in members[bisect.bisect_left(members, (i1,)):]:
+                    j2 = swap(i2, r2, x)
+                    if j2 is not None:
+                        pairs.append((i2, r1, r2, j1, j2))
+        pairs.sort()
+        for i2, _, _, j1, j2 in pairs:
+            # the canonical binomial depends only on the two unordered
+            # pairs; a repeat would land after its first copy in raw
+            quad = frozenset({(i1, i2), (min(j1, j2), max(j1, j2))})
+            if quad in done:
+                continue
+            done.add(quad)
+            try:
+                raw.append(canonicalize(_pair(i1, i2), _pair(j1, j2)))
+            except RelationError:
+                continue  # exchanged pair equals the original pair
     binomials, tags = _dedup(raw, PROV_HOM)
     return RelationSet(table, binomials, tags)
 

@@ -7,7 +7,9 @@ bug in the relation families cannot hide itself.
 
 import itertools
 
-from markovtoric import canonicalize
+from markovtoric import canonicalize, enumerate_paths
+from markovtoric.errors import RelationError
+from markovtoric.relations import PROV_HOM, RelationSet, _dedup, _pair
 
 
 def brute_force_degree2(design):
@@ -16,13 +18,15 @@ def brute_force_degree2(design):
     Groups every degree-2 monomial (an unordered pair of columns,
     repeats allowed) by its statistics vector; any two monomials in one
     group form a kernel binomial.  Returns the set of canonical forms,
-    skipping degenerate pairs that cancel entirely.
+    skipping degenerate pairs that cancel entirely.  The statistics are
+    summed from design.column here, not through the kernel route.
     """
     m = design.shape[1]
+    columns = [design.column(j) for j in range(m)]
     groups = {}
     for i, j in itertools.combinations_with_replacement(range(m), 2):
         mono = {i: 2} if i == j else {i: 1, j: 1}
-        sig = tuple(design.apply_sparse(mono))
+        sig = tuple(a + b for a, b in zip(columns[i], columns[j]))
         groups.setdefault(sig, []).append(mono)
     out = set()
     for members in groups.values():
@@ -38,3 +42,49 @@ def degree2_diffs(binomials):
         if b.degree() == 2:
             out.add(tuple(sorted(b.diff().items())))
     return out
+
+
+def homogeneous_family_reference(spec, table=None):
+    """The homogeneous exchange family by the all-pairs scan.
+
+    Tries every path pair (i1 <= i2) and every position pair (r1, r2),
+    in that loop order, so the output order is the one the bucketed
+    relations.homogeneous_family must reproduce.
+    """
+    if table is None:
+        table = enumerate_paths(spec)
+    k, n = spec.order, spec.horizon
+    interior = range(k, n - k)  # 0-based positions with full context
+    raw = []
+    paths = table.paths
+    for i1, p1 in enumerate(paths):
+        for i2 in range(i1, len(paths)):
+            p2 = paths[i2]
+            for r1 in range(n):
+                for r2 in range(n):
+                    x, y = p1[r1], p2[r2]
+                    if x == y:
+                        continue
+                    if r1 != r2:
+                        if r1 not in interior or r2 not in interior:
+                            continue
+                        g = d = k
+                    else:
+                        g = min(k, r1)
+                        d = min(k, n - 1 - r1)
+                    if p1[r1 - g:r1] != p2[r2 - g:r2]:
+                        continue
+                    if p1[r1 + 1:r1 + 1 + d] != p2[r2 + 1:r2 + 1 + d]:
+                        continue
+                    m1 = p1[:r1] + (y,) + p1[r1 + 1:]
+                    m2 = p2[:r2] + (x,) + p2[r2 + 1:]
+                    if m1 not in table or m2 not in table:
+                        continue
+                    try:
+                        raw.append(canonicalize(
+                            _pair(i1, i2),
+                            _pair(table.index(m1), table.index(m2))))
+                    except RelationError:
+                        continue  # exchanged pair equals the original pair
+    binomials, tags = _dedup(raw, PROV_HOM)
+    return RelationSet(table, binomials, tags)

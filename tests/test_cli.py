@@ -46,10 +46,11 @@ class TestValidate:
 
     def test_structural_error_exits_one(self, capsys, tmp_path):
         f = tmp_path / "bad.yaml"
-        # duplicate state label
-        f.write_text("states: [0, 0, 1]\nk: 1\nn: 3\n")
-        code, out, err = run(capsys, "validate", "--spec", str(f))
-        assert code == 1
+        # a duplicate state label, and an integer order below 1
+        for text in ("states: [0, 0, 1]\nk: 1\nn: 3\n", "states: [a, b]\nk: 0\nn: 3\n"):
+            f.write_text(text)
+            code, out, err = run(capsys, "validate", "--spec", str(f))
+            assert code == 1
 
     def test_unparseable_spec_exits_three(self, capsys, tmp_path):
         f = tmp_path / "bad.yaml"
@@ -106,8 +107,12 @@ def _relation_file(tmp_path, edit):
                                 "min_word_length: x\n"),
     lambda d: _relation_file(d, lambda term: term.pop("path")),
     lambda d: _relation_file(d, lambda term: term.update(path=["1", "0", "0", "0"])),
+    lambda d: _spec_file(d, "states: [a, b]\nk: x\nn: 3\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1.5\nn: 3\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: true\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
-        "term-without-path", "path-outside-table"])
+        "term-without-path", "path-outside-table", "k-not-int", "k-float",
+        "n-bool"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)

@@ -233,6 +233,15 @@ class TestProbabilityFiles:
         with pytest.raises(ParseError):
             read_probabilities(f, table)
 
+    def test_duplicate_path_rejected(self, tmp_path, illness_death):
+        table = enumerate_paths(illness_death)
+        f = tmp_path / "p.txt"
+        f.write_text("0,0,0,0 1/2\n0,0,0,0 1/3\n")
+        with pytest.raises(ParseError, match="duplicate value for path") as err:
+            read_probabilities(f, table)
+        assert err.value.line == 2
+        assert str(f) in str(err.value)
+
     def test_write_read_round_trip_exact(self, tmp_path, illness_death):
         table = enumerate_paths(illness_death)
         assignment = {j: Fraction(1, 14) for j in range(len(table))}
@@ -451,3 +460,27 @@ class TestRelationFiles:
         f.write_text(json.dumps(doc))
         with pytest.raises(Exception):
             read_relations(f, relset.table)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["relations"][0]["plus"][0].update(
+            path="".join(doc["relations"][0]["plus"][0]["path"])),
+        lambda doc: doc["slice"].__setitem__(0, "".join(doc["slice"][0])),
+        lambda doc: doc["relations"][0]["plus"][0].update(power=1.5),
+        lambda doc: doc["relations"][0]["plus"][0].update(power="2"),
+        lambda doc: doc["relations"][0]["plus"][0].update(power=True),
+        lambda doc: doc["relations"][0]["plus"][0].update(power=0),
+        lambda doc: doc["relations"][0]["plus"][0].update(power=-1),
+    ], ids=["path-string", "slice-string", "power-1.5", "power-string",
+            "power-true", "power-0", "power-negative"])
+    def test_reinterpreted_value_rejected(self, tmp_path, illness_death, edit):
+        # each edit used to read back as some relation instead of failing
+        import json
+        relset = generators_for(illness_death)
+        f = tmp_path / "r.json"
+        write_relations(relset, f)
+        doc = json.loads(f.read_text())
+        edit(doc)
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            read_relations(f, relset.table)
+        assert str(f) in str(err.value)

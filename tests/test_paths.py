@@ -1,17 +1,23 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from markovtoric import (
     InadmissiblePathError,
     ModelSpec,
+    RelationError,
     block_counts,
     build_design_matrix,
     enumerate_paths,
     format_symbol,
 )
-from conftest import make_binary_chain, make_illness_death, make_survival
+from conftest import (
+    make_binary_chain,
+    make_illness_death,
+    make_survival,
+    make_vc_chain,
+)
 from reference_data import WORKED_PATHS
 
 
@@ -141,3 +147,23 @@ def test_design_matrix_reuses_given_table():
     table = enumerate_paths(spec)
     design = build_design_matrix(spec, table)
     assert design.table is table
+
+
+SPARSE_DESIGNS = [build_design_matrix(spec) for spec in (
+    make_illness_death(homogeneous=True),
+    make_binary_chain(2, 5),
+    make_vc_chain(5),
+)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPARSE_DESIGNS), st.data())
+def test_apply_sparse_matches_dense_apply(design, data):
+    m = design.shape[1]
+    coeffs = data.draw(st.dictionaries(st.integers(0, m - 1),
+                                       st.integers(-3, 3), max_size=6))
+    dense = [coeffs.get(j, 0) for j in range(m)]
+    assert design.apply_sparse(coeffs) == design.apply(dense)
+    for bad in (-1, m):
+        with pytest.raises(RelationError, match="out of range"):
+            design.apply_sparse({**coeffs, bad: 1})

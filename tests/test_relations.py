@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from markovtoric import (
     Binomial,
@@ -15,8 +15,12 @@ from markovtoric import (
     permutation_linear_relations,
     slice_linear_generators,
 )
-from conftest import make_binary_chain, make_illness_death
-from oracles import brute_force_degree2, degree2_diffs
+from conftest import make_binary_chain, make_illness_death, make_vc_chain
+from oracles import (
+    brute_force_degree2,
+    degree2_diffs,
+    homogeneous_family_reference,
+)
 from reference_data import ILLNESS_DEATH_RELATIONS
 
 
@@ -174,6 +178,49 @@ class TestHomogeneousFamily:
         spec = make_binary_chain(1, 4, homogeneous=True)
         rs = homogeneous_family(spec)
         assert any(e == 2 for b in rs.binomials for _, e in b.plus + b.minus)
+
+
+MAX_PATHS = 150
+
+
+@st.composite
+def homogeneous_specs(draw):
+    """Homogeneous specs with 2-4 states in a shuffled declaration order,
+    k in {1, 2}, optional forbidden pairs, absorbing state and restricted
+    initial set; n <= k + 4, lowered until the table has <= MAX_PATHS."""
+    nstates = draw(st.integers(2, 4))
+    states = draw(st.permutations([str(i) for i in range(nstates)]))
+    k = draw(st.integers(1, 2))
+    forbidden = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(states)),
+                              max_size=3, unique=True))
+    absorbing = draw(st.lists(st.sampled_from(states), max_size=1))
+    if any((s, s) in forbidden for s in absorbing):
+        absorbing = []
+    rules = dict(forbidden=forbidden, absorbing=absorbing, homogeneous=True)
+    histories = ModelSpec(states, k, k + 1, **rules).initial_blocks
+    initial = draw(st.none() | st.lists(st.sampled_from(histories), min_size=1,
+                                       unique=True))
+    n = draw(st.integers(k + 1, k + 4))
+    spec = ModelSpec(states, k, n, initial=initial, **rules)
+    while n > k + 1 and len(enumerate_paths(spec)) > MAX_PATHS:
+        n -= 1
+        spec = ModelSpec(states, k, n, initial=initial, **rules)
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_specs())
+@example(make_vc_chain(6))
+@example(ModelSpec(["2", "0", "3", "1"], 1, 5, forbidden=[("1", "0"), ("2", "0")],
+                   absorbing=["3"], initial=["0", "1"], homogeneous=True))
+@example(ModelSpec(["1", "0"], 3, 7, homogeneous=True))
+def test_homogeneous_family_keeps_the_all_pairs_order(spec):
+    # ordered tuples, not sets: relation indices are part of the output
+    table = enumerate_paths(spec)
+    got = homogeneous_family(spec, table)
+    want = homogeneous_family_reference(spec, table)
+    assert got.binomials == want.binomials
+    assert got.provenance == want.provenance
 
 
 class TestPermutationLinearRelations:
