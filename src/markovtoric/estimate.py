@@ -397,21 +397,25 @@ def birch_residual(p, u, design):
     """Exact residual of the Birch equations: M * A p - A u.
 
     Zero at p exactly when the assignment matches the data's sufficient
-    statistics (after scaling counts to total mass M).  One Fraction per
-    design-matrix row, in row order.
+    statistics (after scaling counts to total mass M).  Each p_j is read
+    as an exact rational; with L the lcm of their denominators, the
+    integer vector M * L * p - L * u goes through one sparse product
+    and each row is divided by L.  One Fraction per design-matrix row,
+    in row order.
     """
-    m = len(design.table)
-    if len(u.counts) != m:
+    table = design.table
+    if u.table is not table and tuple(u.table) != table.paths:
         raise RelationError("count vector and design matrix tables differ")
-    dense_p = []
-    for j in range(m):
+    q = []
+    for j in range(len(table)):
         if j not in p:
             raise RelationError(f"assignment is missing path index {j}")
-        dense_p.append(p[j])
+        q.append(Fraction(p[j]))
+    L = math.lcm(*(x.denominator for x in q))
     M = u.total
-    ap = design.apply(dense_p)
-    au = design.apply(u.counts)
-    return tuple(M * x - y for x, y in zip(ap, au))
+    v = {j: M * x.numerator * (L // x.denominator) - L * c
+         for j, (x, c) in enumerate(zip(q, u.counts))}
+    return tuple(Fraction(x, L) for x in design.apply(v))
 
 
 def loglikelihood(p, u):

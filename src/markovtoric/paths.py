@@ -82,51 +82,42 @@ class DesignMatrix:
     """Integer matrix A with one row per parameter symbol and one column
     per path; column j is the sufficient-statistics vector of path j.
 
-    A binomial p^u - p^v lies in the toric ideal of the parametrization
-    exactly when A(u - v) = 0, so this matrix is the single arbiter for
-    kernel-membership checks.
+    Columns are stored sparsely: column j is the tuple of the row
+    indices of path j's factors, with repeats, so a homogeneous path
+    that uses a window twice lists that row twice.  column(j) is the
+    derived dense view.  A binomial p^u - p^v lies in the toric ideal of
+    the parametrization exactly when A(u - v) = 0, and apply is the one
+    product both that kernel check and the Birch residual go through.
     """
 
-    __slots__ = ("row_symbols", "table", "rows", "_columns")
+    __slots__ = ("row_symbols", "table", "_columns")
 
-    def __init__(self, row_symbols, table, rows):
+    def __init__(self, row_symbols, table, columns):
         self.row_symbols = tuple(row_symbols)
         self.table = table
-        self.rows = tuple(tuple(r) for r in rows)
-        self._columns = None  # nonzero (row, value) entries per column, built on demand
+        self._columns = tuple(tuple(c) for c in columns)
 
     @property
     def shape(self):
-        return (len(self.rows), len(self.table))
+        return (len(self.row_symbols), len(self.table))
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        col = [0] * len(self.row_symbols)
+        for i in self._columns[j]:
+            col[i] += 1
+        return tuple(col)
 
-    def apply(self, vector):
-        """A @ vector for a dense iterable over path indices (exact)."""
-        vec = list(vector)
-        if len(vec) != len(self.table):
-            raise RelationError(
-                f"vector has length {len(vec)}, expected {len(self.table)}")
-        return [sum(r * x for r, x in zip(row, vec)) for row in self.rows]
-
-    def apply_sparse(self, coeffs):
-        """A @ vector for a sparse {path index: coefficient} mapping."""
+    def apply(self, coeffs):
+        """A @ x for a sparse {path index: integer coefficient} mapping."""
         ncols = len(self.table)
         for j in coeffs:
             if not 0 <= j < ncols:
                 raise RelationError(f"path index {j} out of range 0..{ncols - 1}")
-        if self._columns is None:
-            columns = [[] for _ in range(ncols)]
-            for i, row in enumerate(self.rows):
-                for j, a in enumerate(row):
-                    if a:
-                        columns[j].append((i, a))
-            self._columns = columns
-        out = [0] * len(self.rows)
+        out = [0] * len(self.row_symbols)
+        columns = self._columns
         for j, c in coeffs.items():
-            for i, a in self._columns[j]:
-                out[i] += a * c
+            for i in columns[j]:
+                out[i] += c
         return out
 
     def __repr__(self):
@@ -140,11 +131,8 @@ def build_design_matrix(spec, table=None):
         table = enumerate_paths(spec)
     symbols = spec.symbols()
     pos = {sym: i for i, sym in enumerate(symbols)}
-    cols = []
+    columns = []
     for path in table:
-        col = [0] * len(symbols)
-        for sym, c in block_counts(spec, path).items():
-            col[pos[sym]] = c
-        cols.append(col)
-    rows = [[col[i] for col in cols] for i in range(len(symbols))]
-    return DesignMatrix(symbols, table, rows)
+        spec.check_sequence(path)
+        columns.append(tuple(pos[sym] for sym in spec.path_symbols(path)))
+    return DesignMatrix(symbols, table, columns)

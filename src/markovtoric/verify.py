@@ -15,7 +15,7 @@ from math import prod
 from typing import Optional
 
 from .errors import ParameterError, RelationError
-from .model import ParameterPoint, path_probability
+from .model import ParameterPoint
 from .paths import build_design_matrix, enumerate_paths
 
 DEFAULT_TRIALS = 20
@@ -85,34 +85,6 @@ def sample_parameters(spec, seed, denominator_bound=DEFAULT_DENOMINATOR_BOUND):
         else:
             trans[sym[1:]] = value
     return ParameterPoint(pi, trans)
-
-
-def assignment_from_parameters(spec, params, table):
-    """Path-probability assignment {index: Fraction} over a table."""
-    return {j: path_probability(spec, params, path)
-            for j, path in enumerate(table)}
-
-
-def evaluate_binomial(binomial, assignment):
-    """Exact residual of a binomial at a probability assignment.
-
-    The assignment maps path indices to values; every index in the
-    binomial's support must be present.
-    """
-    plus = Fraction(1)
-    for i, e in binomial.plus:
-        plus *= _lookup(assignment, i) ** e
-    minus = Fraction(1)
-    for i, e in binomial.minus:
-        minus *= _lookup(assignment, i) ** e
-    return plus - minus
-
-
-def _lookup(assignment, i):
-    try:
-        return assignment[i]
-    except KeyError:
-        raise RelationError(f"assignment is missing path index {i}") from None
 
 
 @dataclass(frozen=True)
@@ -213,7 +185,7 @@ def _side_exponents(terms, factors):
 
 def kernel_membership(binomial, design):
     """Exact integer test A(plus - minus) = 0 against a design matrix."""
-    residual = design.apply_sparse(binomial.diff())
+    residual = design.apply(binomial.diff())
     return KernelCheck(all(r == 0 for r in residual), tuple(residual))
 
 

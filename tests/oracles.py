@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's own generator logic: the
 brute-force scan works straight from the design matrix columns, so a
-bug in the relation families cannot hide itself.
+bug in the relation families cannot hide itself.  The Fraction oracles
+evaluate path probabilities and binomials the slow, obvious way, apart
+from the integer routes the package uses.
 """
 
 import itertools
+from fractions import Fraction
 
-from markovtoric import canonicalize, enumerate_paths
+from markovtoric import canonicalize, enumerate_paths, path_probability
 from markovtoric.errors import RelationError
 from markovtoric.relations import PROV_HOM, RelationSet, _dedup, _pair
 
@@ -88,3 +91,49 @@ def homogeneous_family_reference(spec, table=None):
                         continue  # exchanged pair equals the original pair
     binomials, tags = _dedup(raw, PROV_HOM)
     return RelationSet(table, binomials, tags)
+
+
+def assignment_from_parameters(spec, params, table):
+    """Path-probability assignment {index: Fraction} over a table."""
+    return {j: path_probability(spec, params, path)
+            for j, path in enumerate(table)}
+
+
+def evaluate_binomial(binomial, assignment):
+    """Exact residual of a binomial at a probability assignment.
+
+    The assignment maps path indices to values; every index in the
+    binomial's support must be present.
+    """
+    plus = Fraction(1)
+    for i, e in binomial.plus:
+        plus *= _lookup(assignment, i) ** e
+    minus = Fraction(1)
+    for i, e in binomial.minus:
+        minus *= _lookup(assignment, i) ** e
+    return plus - minus
+
+
+def _lookup(assignment, i):
+    try:
+        return assignment[i]
+    except KeyError:
+        raise RelationError(f"assignment is missing path index {i}") from None
+
+
+def dense_product(design, coeffs):
+    """A @ x for a {path index: value} mapping, summed over every dense
+    design.column, apart from DesignMatrix.apply."""
+    rows, m = design.shape
+    out = [0] * rows
+    for j in range(m):
+        for i, a in enumerate(design.column(j)):
+            out[i] += a * coeffs.get(j, 0)
+    return out
+
+
+def birch_residual_reference(p, u, design):
+    """M * sum_j column(j) * p_j - sum_j column(j) * u_j, densely."""
+    ap = dense_product(design, p)
+    au = dense_product(design, dict(enumerate(u.counts)))
+    return tuple(u.total * x - y for x, y in zip(ap, au))

@@ -33,7 +33,6 @@ from markovtoric import (
     verify_relation_set,
 )
 from markovtoric.model import ParameterPoint
-from markovtoric.verify import assignment_from_parameters, evaluate_binomial
 from markovtoric.iofiles import (
     read_collapse_map,
     read_corpus_spec,
@@ -49,7 +48,12 @@ from conftest import (
     make_survival,
     make_vc_chain,
 )
-from oracles import brute_force_degree2, degree2_diffs
+from oracles import (
+    assignment_from_parameters,
+    brute_force_degree2,
+    degree2_diffs,
+    evaluate_binomial,
+)
 from reference_data import (
     BINARY_POOLED_RELATIONS,
     ILLNESS_DEATH_POOLED_RELATIONS,

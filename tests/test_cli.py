@@ -13,9 +13,9 @@ from markovtoric import (
     sample_parameters,
     write_relations,
 )
-from markovtoric.verify import assignment_from_parameters
 from markovtoric.cli import main
 from conftest import DATA
+from oracles import assignment_from_parameters
 from reference_data import WORKED_PATHS, WORKED_COUNTS, WORKED_PI
 
 
@@ -274,7 +274,6 @@ class TestRecover:
         # reverse: a nonhomogeneous point checked against the pooled spec
         table = enumerate_paths_cached()
         from markovtoric import sample_parameters
-        from markovtoric.verify import assignment_from_parameters
         from conftest import make_illness_death
         spec = make_illness_death()
         p = assignment_from_parameters(spec, sample_parameters(spec, seed=3),

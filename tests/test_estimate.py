@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from markovtoric import (
     CountVector,
     EstimationError,
+    ModelSpec,
+    RelationError,
     TrajectorySet,
     birch_residual,
     build_design_matrix,
@@ -21,12 +23,13 @@ from markovtoric import (
     sample_parameters,
     validate_parameters,
 )
-from markovtoric.verify import assignment_from_parameters
 from conftest import (
     make_binary_chain,
     make_illness_death,
     make_survival,
+    make_vc_chain,
 )
+from oracles import assignment_from_parameters, birch_residual_reference
 from reference_data import (
     WORKED_COUNTS,
     WORKED_PATHS,
@@ -330,8 +333,47 @@ class TestBirchResidual:
         table = enumerate_paths(illness_death)
         u = CountVector(table, tuple(WORKED_COUNTS))
         design = build_design_matrix(illness_death, table)
-        with pytest.raises(Exception):
+        with pytest.raises(RelationError, match="missing path index 1$"):
             birch_residual({0: Fraction(1)}, u, design)
+
+    def test_counts_on_another_table_order_rejected(self, illness_death):
+        # the same chain with its states declared in reverse has the same
+        # 14 paths in another order, so the counts would be misaligned
+        design = build_design_matrix(illness_death)
+        reordered = ModelSpec(["2", "1", "0"], 1, 4, forbidden=[("1", "0")],
+                              absorbing=["2"], initial=["0", "1"])
+        table = enumerate_paths(reordered)
+        assert len(table) == len(design.table)
+        p = {j: Fraction(1, 14) for j in range(14)}
+        with pytest.raises(RelationError,
+                           match="count vector and design matrix tables differ"):
+            birch_residual(p, CountVector(table, tuple(WORKED_COUNTS)), design)
+        # an equal table built separately is accepted
+        u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
+        assert len(birch_residual(p, u, design)) == design.shape[0]
+
+
+BIRCH_DESIGNS = [build_design_matrix(spec) for spec in (
+    make_illness_death(),
+    make_illness_death(homogeneous=True),
+    make_vc_chain(5),
+)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BIRCH_DESIGNS), st.data())
+def test_birch_residual_matches_dense_fraction_oracle(design, data):
+    m = len(design.table)
+    value = st.one_of(st.integers(-3, 3),
+                      st.fractions(-2, 2, max_denominator=60))
+    p = dict(enumerate(data.draw(st.lists(value, min_size=m, max_size=m))))
+    counts = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
+    u = CountVector(design.table, tuple(counts))
+    got = birch_residual(p, u, design)
+    want = birch_residual_reference(p, u, design)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+    assert [str(x) for x in got] == [str(x) for x in want]
 
 
 class TestLoglikelihood:

@@ -18,6 +18,7 @@ from conftest import (
     make_survival,
     make_vc_chain,
 )
+from oracles import dense_product
 from reference_data import WORKED_PATHS
 
 
@@ -99,14 +100,15 @@ class TestDesignMatrix:
         assert cols == 14
         assert rows == len(illness_death.symbols())
 
-    def test_columns_are_path_statistics(self, illness_death):
-        design = build_design_matrix(illness_death)
-        table = design.table
-        for j, path in enumerate(table):
-            stats = block_counts(illness_death, path)
-            col = design.column(j)
-            for i, sym in enumerate(design.row_symbols):
-                assert col[i] == stats.get(sym, 0)
+    def test_columns_are_path_statistics(self, illness_death, illness_death_hom):
+        for spec in (illness_death, illness_death_hom):
+            design = build_design_matrix(spec)
+            for j, path in enumerate(design.table):
+                stats = block_counts(spec, path)
+                assert design.column(j) == tuple(
+                    stats.get(sym, 0) for sym in design.row_symbols)
+        # the homogeneous spec repeats windows, so a column entry exceeds 1
+        assert max(max(design.column(j)) for j in range(design.shape[1])) > 1
 
     def test_column_sums_constant(self, illness_death):
         # every path contributes one initial block and n - k windows
@@ -118,9 +120,8 @@ class TestDesignMatrix:
     def test_apply_dense_and_sparse_agree(self, illness_death_hom):
         design = build_design_matrix(illness_death_hom)
         m = design.shape[1]
-        dense = [1 if j % 3 == 0 else -1 for j in range(m)]
-        sparse = {j: v for j, v in enumerate(dense)}
-        assert design.apply(dense) == design.apply_sparse(sparse)
+        coeffs = {j: 1 if j % 3 == 0 else -1 for j in range(m)}
+        assert design.apply(coeffs) == dense_product(design, coeffs)
 
     def test_row_labels_are_readable(self, illness_death_hom):
         design = build_design_matrix(illness_death_hom)
@@ -162,8 +163,7 @@ def test_apply_sparse_matches_dense_apply(design, data):
     m = design.shape[1]
     coeffs = data.draw(st.dictionaries(st.integers(0, m - 1),
                                        st.integers(-3, 3), max_size=6))
-    dense = [coeffs.get(j, 0) for j in range(m)]
-    assert design.apply_sparse(coeffs) == design.apply(dense)
+    assert design.apply(coeffs) == dense_product(design, coeffs)
     for bad in (-1, m):
         with pytest.raises(RelationError, match="out of range"):
-            design.apply_sparse({**coeffs, bad: 1})
+            design.apply({**coeffs, bad: 1})

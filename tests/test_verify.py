@@ -21,13 +21,9 @@ from markovtoric import (
     vanishes_on_model,
     verify_relation_set,
 )
-from markovtoric.verify import (
-    NONZERO,
-    VANISHES,
-    assignment_from_parameters,
-    evaluate_binomial,
-)
+from markovtoric.verify import NONZERO, VANISHES
 from conftest import make_binary_chain, make_vc_chain
+from oracles import assignment_from_parameters, evaluate_binomial
 
 
 class TestSampleParameters:
