@@ -12,6 +12,8 @@ residual is nonzero); 3 I/O or parse failure.
 
 import argparse
 import sys
+from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import iofiles
@@ -26,7 +28,7 @@ from .estimate import (
     mle_nonhomogeneous,
     recover_parameters,
 )
-from .iofiles import DEFAULT_DECIMALS, decimal_string, fraction_string
+from .iofiles import DEFAULT_DECIMALS, _write_records, decimal_string, fraction_string
 from .model import format_symbol, validate_model
 from .paths import build_design_matrix, enumerate_paths
 from .relations import generators_for
@@ -58,91 +60,72 @@ def build_parser():
                               "paths, relations, verification, estimation.")
     common = _Parser(add_help=False)
     common.add_argument("--spec", required=True, help="model spec file (YAML)")
-    common.add_argument("--seed", default="0", help="random seed (default 0)")
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                        help=f"sampled points per relation (default {DEFAULT_TRIALS})")
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output format (default text)")
-    common.add_argument("--decimals", type=int, default=DEFAULT_DECIMALS,
-                        help=f"decimal places in rounded views (default {DEFAULT_DECIMALS})")
+    checking = _Parser(add_help=False)
+    checking.add_argument("--seed", default="0", help="random seed (default 0)")
+    checking.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                          help=f"sampled points per relation (default {DEFAULT_TRIALS})")
+    checking.add_argument("--relations", help="relation file (default: generate)")
+    rounding = _Parser(add_help=False)
+    rounding.add_argument("--decimals", type=int, default=DEFAULT_DECIMALS,
+                          help="decimal places in rounded views "
+                               f"(default {DEFAULT_DECIMALS})")
+    data = _Parser(add_help=False)
+    data.add_argument("--trajectories", help="trajectory file")
+    data.add_argument("--counts", help="counts file")
+    data.add_argument("--n", type=int, help="analysis horizon (default: spec n)")
+    data.add_argument("--window", choices=("prefix", "slide"), default="prefix",
+                      help="homogeneous pooling window (default prefix)")
 
+    # each verb declares only the flags it reads
     sub = top.add_subparsers(dest="verb", required=True)
+    verbs = {verb: sub.add_parser(verb, parents=[common, *parents], help=text)
+             for verb, parents, text in (
+        ("validate", [], "check a model spec for structural problems"),
+        ("paths", [], "enumerate admissible paths"),
+        ("relations", [], "generate the relation families for a spec"),
+        ("verify", [checking], "check relations by sampling and kernel membership"),
+        ("mle", [rounding, data], "closed-form maximum likelihood estimate"),
+        ("recover", [rounding], "recover parameters from path probabilities"),
+        ("birch", [rounding], "residual of the moment-matching equations"),
+        ("ingest", [], "normalize trajectories or a text corpus"),
+        ("report", [checking, rounding, data],
+         "combined validation/relations/verification/estimate report"))}
 
-    sub.add_parser("validate", parents=[common],
-                   help="check a model spec for structural problems")
-    sub.add_parser("paths", parents=[common],
-                   help="enumerate admissible paths")
-
-    sub.add_parser("relations", parents=[common],
-                   help="generate the relation families for a spec")
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="check relations by sampling and kernel membership")
-    p.add_argument("--relations", help="relation file (default: generate)")
-
-    p = sub.add_parser("mle", parents=[common],
-                       help="closed-form maximum likelihood estimate")
-    _data_flags(p)
-    p.add_argument("--n", type=int, help="analysis horizon (default: spec n)")
-    p.add_argument("--window", choices=("prefix", "slide"), default="prefix",
-                   help="homogeneous pooling window (default prefix)")
-
-    p = sub.add_parser("recover", parents=[common],
-                       help="recover parameters from path probabilities")
-    p.add_argument("--probabilities", required=True,
-                   help="path probability file")
-
-    p = sub.add_parser("birch", parents=[common],
-                       help="residual of the moment-matching equations")
+    verbs["recover"].add_argument("--probabilities", required=True,
+                                  help="path probability file")
+    p = verbs["birch"]
     p.add_argument("--probabilities", required=True,
                    help="candidate path probability file")
     p.add_argument("--counts", required=True, help="observed counts file")
-
-    p = sub.add_parser("ingest", parents=[common],
-                       help="normalize trajectories or a text corpus")
-    _data_flags(p)
+    p = verbs["ingest"]
+    p.add_argument("--trajectories", help="trajectory file")
     p.add_argument("--corpus", help="raw text file")
     p.add_argument("--corpus-config", dest="corpus_config",
                    help="corpus spec file (YAML); required with --corpus")
     p.add_argument("--collapse", help="state collapse map file (YAML)")
     p.add_argument("--fine-spec", dest="fine_spec",
-                   help="spec of the pre-collapse chain, to validate --collapse")
+                   help="spec of the pre-collapse chain, to validate --collapse; "
+                        "requires --collapse")
     p.add_argument("--n", type=int, help="horizon for --emit counts")
     p.add_argument("--emit", choices=("trajectories", "counts"),
                    default="trajectories", help="output kind (default trajectories)")
-
-    p = sub.add_parser("report", parents=[common],
-                       help="combined validation/relations/verification/estimate report")
-    _data_flags(p)
-    p.add_argument("--relations", help="relation file (default: generate)")
-    p.add_argument("--n", type=int, help="analysis horizon (default: spec n)")
-    p.add_argument("--window", choices=("prefix", "slide"), default="prefix")
     return top
 
 
-def _data_flags(p):
-    p.add_argument("--trajectories", help="trajectory file")
-    p.add_argument("--counts", help="counts file")
-
-
-def _emit(args, lines, jsonable):
-    text = ("\n".join(lines) + "\n") if args.format == "text" else None
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if text is None:
-                iofiles.dump_json(jsonable, fh)
-            else:
-                fh.write(text)
-    else:
-        if text is None:
-            iofiles.dump_json(jsonable, sys.stdout)
+def _emit(args, text, jsonable):
+    """Write jsonable with --format structured, else text (a list of lines,
+    or a function that writes them to a file), to --out or stdout."""
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "structured":
+            iofiles.dump_json(jsonable, fh)
+        elif callable(text):
+            text(fh)
         else:
-            sys.stdout.write(text)
-
-
-def _load_spec(args):
-    return iofiles.parse_model_spec(args.spec)
+            fh.write("\n".join(text) + "\n")
 
 
 def _seed(args):
@@ -161,39 +144,41 @@ def _pp(value, decimals):
 # verbs
 
 
-def cmd_validate(args):
-    spec = _load_spec(args)
+def _validation(spec):
+    """Error count, text lines and JSON form of the spec's findings."""
     findings = validate_model(spec)
-    errors = [m for s, m in findings if s == "error"]
+    errors = sum(1 for severity, _ in findings if severity == "error")
     lines = [f"{severity}: {message}" for severity, message in findings]
+    jsonable = {"ok": not errors,
+                "findings": [{"severity": s, "message": m} for s, m in findings]}
+    return errors, lines, jsonable
+
+
+def cmd_validate(args):
+    errors, lines, jsonable = _validation(iofiles.parse_model_spec(args.spec))
     lines.append("model is valid" if not errors
-                 else f"model is invalid ({len(errors)} error(s))")
-    jsonable = {
-        "ok": not errors,
-        "findings": [{"severity": s, "message": m} for s, m in findings],
-    }
+                 else f"model is invalid ({errors} error(s))")
     _emit(args, lines, jsonable)
     return EXIT_OK if not errors else EXIT_VALIDATION
 
 
 def cmd_paths(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
     table = enumerate_paths(spec)
-    lines = [f"{len(table)} admissible paths"]
-    lines += [",".join(p) for p in table]
+    lines = [f"{len(table)} admissible paths", *(",".join(p) for p in table)]
     _emit(args, lines, {"count": len(table),
                         "paths": [list(p) for p in table]})
     return EXIT_OK
 
 
 def _relations_for(args, spec, table):
-    if getattr(args, "relations", None):
+    if args.relations:
         return iofiles.read_relations(args.relations, table)
     return generators_for(spec, table)
 
 
 def cmd_relations(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
     table = enumerate_paths(spec)
     relset = generators_for(spec, table)
     lines = [f"{len(relset)} relations, {len(relset.slice_paths)} slice variables"]
@@ -203,7 +188,7 @@ def cmd_relations(args):
 
 
 def cmd_verify(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
     table = enumerate_paths(spec)
     relset = _relations_for(args, spec, table)
     report = verify_relation_set(relset, spec, trials=args.trials,
@@ -237,8 +222,12 @@ def _load_trajectories(args, spec):
     return TrajectorySet.from_counts(counts).check(spec)
 
 
+def _horizon(args, spec, trajs):
+    return args.n if args.n is not None else min(spec.horizon, trajs.length)
+
+
 def _estimate(args, spec, trajs):
-    n = args.n if args.n is not None else min(spec.horizon, trajs.length)
+    n = _horizon(args, spec, trajs)
     if spec.homogeneous:
         return mle_homogeneous(trajs, spec, n=n, window=args.window)
     return mle_nonhomogeneous(trajs, spec, n=n)
@@ -267,7 +256,7 @@ def _estimate_lines(report, decimals):
 
 
 def cmd_mle(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
     trajs = _load_trajectories(args, spec)
     report = _estimate(args, spec, trajs)
     n = report.horizon
@@ -296,7 +285,7 @@ def cmd_mle(args):
 
 
 def cmd_recover(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     rec = recover_parameters(assignment, spec, table)
@@ -313,7 +302,7 @@ def cmd_recover(args):
 
 
 def cmd_birch(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     u = iofiles.read_counts(args.counts, table)
@@ -328,10 +317,15 @@ def cmd_birch(args):
 
 
 def cmd_ingest(args):
-    spec = _load_spec(args)
+    spec = iofiles.parse_model_spec(args.spec)
+    if args.fine_spec and not args.collapse:
+        raise SystemExit_(EXIT_IO, "--fine-spec requires --collapse")
+    if args.corpus and not args.corpus_config:
+        raise SystemExit_(EXIT_IO, "--corpus requires --corpus-config")
+    if not (args.corpus or args.trajectories):
+        raise SystemExit_(EXIT_IO, "ingest needs --trajectories or --corpus")
+    fine = iofiles.parse_model_spec(args.fine_spec) if args.fine_spec else None
     if args.corpus:
-        if not args.corpus_config:
-            raise SystemExit_(EXIT_IO, "--corpus requires --corpus-config")
         cs = iofiles.read_corpus_spec(args.corpus_config)
         try:
             with open(args.corpus, "r", encoding="utf-8") as fh:
@@ -341,50 +335,39 @@ def cmd_ingest(args):
         target = None if args.collapse else spec
         trajs = iofiles.corpus_to_trajectories(text, cs, target)
     else:
-        if not args.trajectories:
-            raise SystemExit_(EXIT_IO,
-                              "ingest needs --trajectories or --corpus")
-        source_spec = (iofiles.parse_model_spec(args.fine_spec)
-                       if args.collapse and args.fine_spec else spec)
-        trajs = iofiles.ingest_trajectories(args.trajectories, source_spec)
+        trajs = iofiles.ingest_trajectories(args.trajectories,
+                                            spec if fine is None else fine)
     if args.collapse:
         cm = iofiles.read_collapse_map(args.collapse)
-        fine = (iofiles.parse_model_spec(args.fine_spec)
-                if args.fine_spec else None)
         trajs = iofiles.collapse_states(trajs, cm, spec, fine)
     if args.emit == "counts":
-        n = args.n if args.n is not None else min(spec.horizon, trajs.length)
+        n = _horizon(args, spec, trajs)
         counts = counts_from_trajectories(trajs, spec, n=n)
-        lines = [",".join(p) + f" {c}"
-                 for p, c in zip(counts.table, counts.counts)]
+        records = tuple(zip(counts.table, counts.counts))
         jsonable = {"total": counts.total, "horizon": n,
-                    "counts": [{"path": list(p), "count": c}
-                               for p, c in zip(counts.table, counts.counts)]}
+                    "counts": [{"path": list(p), "count": c} for p, c in records]}
     else:
-        lines = [",".join(t) + f" {m}" for t, m in trajs.records]
+        records = trajs.records
         jsonable = {"length": trajs.length, "total": trajs.total,
                     "records": [{"trajectory": list(t), "multiplicity": m}
-                                for t, m in trajs.records]}
-    _emit(args, lines, jsonable)
+                                for t, m in records]}
+    _emit(args, lambda fh: _write_records(fh, records), jsonable)
     return EXIT_OK
 
 
 def cmd_report(args):
-    spec = _load_spec(args)
-    findings = validate_model(spec)
-    errors = [m for s, m in findings if s == "error"]
+    spec = iofiles.parse_model_spec(args.spec)
+    errors, finding_lines, validation = _validation(spec)
     table = enumerate_paths(spec)
     relset = _relations_for(args, spec, table)
     verification = verify_relation_set(relset, spec, trials=args.trials,
                                        seed=_seed(args))
-    by_tag = {}
-    for _, tag in relset:
-        by_tag[tag] = by_tag.get(tag, 0) + 1
+    by_tag = Counter(relset.provenance)
     lines = [f"spec: {args.spec}",
              f"states: {len(spec.states)}  order: {spec.order}"
              f"  horizon: {spec.horizon}"
              f"  {'homogeneous' if spec.homogeneous else 'nonhomogeneous'}"]
-    lines += [f"{s}: {m}" for s, m in findings]
+    lines += finding_lines
     lines.append(f"paths: {len(table)}")
     lines.append("relations: " + (", ".join(
         f"{v} {k}" for k, v in sorted(by_tag.items())) or "none"))
@@ -393,9 +376,7 @@ def cmd_report(args):
     lines.append(verification.summary())
     jsonable = {
         "spec": args.spec,
-        "validation": {"ok": not errors,
-                       "findings": [{"severity": s, "message": m}
-                                    for s, m in findings]},
+        "validation": validation,
         "paths": {"count": len(table)},
         "relations": {"by_provenance": by_tag,
                       "slice": len(relset.slice_paths)},
@@ -435,10 +416,7 @@ def main(argv=None):
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ModelError as exc:

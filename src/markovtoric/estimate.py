@@ -149,9 +149,6 @@ class EstimateReport:
     undefined: frozenset
     window: str = PREFIX
 
-    def parameter_point(self):
-        return ParameterPoint(self.pi, self.trans)
-
     def pi_value(self, block):
         return self.pi.get(tuple(block), Fraction(0))
 

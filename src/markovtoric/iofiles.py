@@ -8,12 +8,14 @@ field names.  All exact values are serialized as rational strings like
 """
 
 import json
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
 import yaml
 
-from .errors import InadmissiblePathError, ParseError, SpecificationError
+from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
 from .estimate import CountVector, TrajectorySet
 from .model import ModelSpec, format_symbol
 from .relations import RelationSet, canonicalize
@@ -40,7 +42,11 @@ def decimal_string(value, places=DEFAULT_DECIMALS):
 
 def fraction_string(value):
     f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParameterError(f"a {f.numerator.bit_length()}-bit rational is too "
+                             f"long to write out in decimal") from None
 
 
 def _load_yaml(path):
@@ -58,14 +64,19 @@ def _load_yaml(path):
         raise ParseError(str(exc), filename=path)
 
 
-def _label(x):
-    return x if isinstance(x, str) else str(x)
+def _is_label(x):
+    # a state label in YAML: a string, or an integer such as 0
+    return isinstance(x, (str, int))
+
+
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _state_labels(value, what, path, length=None):
-    """Check a YAML list of state labels (strings, or integers such as 0)."""
+    """Check a YAML list of state labels."""
     if (not isinstance(value, list) or length not in (None, len(value))
-            or not all(isinstance(x, (str, int)) for x in value)):
+            or not all(_is_label(x) for x in value)):
         size = "" if length is None else f"{length} "
         raise ParseError(f"{what} must be a list of {size}state labels, "
                          f"got {value!r}", filename=path)
@@ -79,13 +90,20 @@ def _list_field(doc, key, path):
     return value
 
 
-def _integer_field(doc, key, path, default=None):
+def _field(doc, key, path, want, ok, default=None):
+    """doc[key], or default when the key is absent; ParseError unless
+    ok(value), saying that key must be want."""
     value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key} must be an integer, got {value!r}", filename=path)
+    if not ok(value):
+        raise ParseError(f"{key} must be {want}, got {value!r}", filename=path)
     return value
+
+
+def _integer_field(doc, key, path, default=None):
+    # without a default, None stands for an unset optional integer
+    return _field(doc, key, path, "an integer",
+                  lambda v: _is_integer(v) or (v is None and default is None),
+                  default)
 
 
 def parse_model_spec(path):
@@ -118,10 +136,8 @@ def parse_model_spec(path):
     initial = doc.get("initial")
     if initial is not None:
         initial = _list_field(doc, "initial", path)
-    homogeneous = doc.get("homogeneous", False)
-    if not isinstance(homogeneous, bool):
-        raise ParseError(f"homogeneous must be true or false, got {homogeneous!r}",
-                         filename=path)
+    homogeneous = _field(doc, "homogeneous", path, "true or false",
+                         lambda v: isinstance(v, bool), False)
     return ModelSpec(states, _integer_field(doc, "k", path),
                      _integer_field(doc, "n", path),
                      forbidden=forbid, absorbing=absorbing, initial=initial,
@@ -165,9 +181,9 @@ def ingest_trajectories(path, spec):
             except ValueError:
                 raise ParseError(f"multiplicity {fields[1]!r} is not an integer",
                                  filename=path, line=lineno)
-        elif tokens[-1] not in spec.states and _is_int(tokens[-1]):
-            mult = int(tokens[-1])
-            tokens = tokens[:-1]
+        elif tokens[-1] not in spec.states:
+            with suppress(ValueError):
+                mult, tokens = int(tokens[-1]), tokens[:-1]
         if mult < 1:
             raise ParseError(f"multiplicity must be positive, got {mult}",
                              filename=path, line=lineno)
@@ -177,18 +193,38 @@ def ingest_trajectories(path, spec):
     return TrajectorySet(tuple(records)).check(spec)
 
 
-def _is_int(token):
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+def _write_records(fh, records):
+    """Write one 'comma,joined,path value' line per (path, value) pair."""
+    for p, value in records:
+        fh.write(f"{','.join(p)} {value}\n")
 
 
 def write_trajectories(trajs, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for traj, mult in trajs.records:
-            fh.write(",".join(traj) + f" {mult}\n")
+        _write_records(fh, trajs.records)
+
+
+def _path_values(path, table, what):
+    """(line number, path index, value text) of each 'path value' line.
+
+    what names the value in messages.  A line without exactly two
+    fields, a path outside the table or a path listed twice raises
+    ParseError.
+    """
+    seen = set()
+    for lineno, line in _data_lines(path):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"expected 'path {what}'", filename=path, line=lineno)
+        try:
+            j = table.index(tuple(t.strip() for t in fields[0].split(",")))
+        except InadmissiblePathError as exc:
+            raise ParseError(str(exc), filename=path, line=lineno)
+        if j in seen:
+            raise ParseError(f"duplicate {what} for path {fields[0]}",
+                             filename=path, line=lineno)
+        seen.add(j)
+        yield lineno, j, fields[1]
 
 
 def read_counts(path, table):
@@ -198,32 +234,18 @@ def read_counts(path, table):
     error rather than a silent sum.
     """
     counts = [0] * len(table)
-    seen = set()
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError("expected 'path count'", filename=path, line=lineno)
-        path_tuple = tuple(t.strip() for t in fields[0].split(","))
+    for lineno, j, text in _path_values(path, table, "count"):
         try:
-            j = table.index(path_tuple)
-        except InadmissiblePathError as exc:
-            raise ParseError(str(exc), filename=path, line=lineno)
-        if j in seen:
-            raise ParseError(f"duplicate count for path {fields[0]}",
-                             filename=path, line=lineno)
-        seen.add(j)
-        try:
-            counts[j] = int(fields[1])
+            counts[j] = int(text)
         except ValueError:
-            raise ParseError(f"count {fields[1]!r} is not an integer",
+            raise ParseError(f"count {text!r} is not an integer",
                              filename=path, line=lineno)
     return CountVector(table, tuple(counts))
 
 
 def write_counts(counts, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for p, c in zip(counts.table, counts.counts):
-            fh.write(",".join(p) + f" {c}\n")
+        _write_records(fh, zip(counts.table, counts.counts))
 
 
 def read_probabilities(path, table):
@@ -234,35 +256,20 @@ def read_probabilities(path, table):
     path listed twice is an error rather than a silent overwrite.
     """
     out = {j: Fraction(0) for j in range(len(table))}
-    seen = set()
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError("expected 'path value'", filename=path, line=lineno)
-        path_tuple = tuple(t.strip() for t in fields[0].split(","))
+    for lineno, j, text in _path_values(path, table, "value"):
         try:
-            j = table.index(path_tuple)
-        except InadmissiblePathError as exc:
-            raise ParseError(str(exc), filename=path, line=lineno)
-        if j in seen:
-            raise ParseError(f"duplicate value for path {fields[0]}",
-                             filename=path, line=lineno)
-        seen.add(j)
-        try:
-            out[j] = Fraction(fields[1])
+            out[j] = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"value {fields[1]!r} is not a rational",
+            raise ParseError(f"value {text!r} is not a rational",
                              filename=path, line=lineno)
     return out
 
 
 def write_probabilities(assignment, table, path, decimals=None):
+    text = (fraction_string if decimals is None
+            else lambda value: decimal_string(value, decimals))
     with open(path, "w", encoding="utf-8") as fh:
-        for j, p in enumerate(table):
-            value = assignment[j]
-            text = (fraction_string(value) if decimals is None
-                    else decimal_string(value, decimals))
-            fh.write(",".join(p) + f" {text}\n")
+        _write_records(fh, ((p, text(assignment[j])) for j, p in enumerate(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +356,9 @@ def corpus_to_trajectories(text, cs, spec=None):
         words = [w for w in words if len(w) <= L]
     if not words:
         raise ParseError("corpus contains no usable words")
-    tally = {}
-    for w in words:
-        tally[w] = tally.get(w, 0) + 1
-    records = []
-    for w, mult in tally.items():
-        traj = tuple(cs.alphabet[ch] for ch in w)
-        traj += (cs.pad,) * (L + 1 - len(traj))
-        records.append((traj, mult))
-    trajs = TrajectorySet(tuple(records))
+    trajs = TrajectorySet(tuple(
+        (tuple(cs.alphabet[ch] for ch in w) + (cs.pad,) * (L + 1 - len(w)), mult)
+        for w, mult in Counter(words).items()))
     if spec is not None:
         if cs.pad not in spec.absorbing:
             raise SpecificationError(
@@ -417,10 +418,9 @@ def collapse_states(trajs, cm, coarse_spec, fine_spec=None):
     """
     if fine_spec is not None:
         cm.validate(fine_spec, coarse_spec)
-    tally = {}
+    tally = Counter()
     for traj, mult in trajs.records:
-        image = cm.apply(traj)
-        tally[image] = tally.get(image, 0) + mult
+        tally[cm.apply(traj)] += mult
     return TrajectorySet(tuple(tally.items())).check(coarse_spec)
 
 
@@ -439,25 +439,37 @@ def read_corpus_spec(path):
     if alphabet == "letters":
         alphabet = letters_alphabet()
     elif isinstance(alphabet, dict):
-        alphabet = {_label(c): _label(s) for c, s in alphabet.items()}
+        alphabet = _label_map(alphabet, "alphabet", path)
     else:
         raise ParseError("alphabet must be a mapping or the word 'letters'",
                          filename=path)
+    pad = _field(doc, "pad", path, "a state label", _is_label)
+    overlong = _field(doc, "overlong", path, "'error' or 'drop'",
+                      lambda v: v in ("error", "drop"), "error")
+    drop_chars = _field(doc, "drop_chars", path, "a string",
+                        lambda v: isinstance(v, str), DEFAULT_DROP_CHARS)
     horizon = (None if doc.get("horizon") == "max"
                else _integer_field(doc, "horizon", path))
-    return CorpusSpec(alphabet=alphabet, pad=_label(doc["pad"]),
-                      horizon=horizon,
+    return CorpusSpec(alphabet=alphabet, pad=str(pad), horizon=horizon,
                       min_word_length=_integer_field(doc, "min_word_length", path, 1),
                       max_word_length=_integer_field(doc, "max_word_length", path),
-                      overlong=doc.get("overlong", "error"),
-                      drop_chars=doc.get("drop_chars", DEFAULT_DROP_CHARS))
+                      overlong=overlong, drop_chars=drop_chars)
+
+
+def _label_map(doc, what, path):
+    """A YAML mapping whose keys and values are state labels, as strings."""
+    for a, b in doc.items():
+        if not (_is_label(a) and _is_label(b)):
+            raise ParseError(f"{what} must map state labels to state labels, "
+                             f"got {a!r}: {b!r}", filename=path)
+    return {str(a): str(b) for a, b in doc.items()}
 
 
 def read_collapse_map(path):
     doc = _load_yaml(path)
     if not isinstance(doc, dict):
         raise ParseError("collapse map must be a mapping", filename=path)
-    return CollapseMap({_label(a): _label(b) for a, b in doc.items()})
+    return CollapseMap(_label_map(doc, "collapse map", path))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +500,10 @@ def read_relations(path, table):
 
     Binomials are re-canonicalized on the way in, so a hand-edited file
     cannot smuggle in a non-canonical or degenerate relation.  A
-    malformed term, a path or slice entry that is not a list, a power
-    that is not a positive integer, or a path outside the table raises
-    ParseError.
+    malformed term, a path that is not a list, a power that is not a
+    positive integer, a path outside the table, a slice entry that is
+    not an inadmissible path of string labels, or a provenance that is
+    not a string raises ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -510,22 +523,30 @@ def read_relations(path, table):
                              filename=path)
         return tuple(value)
 
+    def slice_entry(value):
+        entry = path_list(value, "a slice entry")
+        if (not all(isinstance(x, str) for x in entry) or entry in table
+                or any(len(p) != len(entry) for p in table[:1])):
+            raise ParseError(f"a slice entry must be an inadmissible path of string "
+                             f"labels, got {value!r}", filename=path)
+        return entry
+
     def side(terms):
         out = {}
         for term in terms:
             j = table.index(path_list(term["path"], "a term's path"))
-            power = term.get("power", 1)
-            if isinstance(power, bool) or not isinstance(power, int) or power < 1:
-                raise ParseError(f"power must be a positive integer, got {power!r}",
-                                 filename=path)
+            power = _field(term, "power", path, "a positive integer",
+                           lambda v: _is_integer(v) and v >= 1, 1)
             out[j] = out.get(j, 0) + power
         return out
 
     try:
         sides = [(side(rec["plus"]), side(rec["minus"]))
                  for rec in doc["relations"]]
-        tags = tuple(rec.get("provenance", "file") for rec in doc["relations"])
-        slice_paths = tuple(path_list(p, "a slice entry") for p in doc.get("slice", []))
+        tags = tuple(_field(rec, "provenance", path, "a string",
+                            lambda v: isinstance(v, str), "file")
+                     for rec in doc["relations"])
+        slice_paths = tuple(slice_entry(p) for p in doc.get("slice", []))
     except InadmissiblePathError as exc:
         raise ParseError(str(exc), filename=path) from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -603,8 +624,7 @@ def verification_to_jsonable(vr, relset):
                 "trial": entry.vanish.witness.trial,
                 "residual": fraction_string(entry.vanish.witness.residual),
             }
-        if entry.kernel is not None:
-            rec["kernel_ok"] = entry.kernel.ok
+        rec["kernel_ok"] = entry.kernel.ok
         entries.append(rec)
     return {
         "trials": vr.trials,

@@ -60,15 +60,6 @@ class Binomial:
         return f"{side(self.plus)} - {side(self.minus)}"
 
 
-def _lex_larger(u, v):
-    # Dense lexicographic comparison of sparse exponent vectors.
-    for i in sorted(set(u) | set(v)):
-        du, dv = u.get(i, 0), v.get(i, 0)
-        if du != dv:
-            return du > dv
-    return False
-
-
 def canonicalize(plus, minus):
     """Canonical form of a raw binomial given as two exponent mappings.
 
@@ -94,7 +85,9 @@ def canonicalize(plus, minus):
             del v[i]
     if u == v:
         raise RelationError("degenerate binomial: both sides are equal")
-    if not _lex_larger(u, v):
+    # the supports are now disjoint, so the side holding the smallest
+    # index is the lexicographically larger one
+    if min(u.keys() | v.keys()) not in u:
         u, v = v, u
     return Binomial(tuple(sorted(u.items())), tuple(sorted(v.items())))
 
@@ -187,32 +180,25 @@ def nonhomogeneous_generators(spec, table=None):
                     {table.index(I + J + S): 1, table.index(I2 + J + S2): 1},
                     {table.index(cross1): 1, table.index(cross2): 1}))
     binomials, tags = _dedup(raw, PROV_NONHOM)
-    return RelationSet(table, binomials, tags, _slice_paths(spec, table))
+    return RelationSet(table, binomials, tags, slice_linear_generators(spec, table))
 
 
-def slice_linear_generators(spec):
+def slice_linear_generators(spec, table=None):
     """Paths of the unrestricted companion model that spec forbids.
 
     Each returned path is a variable pinned to zero on the restricted
     model: together with the companion's binomials these cut out the
     restricted model's ideal.  Output is lexicographic by declaration
-    order.  The list has |S|^n minus (admissible count) entries, so call
-    this only at small sizes.
+    order, and empty for an unrestricted spec.  A restricted spec's
+    list has |S|^n minus (admissible count) entries, so call this only
+    at small sizes.
     """
-    admissible = set(enumerate_paths(spec))
-    out = []
-    for path in itertools.product(spec.states, repeat=spec.horizon):
-        if path not in admissible:
-            out.append(path)
-    return tuple(out)
-
-
-def _slice_paths(spec, table):
-    # A restricted spec admits fewer than |S|^n paths; its forbidden
-    # paths are the slice variables.
+    if table is None:
+        table = enumerate_paths(spec)
     if len(table) == len(spec.states) ** spec.horizon:
         return ()
-    return slice_linear_generators(spec)
+    return tuple(path for path in itertools.product(spec.states, repeat=spec.horizon)
+                 if path not in table)
 
 
 def homogeneous_family(spec, table=None):
@@ -320,7 +306,7 @@ def generators_for(spec, table=None):
     lin = permutation_linear_relations(spec, table)
     return RelationSet(table, fam.binomials + lin.binomials,
                        fam.provenance + lin.provenance,
-                       _slice_paths(spec, table))
+                       slice_linear_generators(spec, table))
 
 
 def permutation_linear_relations(spec, table=None):

@@ -194,13 +194,11 @@ class RelationEntry:
     index: int
     provenance: str
     vanish: RelationCheck
-    kernel: Optional[KernelCheck]
+    kernel: KernelCheck
 
     @property
     def ok(self):
-        if not self.vanish.ok:
-            return False
-        return self.kernel is None or self.kernel.ok
+        return self.vanish.ok and self.kernel.ok
 
 
 @dataclass(frozen=True)
@@ -221,8 +219,7 @@ class VerificationReport:
 
     @property
     def agreement(self):
-        return all(e.kernel is None or e.kernel.ok == e.vanish.ok
-                   for e in self.entries)
+        return all(e.kernel.ok == e.vanish.ok for e in self.entries)
 
     def failures(self):
         return tuple(e for e in self.entries if not e.ok)

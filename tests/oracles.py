@@ -93,6 +93,15 @@ def homogeneous_family_reference(spec, table=None):
     return RelationSet(table, binomials, tags)
 
 
+def lex_larger(u, v):
+    """Whether exponent mapping u is the larger in dense lexicographic order."""
+    for i in sorted(set(u) | set(v)):
+        du, dv = u.get(i, 0), v.get(i, 0)
+        if du != dv:
+            return du > dv
+    return False
+
+
 def assignment_from_parameters(spec, params, table):
     """Path-probability assignment {index: Fraction} over a table."""
     return {j: path_probability(spec, params, path)

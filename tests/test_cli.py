@@ -1,9 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from markovtoric import (
     enumerate_paths,
@@ -13,7 +20,8 @@ from markovtoric import (
     sample_parameters,
     write_relations,
 )
-from markovtoric.cli import main
+from markovtoric import iofiles
+from markovtoric.cli import build_parser, main
 from conftest import DATA
 from oracles import assignment_from_parameters
 from reference_data import WORKED_PATHS, WORKED_COUNTS, WORKED_PI
@@ -89,6 +97,15 @@ def _corpus_config(tmp_path, text):
                "--collapse", str(DATA / "vc_collapse.yaml")]
 
 
+def _collapse_map(tmp_path, text):
+    f = tmp_path / "collapse.yaml"
+    f.write_text((DATA / "vc_collapse.yaml").read_text() + text)
+    return f, ["ingest", "--spec", VC_BOX,
+               "--corpus", str(DATA / "sample_corpus.txt"),
+               "--corpus-config", str(DATA / "vc_corpus.yaml"),
+               "--collapse", str(f)]
+
+
 def _relation_file(tmp_path, edit):
     spec = parse_model_spec(ILLNESS)
     f = tmp_path / "relations.json"
@@ -110,14 +127,67 @@ def _relation_file(tmp_path, edit):
     lambda d: _spec_file(d, "states: [a, b]\nk: x\nn: 3\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1.5\nn: 3\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: true\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\ndrop_chars: 5\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\noverlong: 5\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad:\n"),
+    lambda d: _corpus_config(d, "alphabet: {a: V, b: [C]}\npad: _\n"),
+    lambda d: _collapse_map(d, "b: ~\n"),
+    lambda d: _collapse_map(d, "c: 1.5\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
-        "n-bool"])
+        "n-bool", "drop-chars-int", "overlong-int", "pad-null",
+        "alphabet-list-label", "collapse-null-label", "collapse-float-label"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert str(f) in err
+
+
+# the flags of each verb; a verb declares only the flags it reads
+VERB_FLAGS = {
+    "validate": set(), "paths": set(), "relations": set(),
+    "verify": {"--seed", "--trials", "--relations"},
+    "mle": {"--decimals", "--trajectories", "--counts", "--n", "--window"},
+    "recover": {"--decimals", "--probabilities"},
+    "birch": {"--decimals", "--probabilities", "--counts"},
+    "ingest": {"--trajectories", "--corpus", "--corpus-config", "--collapse",
+               "--fine-spec", "--n", "--emit"},
+    "report": {"--seed", "--trials", "--relations", "--decimals",
+               "--trajectories", "--counts", "--n", "--window"},
+}
+REMOVED_FLAGS = [(verb, flag)
+                 for verb in ("validate", "paths", "relations", "ingest")
+                 for flag in ("--seed", "--trials", "--decimals")]
+REMOVED_FLAGS += [("verify", "--decimals"), ("ingest", "--counts")]
+REMOVED_FLAGS += [(verb, flag) for verb in ("mle", "recover", "birch")
+                  for flag in ("--seed", "--trials")]
+
+
+def test_each_verb_declares_only_the_flags_it_reads():
+    top = build_parser()
+    verbs = next(a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {verb: {a.option_strings[0] for a in p._actions
+                       if not isinstance(a, argparse._HelpAction)}
+                for verb, p in verbs.items()}
+    assert declared == {verb: {"--spec", "--out", "--format"} | flags
+                        for verb, flags in VERB_FLAGS.items()}
+    assert sum(map(len, declared.values())) == 55
+    assert len(REMOVED_FLAGS) == 20
+    assert not any(flag in declared[verb] for verb, flag in REMOVED_FLAGS)
+
+
+@pytest.mark.parametrize("verb, flag", REMOVED_FLAGS,
+                         ids=[f"{v}{f}" for v, f in REMOVED_FLAGS])
+def test_flag_a_verb_does_not_read_is_a_usage_error(capsys, verb, flag):
+    required = {"recover": ["--probabilities", "p.txt"],
+                "birch": ["--probabilities", "p.txt", "--counts", "c.txt"]}
+    code, out, err = run(capsys, verb, "--spec", ILLNESS,
+                         *required.get(verb, []), flag, "1")
+    assert code == 3
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 1" in err
 
 
 class TestUsageErrors:
@@ -386,6 +456,15 @@ class TestIngest:
                          "--corpus", str(DATA / "sample_corpus.txt"))
         assert code == 3
 
+    def test_fine_spec_requires_collapse(self, capsys, tmp_path):
+        t = tmp_path / "t.txt"
+        t.write_text("0,0,1,1 3\n")
+        code, out, err = run(capsys, "ingest", "--spec", ILLNESS,
+                             "--trajectories", str(t), "--fine-spec", ILLNESS)
+        assert code == 3
+        assert out == ""
+        assert "--fine-spec requires --collapse" in err
+
 
 class TestReport:
     def test_full_report_runs(self, capsys, worked_counts_file):
@@ -423,3 +502,82 @@ class TestSeedHandling:
                          "--trials", "3", "--seed", "42",
                          "--format", "structured")
         assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# main never raises, whatever a data file holds
+
+FILE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10_000) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def _base_relations():
+    doc = iofiles.relations_to_jsonable(generators_for(parse_model_spec(ILLNESS)))
+    doc["relations"] = doc["relations"][:2]
+    return doc
+
+
+# (file kind, where in the file the drawn value goes); () is the whole file
+FILE_PLACES = (
+    [("corpus", (key,)) for key in sorted(iofiles.CORPUS_KEYS)]
+    + [("collapse", ("a",)), ("collapse", ("_",)), ("collapse", ())]
+    + [("relations", place) for place in (
+        ("relations", 0, "provenance"), ("relations", 0, "plus", 0, "path"),
+        ("relations", 0, "plus", 0, "power"), ("relations", 0, "minus"),
+        ("relations", 0), ("relations",), ("slice", 0), ("slice",), ())]
+    + [("counts", ("count",)), ("counts", ("path",))])
+
+
+def _place(doc, where, value):
+    if not where:
+        return value
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    return doc
+
+
+def _data_file(directory, kind, where, value):
+    f = directory / f"{kind}.data"
+    if kind == "corpus":
+        doc = {"alphabet": "letters", "pad": "_", "horizon": "max",
+               "min_word_length": 2}
+        f.write_text(yaml.safe_dump(_place(doc, where, value)))
+        return ["ingest", "--spec", VC_BOX,
+                "--corpus", str(DATA / "sample_corpus.txt"),
+                "--corpus-config", str(f),
+                "--collapse", str(DATA / "vc_collapse.yaml")]
+    if kind == "collapse":
+        doc = yaml.safe_load((DATA / "vc_collapse.yaml").read_text())
+        f.write_text(yaml.safe_dump(_place(doc, where, value)))
+        return ["ingest", "--spec", VC_BOX,
+                "--corpus", str(DATA / "sample_corpus.txt"),
+                "--corpus-config", str(DATA / "vc_corpus.yaml"),
+                "--collapse", str(f)]
+    if kind == "relations":
+        f.write_text(json.dumps(_place(_base_relations(), where, value)))
+        return ["verify", "--spec", ILLNESS, "--relations", str(f),
+                "--trials", "1"]
+    text = json.dumps(value)
+    line = {"count": f"0,0,1,1 {text}", "path": f"{text} 3"}[where[0]]
+    f.write_text(f"0,0,0,0 5\n{line}\n1,1,1,2 2\n")
+    return ["mle", "--spec", ILLNESS, "--counts", str(f)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FILE_PLACES), FILE_VALUES)
+@example(("corpus", ("drop_chars",)), 5)
+@example(("relations", ("relations", 0, "provenance")), 5)
+@example(("relations", ("relations", 0, "plus", 0, "power")), 530)
+def test_main_never_raises_on_a_data_file(place, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _data_file(Path(tmp), *place, value)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)

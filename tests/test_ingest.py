@@ -5,6 +5,7 @@ import pytest
 from markovtoric import (
     CollapseMap,
     CorpusSpec,
+    ModelSpec,
     ParseError,
     SpecificationError,
     TrajectorySet,
@@ -470,8 +471,16 @@ class TestRelationFiles:
         lambda doc: doc["relations"][0]["plus"][0].update(power=True),
         lambda doc: doc["relations"][0]["plus"][0].update(power=0),
         lambda doc: doc["relations"][0]["plus"][0].update(power=-1),
+        lambda doc: doc["slice"].__setitem__(0, ["x"]),
+        lambda doc: doc["slice"].__setitem__(0, [0, 1]),
+        lambda doc: doc["slice"].__setitem__(0, [1, 0, 0, 0]),
+        lambda doc: doc["slice"].__setitem__(0, ["0", "0", "0", "0"]),
+        lambda doc: doc["relations"][0].update(provenance=5),
+        lambda doc: doc["relations"][0].update(provenance=None),
     ], ids=["path-string", "slice-string", "power-1.5", "power-string",
-            "power-true", "power-0", "power-negative"])
+            "power-true", "power-0", "power-negative", "slice-short",
+            "slice-int-labels-short", "slice-int-labels", "slice-admissible-path",
+            "provenance-int", "provenance-null"])
     def test_reinterpreted_value_rejected(self, tmp_path, illness_death, edit):
         # each edit used to read back as some relation instead of failing
         import json
@@ -484,3 +493,16 @@ class TestRelationFiles:
         with pytest.raises(ParseError) as err:
             read_relations(f, relset.table)
         assert str(f) in str(err.value)
+
+    def test_slice_read_against_an_empty_table(self, tmp_path):
+        # state a has no successor, so no path of length 3 starts there
+        spec = ModelSpec(["a", "b"], 1, 3, forbidden=[("a", "a"), ("a", "b")],
+                         initial=["a"])
+        table = enumerate_paths(spec)
+        assert len(table) == 0
+        f = tmp_path / "r.json"
+        f.write_text('{"relations": [], "slice": [["a", "a", "a"]]}')
+        assert read_relations(f, table).slice_paths == (("a", "a", "a"),)
+        f.write_text('{"relations": [], "slice": [["a", 1, "a"]]}')
+        with pytest.raises(ParseError):
+            read_relations(f, table)

@@ -20,6 +20,7 @@ from oracles import (
     brute_force_degree2,
     degree2_diffs,
     homogeneous_family_reference,
+    lex_larger,
 )
 from reference_data import ILLNESS_DEATH_RELATIONS
 
@@ -65,6 +66,25 @@ class TestCanonicalize:
             return
         b2 = canonicalize(dict(b1.plus), dict(b1.minus))
         assert b1 == b2
+
+    @settings(max_examples=100)
+    @given(st.dictionaries(st.integers(0, 6), st.integers(0, 3)),
+           st.dictionaries(st.integers(0, 6), st.integers(0, 3)))
+    def test_orientation_matches_dense_lex_reference(self, u, v):
+        diff = {i: u.get(i, 0) - v.get(i, 0) for i in u.keys() | v.keys()}
+        diff = {i: d for i, d in diff.items() if d}
+        try:
+            b = canonicalize(u, v)
+        except RelationError:
+            assert not diff
+            return
+        plus, minus = dict(b.plus), dict(b.minus)
+        assert lex_larger(plus, minus)
+        # the same reduced pair as the input, oriented by the reference
+        reduced = ({i: d for i, d in diff.items() if d > 0},
+                   {i: -d for i, d in diff.items() if d < 0})
+        assert (plus, minus) == (reduced if lex_larger(*reduced)
+                                 else reduced[::-1])
 
 
 class TestBinomial:
@@ -136,6 +156,18 @@ class TestSliceLinearGenerators:
         admissible = set(enumerate_paths(illness_death))
         assert not (sliced & admissible)
         assert len(sliced) + len(admissible) == 3 ** 4
+
+    def test_given_table_gives_the_same_paths(self, illness_death):
+        table = enumerate_paths(illness_death)
+        assert slice_linear_generators(illness_death, table) == \
+            slice_linear_generators(illness_death)
+        assert nonhomogeneous_generators(illness_death, table).slice_paths == \
+            slice_linear_generators(illness_death)
+
+    def test_unrestricted_spec_has_none(self):
+        spec = make_binary_chain(1, 4)
+        assert slice_linear_generators(spec) == ()
+        assert slice_linear_generators(spec, enumerate_paths(spec)) == ()
 
 
 class TestHomogeneousFamily:
