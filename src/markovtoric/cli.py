@@ -262,7 +262,7 @@ def cmd_mle(args):
     n = report.horizon
     lines = _estimate_lines(report, args.decimals)
     jsonable = {"estimate": iofiles.estimate_to_jsonable(report, args.decimals)}
-    fit_spec = spec if n == spec.horizon else spec.with_horizon(n)
+    fit_spec = spec.with_horizon(n)
     table = enumerate_paths(fit_spec)
     try:
         fitted = fitted_path_probabilities(report, fit_spec, table)

@@ -120,9 +120,8 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     indexed by the path table of the spec at horizon n.
     """
     n = _resolve_horizon(trajs, spec, spec.horizon if n is None else n)
-    spec_n = spec if n == spec.horizon else spec.with_horizon(n)
     if table is None:
-        table = enumerate_paths(spec_n)
+        table = enumerate_paths(spec.with_horizon(n))
     counts = [0] * len(table)
     for traj, mult in trajs.records:
         counts[table.index(traj[:n])] += mult

@@ -8,6 +8,7 @@ field names.  All exact values are serialized as rational strings like
 """
 
 import json
+import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import yaml
 
 from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
 from .estimate import CountVector, TrajectorySet
-from .model import ModelSpec, format_symbol
+from .model import ModelSpec, format_symbol, is_label
 from .relations import RelationSet, canonicalize
 
 DEFAULT_DECIMALS = 3
@@ -29,7 +30,10 @@ CORPUS_KEYS = {"alphabet", "pad", "horizon", "min_word_length",
 
 
 def decimal_string(value, places=DEFAULT_DECIMALS):
-    """Round-half-even decimal rendering of an exact rational."""
+    """Round-half-even decimal rendering of an exact rational.  ParameterError
+    when places is negative or past Python's int-to-str digit limit."""
+    if not 0 <= places <= (sys.get_int_max_str_digits() or places):  # 0: no limit
+        raise ParameterError(f"cannot write a value to {places} decimal places")
     q = round(Fraction(value), places)
     scaled = q * 10 ** places
     num = int(scaled)
@@ -49,10 +53,12 @@ def fraction_string(value):
                              f"long to write out in decimal") from None
 
 
-def _load_yaml(path):
+def _load_yaml(path, what, keys=None, required=()):
+    """The YAML mapping in a file, named what in messages; ParseError unless its
+    keys are all in keys (any when None) and include every key in required."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ParseError(str(exc), filename=path)
     except yaml.YAMLError as exc:
@@ -62,11 +68,17 @@ def _load_yaml(path):
                              filename=path, line=mark.line + 1,
                              column=mark.column + 1)
         raise ParseError(str(exc), filename=path)
-
-
-def _is_label(x):
-    # a state label in YAML: a string, or an integer such as 0
-    return isinstance(x, (str, int))
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a mapping", filename=path)
+    unknown = set() if keys is None else set(doc) - keys
+    if unknown:
+        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {what}",
+                         filename=path)
+    for key in required:
+        if key not in doc:
+            raise ParseError(f"{what} is missing required key {key!r}",
+                             filename=path)
+    return doc
 
 
 def _is_integer(x):
@@ -76,7 +88,7 @@ def _is_integer(x):
 def _state_labels(value, what, path, length=None):
     """Check a YAML list of state labels."""
     if (not isinstance(value, list) or length not in (None, len(value))
-            or not all(_is_label(x) for x in value)):
+            or not all(is_label(x) for x in value)):
         size = "" if length is None else f"{length} "
         raise ParseError(f"{what} must be a list of {size}state labels, "
                          f"got {value!r}", filename=path)
@@ -118,24 +130,16 @@ def parse_model_spec(path):
     absorbing state with a forbidden self-loop, ...) surface as
     SpecificationError from the ModelSpec constructor.
     """
-    doc = _load_yaml(path)
-    if not isinstance(doc, dict):
-        raise ParseError("model spec must be a mapping", filename=path)
-    unknown = set(doc) - MODEL_KEYS
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in model spec",
-                         filename=path)
-    for key in ("states", "k", "n"):
-        if key not in doc:
-            raise ParseError(f"model spec is missing required key {key!r}",
-                             filename=path)
+    doc = _load_yaml(path, "model spec", MODEL_KEYS, ("states", "k", "n"))
     states = _state_labels(doc["states"], "states", path)
     forbid = [_state_labels(pair, "each forbid entry", path, 2)
               for pair in _list_field(doc, "forbid", path)]
     absorbing = _state_labels(doc.get("absorbing") or [], "absorbing", path)
     initial = doc.get("initial")
     if initial is not None:
-        initial = _list_field(doc, "initial", path)
+        initial = [block if is_label(block)
+                   else _state_labels(block, "each initial block", path)
+                   for block in _list_field(doc, "initial", path)]
     homogeneous = _field(doc, "homogeneous", path, "true or false",
                          lambda v: isinstance(v, bool), False)
     return ModelSpec(states, _integer_field(doc, "k", path),
@@ -425,16 +429,7 @@ def collapse_states(trajs, cm, coarse_spec, fine_spec=None):
 
 
 def read_corpus_spec(path):
-    doc = _load_yaml(path)
-    if not isinstance(doc, dict):
-        raise ParseError("corpus spec must be a mapping", filename=path)
-    unknown = set(doc) - CORPUS_KEYS
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in corpus spec",
-                         filename=path)
-    if "pad" not in doc:
-        raise ParseError("corpus spec is missing required key 'pad'",
-                         filename=path)
+    doc = _load_yaml(path, "corpus spec", CORPUS_KEYS, ("pad",))
     alphabet = doc.get("alphabet", "letters")
     if alphabet == "letters":
         alphabet = letters_alphabet()
@@ -443,13 +438,14 @@ def read_corpus_spec(path):
     else:
         raise ParseError("alphabet must be a mapping or the word 'letters'",
                          filename=path)
-    pad = _field(doc, "pad", path, "a state label", _is_label)
+    pad = _field(doc, "pad", path, "a state label", is_label)
     overlong = _field(doc, "overlong", path, "'error' or 'drop'",
                       lambda v: v in ("error", "drop"), "error")
     drop_chars = _field(doc, "drop_chars", path, "a string",
                         lambda v: isinstance(v, str), DEFAULT_DROP_CHARS)
     horizon = (None if doc.get("horizon") == "max"
-               else _integer_field(doc, "horizon", path))
+               else _field(doc, "horizon", path, "a positive integer",
+                           lambda v: v is None or (_is_integer(v) and v >= 1)))
     return CorpusSpec(alphabet=alphabet, pad=str(pad), horizon=horizon,
                       min_word_length=_integer_field(doc, "min_word_length", path, 1),
                       max_word_length=_integer_field(doc, "max_word_length", path),
@@ -459,16 +455,14 @@ def read_corpus_spec(path):
 def _label_map(doc, what, path):
     """A YAML mapping whose keys and values are state labels, as strings."""
     for a, b in doc.items():
-        if not (_is_label(a) and _is_label(b)):
+        if not (is_label(a) and is_label(b)):
             raise ParseError(f"{what} must map state labels to state labels, "
                              f"got {a!r}: {b!r}", filename=path)
     return {str(a): str(b) for a, b in doc.items()}
 
 
 def read_collapse_map(path):
-    doc = _load_yaml(path)
-    if not isinstance(doc, dict):
-        raise ParseError("collapse map must be a mapping", filename=path)
+    doc = _load_yaml(path, "collapse map")
     return CollapseMap(_label_map(doc, "collapse map", path))
 
 

@@ -1,10 +1,11 @@
 """Core objects for discrete-time multistate Markov chains of finite order.
 
 A model is described by a finite set of state labels, a memory order k,
-a path length n, a rule giving the allowed successor states after each
-length-k history, and a set of allowed initial k-blocks.  Transition
-probabilities either vary with the time index (nonhomogeneous) or are
-shared across all steps (homogeneous).
+a path length n, transition rules (forbidden pairs and absorbing states)
+that give the allowed successor states after each length-k history, and
+a set of allowed initial k-blocks.  Transition probabilities either vary
+with the time index (nonhomogeneous) or are shared across all steps
+(homogeneous).
 
 The probability of an admissible path (i_1, ..., i_n) factors as the
 initial-block probability of (i_1, ..., i_k) times one transition factor
@@ -32,12 +33,16 @@ from .errors import (
 )
 
 
+def is_label(x):
+    """Whether x can be a state label: a string, or an int that is not a bool."""
+    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+
+
 def _as_label(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, bool)):
-        return str(x)
-    raise SpecificationError(f"state label must be a string, got {x!r}")
+    if not is_label(x):
+        raise SpecificationError(
+            f"state label must be a string or an integer, got {x!r}")
+    return str(x)
 
 
 def _as_block(x, k):
@@ -76,10 +81,10 @@ def as_fraction(value):
 class ModelSpec:
     """A k-th order multistate Markov chain on paths of length n.
 
-    Instances are immutable once constructed.  Build either from
-    pairwise transition rules (forbidden pairs plus absorbing states)
-    or from an explicit mapping of length-k histories to their allowed
-    successor states.
+    Instances are immutable once constructed.  A spec is built from its
+    transition rules: forbidden (from, to) pairs, absorbing states and
+    the allowed initial k-blocks.  Every other structure (allowed
+    pairs, histories, successors) is derived from them.
 
     Args:
         states: state labels in declaration order.
@@ -89,8 +94,6 @@ class ModelSpec:
         absorbing: iterable of states whose only successor is themselves.
         initial: allowed initial k-blocks; states may be given directly
             when k = 1.  Defaults to every internally admissible block.
-        allowed: explicit mapping from history blocks to successor
-            sequences.  Mutually exclusive with forbidden/absorbing.
         homogeneous: whether one transition table is shared by all steps.
 
     Raises:
@@ -104,7 +107,7 @@ class ModelSpec:
                  "_pairs")
 
     def __init__(self, states, order, horizon, *, forbidden=(), absorbing=(),
-                 initial=None, allowed=None, homogeneous=False):
+                 initial=None, homogeneous=False):
         states = tuple(_as_label(s) for s in states)
         if not states:
             raise SpecificationError("state set is empty")
@@ -121,55 +124,25 @@ class ModelSpec:
         self.homogeneous = bool(homogeneous)
         self._state_index = {s: i for i, s in enumerate(states)}
 
-        if allowed is not None and (tuple(forbidden) or tuple(absorbing)):
-            raise SpecificationError(
-                "pass either an explicit allowed mapping or forbidden/absorbing rules, not both")
-
-        if allowed is not None:
-            succ = {}
-            for hist, nxts in allowed.items():
-                h = _as_block(hist, order)
-                for s in h:
-                    self._require_state(s)
-                ns = tuple(_as_label(s) for s in nxts)
-                for s in ns:
-                    self._require_state(s)
-                if len(set(ns)) != len(ns):
-                    raise SpecificationError(f"duplicate successors for history {h}")
-                succ[h] = tuple(sorted(ns, key=self._state_index.__getitem__))
-            self._succ = succ
-            self._histories = tuple(sorted(succ, key=self.block_key))
-            self._pairs = frozenset(
-                (h[-1], s) for h, ns in succ.items() for s in ns)
-            self.absorbing = tuple(
-                s for s in states
-                if succ.get((s,) * order, None) == (s,))
-        else:
-            forbidden = {(_as_label(a), _as_label(b)) for a, b in forbidden}
-            absorbing = tuple(_as_label(s) for s in absorbing)
-            for a, b in forbidden:
-                self._require_state(a)
-                self._require_state(b)
-            for s in absorbing:
-                self._require_state(s)
-                if (s, s) in forbidden:
-                    raise SpecificationError(
-                        f"absorbing state {s!r} has its self-transition forbidden")
-            pairs = set()
-            for a in states:
-                for b in states:
-                    if (a, b) in forbidden:
-                        continue
-                    if a in absorbing and b != a:
-                        continue
-                    pairs.add((a, b))
-            self._pairs = frozenset(pairs)
-            self.absorbing = absorbing
-            self._histories = tuple(self._admissible_blocks(pairs))
-            self._succ = {
-                h: tuple(b for b in states if (h[-1], b) in pairs)
-                for h in self._histories
-            }
+        forbidden = {(_as_label(a), _as_label(b)) for a, b in forbidden}
+        absorbing = tuple(_as_label(s) for s in absorbing)
+        for a, b in forbidden:
+            self._require_state(a)
+            self._require_state(b)
+        for s in absorbing:
+            self._require_state(s)
+            if (s, s) in forbidden:
+                raise SpecificationError(
+                    f"absorbing state {s!r} has its self-transition forbidden")
+        self._pairs = pairs = frozenset(
+            (a, b) for a in states for b in states
+            if (a, b) not in forbidden and (a not in absorbing or b == a))
+        self.absorbing = absorbing
+        self._histories = tuple(self._admissible_blocks(pairs))
+        self._succ = {
+            h: tuple(b for b in states if (h[-1], b) in pairs)
+            for h in self._histories
+        }
 
         if initial is None:
             self._initial = self._histories
@@ -205,6 +178,7 @@ class ModelSpec:
 
     @property
     def initial_blocks(self):
+        """Allowed initial k-blocks in declaration-lexicographic order."""
         return self._initial
 
     @property
@@ -262,23 +236,19 @@ class ModelSpec:
                             path[level - k - 1:level - 1], path[level - 1]))
         return symbols
 
-    def is_admissible(self, path):
-        try:
-            self.check_sequence(path)
-        except InadmissiblePathError:
-            return False
-        return True
-
     def unrestricted(self):
         """The companion spec with every transition and initial block allowed."""
         return ModelSpec(self.states, self.order, self.horizon,
                          homogeneous=self.homogeneous)
 
     def with_horizon(self, horizon):
-        """Same model shape over paths of a different length."""
+        """The same rules over paths of another length; self if unchanged."""
+        if horizon == self.horizon:
+            return self
         return ModelSpec(self.states, self.order, horizon,
-                         allowed={h: self._succ[h] for h in self._histories},
-                         initial=self._initial,
+                         forbidden=[(a, b) for a in self.states for b in self.states
+                                    if (a, b) not in self._pairs],
+                         absorbing=self.absorbing, initial=self._initial,
                          homogeneous=self.homogeneous)
 
     def levels(self):
@@ -286,9 +256,6 @@ class ModelSpec:
         if self.homogeneous:
             return (None,)
         return tuple(range(self.order + 1, self.horizon + 1))
-
-    def pi_symbols(self):
-        return tuple(("pi", b) for b in self._initial)
 
     def a_symbols(self):
         out = []
@@ -301,7 +268,7 @@ class ModelSpec:
     def symbols(self):
         """All parameter symbols in canonical order: pi blocks, then
         transition entries sorted by (level, history, next state)."""
-        return self.pi_symbols() + self.a_symbols()
+        return tuple(("pi", b) for b in self._initial) + self.a_symbols()
 
     def __repr__(self):
         kind = "homogeneous" if self.homogeneous else "nonhomogeneous"

@@ -58,7 +58,7 @@ def enumerate_paths(spec):
         for s in spec.successors(prefix[-k:]):
             extend(prefix + (s,))
 
-    for block in sorted(spec.initial_blocks, key=spec.block_key):
+    for block in spec.initial_blocks:
         extend(block)
     return PathTable(out)
 

@@ -133,10 +133,17 @@ def _relation_file(tmp_path, edit):
     lambda d: _corpus_config(d, "alphabet: {a: V, b: [C]}\npad: _\n"),
     lambda d: _collapse_map(d, "b: ~\n"),
     lambda d: _collapse_map(d, "c: 1.5\n"),
+    lambda d: _spec_file(d, "states: [yes, no]\nk: 1\nn: 3\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: [[on, off]]\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\ninitial: [yes]\n"),
+    lambda d: _collapse_map(d, "yes: C\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\nhorizon: 0\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
-        "alphabet-list-label", "collapse-null-label", "collapse-float-label"])
+        "alphabet-list-label", "collapse-null-label", "collapse-float-label",
+        "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
+        "horizon-zero"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
@@ -304,6 +311,16 @@ class TestMle:
         assert code == 0
         doc = json.loads(dest.read_text())
         assert "estimate" in doc
+
+    @pytest.mark.parametrize("decimals", ["-2", "5000"])
+    def test_decimals_out_of_range_exits_one(self, capsys, worked_counts_file,
+                                             decimals):
+        code, out, err = run(capsys, "mle", "--spec", ILLNESS,
+                             "--counts", worked_counts_file,
+                             "--decimals", decimals)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_blocked_fitted_reports_note(self, capsys, tmp_path):
         # state 1 appears only at the last position: pooled row for
@@ -507,12 +524,19 @@ class TestSeedHandling:
 # ---------------------------------------------------------------------------
 # main never raises, whatever a data file holds
 
-FILE_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 10_000) | st.floats()
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=4)
+def _values(largest):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-5, largest) | st.floats()
+        | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=4)
+
+
+FILE_VALUES = _values(10_000)
+# a spec's path table has up to |S|^n entries, so a spec's n (and k) is
+# drawn small: an n of thousands runs without end rather than failing
+SPEC_VALUES = _values(6)
 
 
 def _base_relations():
@@ -530,6 +554,8 @@ FILE_PLACES = (
         ("relations", 0, "plus", 0, "power"), ("relations", 0, "minus"),
         ("relations", 0), ("relations",), ("slice", 0), ("slice",), ())]
     + [("counts", ("count",)), ("counts", ("path",))])
+SPEC_PLACES = ([("spec", (key,)) for key in sorted(iofiles.MODEL_KEYS)]
+               + [("spec", ("forbid", 0)), ("spec", ("initial", 0)), ("spec", ())])
 
 
 def _place(doc, where, value):
@@ -559,6 +585,10 @@ def _data_file(directory, kind, where, value):
                 "--corpus", str(DATA / "sample_corpus.txt"),
                 "--corpus-config", str(DATA / "vc_corpus.yaml"),
                 "--collapse", str(f)]
+    if kind == "spec":
+        doc = yaml.safe_load(Path(ILLNESS).read_text())
+        f.write_text(yaml.safe_dump(_place(doc, where, value)))
+        return ["report", "--spec", str(f), "--trials", "1"]
     if kind == "relations":
         f.write_text(json.dumps(_place(_base_relations(), where, value)))
         return ["verify", "--spec", ILLNESS, "--relations", str(f),
@@ -569,12 +599,14 @@ def _data_file(directory, kind, where, value):
     return ["mle", "--spec", ILLNESS, "--counts", str(f)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FILE_PLACES), FILE_VALUES)
-@example(("corpus", ("drop_chars",)), 5)
-@example(("relations", ("relations", 0, "provenance")), 5)
-@example(("relations", ("relations", 0, "plus", 0, "power")), 530)
-def test_main_never_raises_on_a_data_file(place, value):
+@settings(max_examples=90, deadline=None)
+@given(st.tuples(st.sampled_from(FILE_PLACES), FILE_VALUES)
+       | st.tuples(st.sampled_from(SPEC_PLACES), SPEC_VALUES))
+@example((("corpus", ("drop_chars",)), 5))
+@example((("relations", ("relations", 0, "provenance")), 5))
+@example((("relations", ("relations", 0, "plus", 0, "power")), 530))
+def test_main_never_raises_on_a_data_file(case):
+    place, value = case
     with tempfile.TemporaryDirectory() as tmp:
         argv = _data_file(Path(tmp), *place, value)
         with contextlib.redirect_stdout(io.StringIO()), \

@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from markovtoric import (
     InadmissiblePathError,
@@ -56,11 +57,6 @@ class TestModelSpec:
         with pytest.raises(SpecificationError):
             ModelSpec(["0", "1"], 1, 3, absorbing=["1"],
                       forbidden=[("1", "1")])
-
-    def test_allowed_and_forbidden_are_mutually_exclusive(self):
-        with pytest.raises(SpecificationError):
-            ModelSpec(["0", "1"], 1, 3, forbidden=[("1", "0")],
-                      allowed={("0",): ["0", "1"], ("1",): ["1"]})
 
     def test_initial_must_be_known_history(self, illness_death):
         with pytest.raises(SpecificationError):
@@ -221,3 +217,47 @@ def test_probabilities_sum_to_one_on_random_small_specs(data):
     total = sum(path_probability(spec, params, p)
                 for p in enumerate_paths(spec))
     assert total == 1
+
+
+@st.composite
+def spec_rules(draw):
+    """(states, k, n, m, rules): transition rules for ModelSpec and two
+    horizons n and m."""
+    states = "abcd"[:draw(st.integers(2, 4))]
+    k = draw(st.sampled_from([1, 2, 3]))
+    rules = {
+        "forbidden": draw(st.lists(
+            st.tuples(st.sampled_from(states), st.sampled_from(states)),
+            unique=True)),
+        "absorbing": draw(st.lists(st.sampled_from(states), unique=True)),
+        "initial": draw(st.none() | st.lists(
+            st.tuples(*[st.sampled_from(states)] * k), min_size=1, max_size=4,
+            unique=True)),
+        "homogeneous": draw(st.booleans()),
+    }
+    n, m = (draw(st.integers(k + 1, 6)) for _ in range(2))
+    return list(states), k, n, m, rules
+
+
+# 1 -> 0 forbidden leaves 1 a dead end, not an absorbing state; with
+# k = 2 no history ends in a, yet a -> b stays an allowed pair
+@example((["0", "1"], 1, 4, 3, {"forbidden": [("1", "0")]}))
+@example((["a", "b"], 2, 4, 3, {"forbidden": [("a", "a"), ("b", "a")]}))
+@given(spec_rules())
+def test_with_horizon_equals_a_fresh_spec_from_the_same_rules(case):
+    states, k, n, m, rules = case
+    try:
+        spec = ModelSpec(states, k, n, **rules)
+    except SpecificationError:
+        reject()
+    shorter, fresh = spec.with_horizon(m), ModelSpec(states, k, m, **rules)
+    assert (shorter is spec) == (m == n)
+    assert shorter.horizon == m
+    assert shorter.homogeneous == fresh.homogeneous
+    assert shorter.absorbing == fresh.absorbing
+    assert shorter.transition_pairs == fresh.transition_pairs
+    assert shorter.histories == fresh.histories
+    assert all(shorter.successors(h) == fresh.successors(h)
+               for h in itertools.product(states, repeat=k))
+    assert shorter.initial_blocks == fresh.initial_blocks
+    assert list(enumerate_paths(shorter)) == list(enumerate_paths(fresh))

@@ -55,8 +55,11 @@ class TestEnumeratePaths:
         assert len(table) == 2 * 2 * 2
 
     def test_matches_brute_force_filter(self, illness_death):
+        # illness-death's rules applied directly: start in 0 or 1, never
+        # step 1 -> 0, and never leave the absorbing state 2
         brute = [p for p in itertools.product("012", repeat=4)
-                 if illness_death.is_admissible(p)]
+                 if p[0] in "01" and all((a, b) != ("1", "0") and (a != "2" or b == "2")
+                                         for a, b in zip(p, p[1:]))]
         assert list(enumerate_paths(illness_death)) == brute
 
 
