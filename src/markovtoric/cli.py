@@ -233,10 +233,9 @@ def _estimate(args, spec, trajs):
     return mle_nonhomogeneous(trajs, spec, n=n)
 
 
-def _parameter_lines(pi, trans, undefined, decimals, unset):
+def _parameter_lines(params, decimals, unset):
     """Text lines of a parameter table; unset describes an undefined row."""
-    pi_items, trans_items, undefined_rows = iofiles.parameter_items(
-        pi, trans, undefined)
+    pi_items, trans_items, undefined_rows = iofiles.parameter_items(params)
     lines = [f"{format_symbol(('pi', block))} = {_pp(value, decimals)}"
              for block, value in pi_items]
     lines += [f"{format_symbol(('a',) + key)} = {_pp(value, decimals)}"
@@ -251,8 +250,7 @@ def _estimate_lines(report, decimals):
     return [f"kind: {report.kind}  order: {report.order}"
             f"  horizon: {report.horizon}  window: {report.window}"
             f"  total: {report.total}",
-            *_parameter_lines(report.pi, report.trans, report.undefined,
-                              decimals, "undefined (never occupied)")]
+            *_parameter_lines(report, decimals, "undefined (never occupied)")]
 
 
 def cmd_mle(args):
@@ -289,8 +287,7 @@ def cmd_recover(args):
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     rec = recover_parameters(assignment, spec, table)
-    lines = _parameter_lines(rec.params.pi, rec.params.trans, rec.undefined,
-                             args.decimals, "undetermined")
+    lines = _parameter_lines(rec.params, args.decimals, "undetermined")
     for c in rec.inconsistencies:
         lines.append(
             f"inconsistent ratios for {','.join(c.history)} -> {c.next_state}: "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EstimationError, ParameterError, RelationError
-from .model import ParameterPoint, _join
+from .model import ParameterPoint, _join, path_probability
 from .paths import enumerate_paths
 
 PREFIX = "prefix"
@@ -128,35 +128,25 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     return CountVector(table, tuple(counts))
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Fitted parameters with provenance of how they were tallied.
+class EstimateReport(ParameterPoint):
+    """A fitted ParameterPoint with provenance of how it was tallied.
 
-    pi maps initial blocks to exact rationals; trans maps
-    (level, history, next_state) with level None when pooled.  undefined
-    holds (level, history) rows whose visit count was zero.  horizon is
-    the prefix length the tallies used; window records whether pooled
-    tallies used the prefix or every window of longer trajectories.
+    Its undefined rows are the (level, history) rows whose visit count
+    was zero.  kind is "nonhomogeneous" or "homogeneous"; total is the
+    number of trajectories; horizon is the prefix length the tallies
+    used; window records whether pooled tallies used the prefix or
+    every window of longer trajectories.
     """
 
-    kind: str
-    order: int
-    horizon: int
-    total: int
-    pi: dict
-    trans: dict
-    undefined: frozenset
-    window: str = PREFIX
+    __slots__ = ("kind", "order", "horizon", "total", "window")
 
-    def pi_value(self, block):
-        return self.pi.get(tuple(block), Fraction(0))
-
-    def trans_value(self, level, history, nxt):
-        key = (level, tuple(history), nxt)
-        if (level, tuple(history)) in self.undefined:
-            raise EstimationError(f"row (level={level}, history={tuple(history)}) "
-                                  f"is undefined (never visited)")
-        return self.trans.get(key, Fraction(0))
+    def __init__(self, point, kind, order, horizon, total, window=PREFIX):
+        super().__init__(point.pi, point.trans, point.undefined)
+        self.kind = kind
+        self.order = order
+        self.horizon = horizon
+        self.total = total
+        self.window = window
 
 
 def _tally(records, k, last, pooled):
@@ -178,9 +168,9 @@ def _tally(records, k, last, pooled):
 
 
 def _conditionals(spec, records, last, pooled, total):
-    """(pi, trans, undefined) of weighted records: block weight over
-    total, and window weight over history weight per (level, history)
-    row.  A row whose history weight is zero is undefined, never zero."""
+    """The ParameterPoint of weighted records: block weight over total,
+    and window weight over history weight per (level, history) row.  A
+    row whose history weight is zero is undefined, never zero."""
     initial, windows, histories = _tally(records, spec.order, last, pooled)
     pi = {b: Fraction(initial.get(b, 0), total) for b in spec.initial_blocks}
     levels = (None,) if pooled else range(spec.order + 1, last + 1)
@@ -194,7 +184,7 @@ def _conditionals(spec, records, last, pooled, total):
                 continue
             for s in spec.successors(h):
                 trans[(level, h, s)] = Fraction(windows.get((level, h, s), 0), d)
-    return pi, trans, frozenset(undefined)
+    return ParameterPoint(pi, trans, undefined)
 
 
 def mle_nonhomogeneous(trajs, spec, n=None):
@@ -209,9 +199,8 @@ def mle_nonhomogeneous(trajs, spec, n=None):
         raise EstimationError("spec is homogeneous; use mle_homogeneous")
     n = _resolve_horizon(trajs, spec, n)
     M = trajs.total
-    pi, trans, undefined = _conditionals(spec, trajs.records, n, False, M)
-    return EstimateReport("nonhomogeneous", spec.order, n, M, pi, trans,
-                          undefined)
+    return EstimateReport(_conditionals(spec, trajs.records, n, False, M),
+                          "nonhomogeneous", spec.order, n, M)
 
 
 def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
@@ -229,18 +218,17 @@ def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
     n = _resolve_horizon(trajs, spec, n)
     M = trajs.total
     last = trajs.length if window == SLIDE else n
-    pi, trans, undefined = _conditionals(spec, trajs.records, last, True, M)
-    return EstimateReport("homogeneous", spec.order, n, M, pi, trans,
-                          undefined, window)
+    return EstimateReport(_conditionals(spec, trajs.records, last, True, M),
+                          "homogeneous", spec.order, n, M, window)
 
 
 def fitted_path_probabilities(report, spec, table):
     """Push fitted parameters through the parametrization: p_hat = phi(theta_hat).
 
-    Factors are taken left to right; once a defined factor is zero the
-    path's probability is zero and later undefined rows are irrelevant.
-    A path that still needs an undefined row while carrying positive
-    mass has no well-defined fitted probability, and that is an error.
+    Each path goes through path_probability, so a zero factor before an
+    undefined row gives 0.  A path that still needs an undefined row
+    while carrying positive mass has no well-defined fitted probability,
+    and that is an error naming the first few such paths.
 
     Returns {path index: Fraction} over the table.
     """
@@ -255,18 +243,10 @@ def fitted_path_probabilities(report, spec, table):
     out = {}
     blocked = []
     for j, path in enumerate(table):
-        (_, block), *windows = spec.path_symbols(path)
-        value = report.pi_value(block)
-        for _, level, h, s in windows:
-            if value == 0:
-                break
-            if (level, h) in report.undefined:
-                blocked.append(path)
-                value = None
-                break
-            value *= report.trans.get((level, h, s), Fraction(0))
-        if value is not None:
-            out[j] = value
+        try:
+            out[j] = path_probability(spec, report, path)
+        except EstimationError:
+            blocked.append(path)
     if blocked:
         labels = ", ".join(_join(p) for p in blocked[:5])
         raise EstimationError(
@@ -315,15 +295,15 @@ def mle_paths_hierarchical(u, spec, table=None):
 class Recovery:
     """Parameters recovered from a path-probability assignment.
 
-    undefined lists (level, history) rows whose conditioning marginal
-    was zero.  inconsistencies is nonempty exactly when a homogeneous
-    recovery found two time windows giving different exact ratios for
-    the same pooled entry, i.e. when the assignment lies outside the
-    homogeneous model; each record carries both conflicting ratios.
+    The undefined rows of params are the (level, history) rows whose
+    conditioning marginal was zero.  inconsistencies is nonempty exactly
+    when a homogeneous recovery found two time windows giving different
+    exact ratios for the same pooled entry, i.e. when the assignment
+    lies outside the homogeneous model; each record carries both
+    conflicting ratios.
     """
 
     params: ParameterPoint
-    undefined: frozenset
     inconsistencies: tuple = ()
 
     @property
@@ -365,27 +345,27 @@ def recover_parameters(p, spec, table=None):
     if total == 0:
         raise ParameterError("assignment sums to zero; nothing to recover")
     records = [(path, p[j]) for j, path in enumerate(table)]
-    pi, per_level, undefined = _conditionals(spec, records, spec.horizon,
-                                             False, total)
+    point = _conditionals(spec, records, spec.horizon, False, total)
     if not spec.homogeneous:
-        return Recovery(ParameterPoint(pi, per_level), undefined)
+        return Recovery(point)
 
     levels = range(spec.order + 1, spec.horizon + 1)
     trans = {}
     pooled_undefined = set()
     conflicts = []
     for h in spec.histories:
-        defined = [level for level in levels if (level, h) not in undefined]
+        defined = [level for level in levels
+                   if (level, h) not in point.undefined]
         if not defined:
             pooled_undefined.add((None, h))
         for level in defined:
             for s in spec.successors(h):
-                r = per_level[(level, h, s)]
+                r = point.trans[(level, h, s)]
                 witness = trans.setdefault((None, h, s), r)
                 if r != witness:
                     conflicts.append(RatioConflict(h, s, defined[0], witness,
                                                    level, r))
-    return Recovery(ParameterPoint(pi, trans), frozenset(pooled_undefined),
+    return Recovery(ParameterPoint(point.pi, trans, pooled_undefined),
                     tuple(conflicts))
 
 

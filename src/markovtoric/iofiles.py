@@ -208,12 +208,13 @@ def write_trajectories(trajs, path):
         _write_records(fh, trajs.records)
 
 
-def _path_values(path, table, what):
-    """(line number, path index, value text) of each 'path value' line.
+def _path_values(path, table, what, parse, kind):
+    """(path index, value) of each 'path value' line, the value read by parse.
 
-    what names the value in messages.  A line without exactly two
-    fields, a path outside the table or a path listed twice raises
-    ParseError.
+    what names the value in messages, and kind what parse reads.  A
+    line without exactly two fields, a path outside the table, a path
+    listed twice, or a value that parse rejects or that is negative
+    raises ParseError.
     """
     seen = set()
     for lineno, line in _data_lines(path):
@@ -228,22 +229,27 @@ def _path_values(path, table, what):
             raise ParseError(f"duplicate {what} for path {fields[0]}",
                              filename=path, line=lineno)
         seen.add(j)
-        yield lineno, j, fields[1]
+        try:
+            value = parse(fields[1])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{what} {fields[1]!r} is not {kind}",
+                             filename=path, line=lineno)
+        if value < 0:
+            raise ParseError(f"{what} {fields[1]!r} is negative",
+                             filename=path, line=lineno)
+        yield j, value
 
 
 def read_counts(path, table):
     """Read a counts file: 'comma,separated,path count' per line.
 
-    Paths absent from the file count zero; a path listed twice is an
-    error rather than a silent sum.
+    Paths absent from the file count zero; a path listed twice or a
+    count that is not a nonnegative integer is an error rather than a
+    silent sum or reinterpretation.
     """
     counts = [0] * len(table)
-    for lineno, j, text in _path_values(path, table, "count"):
-        try:
-            counts[j] = int(text)
-        except ValueError:
-            raise ParseError(f"count {text!r} is not an integer",
-                             filename=path, line=lineno)
+    for j, count in _path_values(path, table, "count", int, "an integer"):
+        counts[j] = count
     return CountVector(table, tuple(counts))
 
 
@@ -257,15 +263,11 @@ def read_probabilities(path, table):
 
     Values may be rationals like 469/685 or decimal strings; both are
     read exactly.  Paths absent from the file get probability zero; a
-    path listed twice is an error rather than a silent overwrite.
+    path listed twice or a negative value is an error rather than a
+    silent overwrite or reinterpretation.
     """
     out = {j: Fraction(0) for j in range(len(table))}
-    for lineno, j, text in _path_values(path, table, "value"):
-        try:
-            out[j] = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"value {text!r} is not a rational",
-                             filename=path, line=lineno)
+    out.update(_path_values(path, table, "value", Fraction, "a rational"))
     return out
 
 
@@ -555,18 +557,18 @@ def _value_pair(value, decimals):
             "decimal": float(decimal_string(value, decimals))}
 
 
-def parameter_items(pi, trans, undefined):
-    """The pi items, trans items and undefined rows of a parameter table,
+def parameter_items(params):
+    """The pi items, trans items and undefined rows of a ParameterPoint,
     in the output order of the text and JSON renderers: by level (None
     first), then by label text."""
-    return (sorted(pi.items()),
-            sorted(trans.items(),
+    return (sorted(params.pi.items()),
+            sorted(params.trans.items(),
                    key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2])),
-            sorted(undefined, key=lambda row: (row[0] or 0, row[1])))
+            sorted(params.undefined, key=lambda row: (row[0] or 0, row[1])))
 
 
-def _parameters_to_jsonable(pi, trans, undefined, decimals):
-    pi_items, trans_items, undefined_rows = parameter_items(pi, trans, undefined)
+def _parameters_to_jsonable(params, decimals):
+    pi_items, trans_items, undefined_rows = parameter_items(params)
     return {
         "pi": [{"block": list(b), **_value_pair(v, decimals)}
                for b, v in pi_items],
@@ -586,8 +588,7 @@ def estimate_to_jsonable(report, decimals=DEFAULT_DECIMALS):
         "horizon": report.horizon,
         "window": report.window,
         "total": report.total,
-        **_parameters_to_jsonable(report.pi, report.trans, report.undefined,
-                                  decimals),
+        **_parameters_to_jsonable(report, decimals),
     }
 
 
@@ -632,8 +633,7 @@ def verification_to_jsonable(vr, relset):
 
 def recovery_to_jsonable(rec, decimals=DEFAULT_DECIMALS):
     return {
-        **_parameters_to_jsonable(rec.params.pi, rec.params.trans,
-                                  rec.undefined, decimals),
+        **_parameters_to_jsonable(rec.params, decimals),
         "consistent": rec.consistent,
         "inconsistencies": [
             {"history": list(c.history), "next": c.next_state,

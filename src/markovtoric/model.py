@@ -24,9 +24,9 @@ label text.
 """
 
 from fractions import Fraction
-from math import prod
 
 from .errors import (
+    EstimationError,
     InadmissiblePathError,
     ParameterError,
     SpecificationError,
@@ -291,6 +291,9 @@ def _join(labels):
     return ",".join(labels)
 
 
+_ZERO = Fraction(0)  # the value of an absent entry; Fractions are immutable
+
+
 class ParameterPoint:
     """Exact rational parameter values for a ModelSpec.
 
@@ -298,31 +301,36 @@ class ParameterPoint:
         pi: mapping from initial block to Fraction.
         trans: mapping from (level, history, next_state) to Fraction,
             with level None for homogeneous models.
+        undefined: (level, history) rows that have no value, such as an
+            estimate's never-visited rows.  Undefined is not zero.
+
+    An entry absent from pi or trans reads as zero.
     """
 
-    __slots__ = ("pi", "trans")
+    __slots__ = ("pi", "trans", "undefined")
 
-    def __init__(self, pi, trans):
+    def __init__(self, pi, trans, undefined=frozenset()):
         self.pi = {tuple(b): as_fraction(v) for b, v in pi.items()}
         self.trans = {}
         for key, v in trans.items():
             level, hist, nxt = key
             self.trans[(level, tuple(hist), nxt)] = as_fraction(v)
+        self.undefined = frozenset((level, tuple(h)) for level, h in undefined)
 
-    def initial(self, block):
-        return self.pi.get(tuple(block), Fraction(0))
+    def pi_value(self, block):
+        return self.pi.get(tuple(block), _ZERO)
 
-    def transition(self, level, history, nxt):
-        return self.trans.get((level, tuple(history), nxt), Fraction(0))
-
-    def value(self, sym):
-        """Value of a parameter symbol as produced by ModelSpec.symbols()."""
-        if sym[0] == "pi":
-            return self.initial(sym[1])
-        return self.transition(sym[1], sym[2], sym[3])
+    def trans_value(self, level, history, nxt):
+        """Value of a transition entry; EstimationError on an undefined row."""
+        history = tuple(history)
+        if (level, history) in self.undefined:
+            raise EstimationError(f"row (level={level}, history={history}) "
+                                  f"is undefined (its history has zero weight)")
+        return self.trans.get((level, history, nxt), _ZERO)
 
     def __repr__(self):
-        return f"ParameterPoint(pi={self.pi!r}, trans={self.trans!r})"
+        return (f"{type(self).__name__}(pi={self.pi!r}, trans={self.trans!r}, "
+                f"undefined={set(self.undefined)!r})")
 
 
 def uniform_parameters(spec):
@@ -384,9 +392,10 @@ def validate_parameters(spec, params):
 
     Returns a list of violation messages; empty means valid.  Valid
     means: entries only on allowed blocks and transitions, all entries
-    nonnegative, the initial row and every history row at every level
-    summing to exactly 1.  An absorbing self-transition is forced to 1
-    by its row sum, since it is the row's only allowed entry.
+    nonnegative, no undefined row, the initial row and every history
+    row at every level summing to exactly 1.  An absorbing
+    self-transition is forced to 1 by its row sum, since it is the
+    row's only allowed entry.
     """
     problems = []
     allowed_blocks = set(spec.initial_blocks)
@@ -414,10 +423,13 @@ def validate_parameters(spec, params):
             problems.append(f"a[{level}, {h}, {s!r}] = {v} is negative")
     for level in spec.levels():
         for h in spec.histories:
+            if (level, h) in params.undefined:
+                problems.append(f"row (level={level}, history={h}) is undefined")
+                continue
             succ = spec.successors(h)
             if not succ:
                 continue
-            row = sum((params.transition(level, h, s) for s in succ), Fraction(0))
+            row = sum((params.trans_value(level, h, s) for s in succ), Fraction(0))
             if row != 1:
                 problems.append(
                     f"row (level={level}, history={h}) sums to {row}, expected 1")
@@ -425,15 +437,25 @@ def validate_parameters(spec, params):
 
 
 def path_probability(spec, params, path):
-    """Exact probability of an admissible path under a parameter point.
+    """Exact probability of an admissible path under a parameter table.
 
-    The caller is responsible for parameter validity; no normalization
-    check is performed here, so tables rounded for display can be fed
-    through unchanged.
+    Factors are read left to right, and the product stops at the first
+    zero: later rows are never read, so a zero factor before an
+    undefined row gives 0.  The caller is responsible for parameter
+    validity; no normalization check is performed here, so tables
+    rounded for display can be fed through unchanged.
 
     Raises:
         InadmissiblePathError: if the path is not admissible.
+        EstimationError: if the path reaches an undefined row while
+            its product is still nonzero.
     """
     path = tuple(path)
     spec.check_sequence(path)
-    return prod(map(params.value, spec.path_symbols(path)))
+    (_, block), *factors = spec.path_symbols(path)
+    value = params.pi_value(block)
+    for _, level, h, s in factors:
+        if not value:
+            break
+        value *= params.trans_value(level, h, s)
+    return value

@@ -346,8 +346,8 @@ def test_criterion_12_homogeneity_separating_relation(capsys, illness_death,
         # time-dependent witness: the same relation separates as soon as
         # the level-2 and level-3 rows differ
         params = sample_parameters(illness_death, "accept12:witness")
-        assert (params.transition(2, ("0",), "1")
-                != params.transition(3, ("0",), "1"))
+        assert (params.trans_value(2, ("0",), "1")
+                != params.trans_value(3, ("0",), "1"))
         assignment = {j: path_probability(illness_death, params, table[j])
                       for j in b.support()}
         assert evaluate_binomial(b, assignment) != 0

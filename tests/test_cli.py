@@ -117,6 +117,12 @@ def _relation_file(tmp_path, edit):
                "--trials", "1"]
 
 
+def _path_values(tmp_path, verb, flag, text):
+    f = tmp_path / "values.txt"
+    f.write_text(text)
+    return f, [verb, "--spec", ILLNESS, flag, str(f)]
+
+
 @pytest.mark.parametrize("make", [
     lambda d: _spec_file(d, "states: 5\nk: 1\nn: 3\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: [[a]]\n"),
@@ -138,12 +144,15 @@ def _relation_file(tmp_path, edit):
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\ninitial: [yes]\n"),
     lambda d: _collapse_map(d, "yes: C\n"),
     lambda d: _corpus_config(d, "alphabet: letters\npad: _\nhorizon: 0\n"),
+    lambda d: _path_values(d, "mle", "--counts", "0,0,0,0 5\n0,0,1,1 -3\n"),
+    lambda d: _path_values(d, "recover", "--probabilities",
+                           "0,0,0,0 5/4\n0,0,1,1 -1/4\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
         "alphabet-list-label", "collapse-null-label", "collapse-float-label",
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
-        "horizon-zero"])
+        "horizon-zero", "count-negative", "probability-negative"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)

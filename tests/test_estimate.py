@@ -19,6 +19,7 @@ from markovtoric import (
     mle_homogeneous,
     mle_nonhomogeneous,
     mle_paths_hierarchical,
+    path_probability,
     recover_parameters,
     sample_parameters,
     validate_parameters,
@@ -213,6 +214,37 @@ class TestFittedPathProbabilities:
         with pytest.raises(EstimationError):
             fitted_path_probabilities(est, spec, table)
 
+    def test_path_probability_is_the_fitted_evaluator(self, illness_death):
+        est = mle_nonhomogeneous(worked_trajectories(), illness_death)
+        table = enumerate_paths(illness_death)
+        fitted = fitted_path_probabilities(est, illness_death, table)
+        assert fitted == {j: path_probability(illness_death, est, path)
+                          for j, path in enumerate(table)}
+
+    def test_zero_factor_before_undefined_row_gives_zero(self):
+        # with initial state 2 allowed, the worked fit puts pi_2 = 0 and
+        # leaves the level-2 row of history 2 undefined
+        spec = ModelSpec(["0", "1", "2"], 1, 4, forbidden=[("1", "0")],
+                         absorbing=["2"])
+        est = mle_nonhomogeneous(worked_trajectories(), spec)
+        assert (2, ("2",)) in est.undefined
+        path = ("2", "2", "2", "2")
+        assert path_probability(spec, est, path) == 0
+        table = enumerate_paths(spec)
+        assert fitted_path_probabilities(est, spec, table)[table.index(path)] == 0
+
+    def test_positive_mass_on_undefined_row_raises(self, illness_death_hom):
+        # pooled over the first two positions, no window starts in 2, so
+        # the pooled row of history 2 is undefined while 0 -> 2 is not
+        est = mle_homogeneous(worked_trajectories(), illness_death_hom, n=2)
+        assert (None, ("2",)) in est.undefined
+        spec = illness_death_hom.with_horizon(3)
+        assert path_probability(spec, est, ("0", "0", "1")) > 0
+        with pytest.raises(EstimationError):
+            path_probability(spec, est, ("0", "2", "2"))
+        with pytest.raises(EstimationError, match="need an undefined row"):
+            fitted_path_probabilities(est, spec, enumerate_paths(spec))
+
     def test_kind_mismatch_rejected(self, illness_death, illness_death_hom):
         est = mle_nonhomogeneous(worked_trajectories(), illness_death)
         with pytest.raises(EstimationError):
@@ -262,7 +294,7 @@ class TestRecoverParameters:
         rec = recover_parameters(p, illness_death, table)
         assert rec.consistent
         # no path starts in 2, so that row is not identifiable
-        assert rec.undefined == frozenset({(2, ("2",))})
+        assert rec.params.undefined == frozenset({(2, ("2",))})
         back = assignment_from_parameters(illness_death, rec.params, table)
         assert back == p
 
@@ -301,13 +333,27 @@ class TestRecoverParameters:
         values = [*rec.params.pi.values(), *rec.params.trans.values()]
         assert values and all(type(v) is Fraction for v in values)
 
+    def test_undefined_rows_are_validation_problems(self, illness_death,
+                                                    survival):
+        params = sample_parameters(illness_death, seed=17)
+        table = enumerate_paths(illness_death)
+        p = assignment_from_parameters(illness_death, params, table)
+        rec = recover_parameters(p, illness_death, table)
+        assert validate_parameters(illness_death, rec.params) == [
+            "row (level=2, history=('2',)) is undefined"]
+        est = mle_nonhomogeneous(TrajectorySet(((("0", "0", "0"), 2),)),
+                                 survival)
+        assert validate_parameters(survival, est) == [
+            "row (level=2, history=('1',)) is undefined",
+            "row (level=3, history=('1',)) is undefined"]
+
     def test_recovered_point_is_valid_when_all_rows_reachable(self):
         spec = make_binary_chain(1, 4)
         params = sample_parameters(spec, seed=29)
         table = enumerate_paths(spec)
         p = assignment_from_parameters(spec, params, table)
         rec = recover_parameters(p, spec, table)
-        assert rec.undefined == frozenset()
+        assert rec.params.undefined == frozenset()
         assert validate_parameters(spec, rec.params) == []
 
 

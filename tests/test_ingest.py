@@ -207,6 +207,15 @@ class TestCountFiles:
         with pytest.raises(ParseError):
             read_counts(f, table)
 
+    def test_negative_count_rejected(self, tmp_path, illness_death):
+        table = enumerate_paths(illness_death)
+        f = tmp_path / "c.txt"
+        f.write_text("0,0,0,0 94\n0,0,1,1 -3\n")
+        with pytest.raises(ParseError, match="count '-3' is negative") as err:
+            read_counts(f, table)
+        assert err.value.line == 2
+        assert str(f) in str(err.value)
+
     def test_write_read_round_trip(self, tmp_path, illness_death):
         table = enumerate_paths(illness_death)
         trajs = TrajectorySet(((("0", "0", "1", "1"), 3),
@@ -233,6 +242,15 @@ class TestProbabilityFiles:
         f.write_text("0,0,0,0 about-half\n")
         with pytest.raises(ParseError):
             read_probabilities(f, table)
+
+    def test_negative_value_rejected(self, tmp_path, illness_death):
+        table = enumerate_paths(illness_death)
+        f = tmp_path / "p.txt"
+        f.write_text("0,0,0,0 5/4\n0,0,1,1 -1/4\n")
+        with pytest.raises(ParseError, match="value '-1/4' is negative") as err:
+            read_probabilities(f, table)
+        assert err.value.line == 2
+        assert str(f) in str(err.value)
 
     def test_duplicate_path_rejected(self, tmp_path, illness_death):
         table = enumerate_paths(illness_death)

@@ -160,8 +160,8 @@ class TestParameters:
 
     def test_missing_entries_read_as_zero(self, illness_death):
         params = ParameterPoint({}, {})
-        assert params.initial(("0",)) == 0
-        assert params.transition(None, ("0",), "1") == 0
+        assert params.pi_value(("0",)) == 0
+        assert params.trans_value(None, ("0",), "1") == 0
 
 
 class TestPathProbability:
@@ -194,9 +194,9 @@ class TestPathProbability:
         value = Fraction(1)
         for sym, e in mono.items():
             if sym[0] == "pi":
-                value *= params.initial(sym[1]) ** e
+                value *= params.pi_value(sym[1]) ** e
             else:
-                value *= params.transition(sym[1], sym[2], sym[3]) ** e
+                value *= params.trans_value(sym[1], sym[2], sym[3]) ** e
         assert value == path_probability(illness_death, params, path)
 
 
