@@ -3,7 +3,9 @@
 One verb per capability: validate, paths, relations, verify, mle,
 recover, birch, ingest, report.  Text output is human-readable (and for
 ingest, directly re-readable as data files); --format structured emits a
-single JSON document per run.
+single JSON document per run.  Each report is built by one function that
+returns its text lines and its JSON form together; exact values appear as
+rational strings like "469/685", with a rounded decimal alongside.
 
 Exit codes: 0 success; 1 validation failure; 2 verification-style
 failure (a relation does not vanish, recovery is inconsistent, a Birch
@@ -44,14 +46,11 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 means something else here
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_IO, f"{self.prog}: error: {message}")
+        raise SystemExit_(f"{self.prog}: error: {message}")
 
 
 class SystemExit_(Exception):
-    def __init__(self, code, message=None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """A usage error: main prints the message and exits 3."""
 
 
 def build_parser():
@@ -136,8 +135,80 @@ def _seed(args):
         return args.seed
 
 
-def _pp(value, decimals):
-    return f"{fraction_string(value)} ~ {decimal_string(value, decimals)}"
+# ---------------------------------------------------------------------------
+# reports: each returns its text lines and its JSON form
+
+
+def _value(value, decimals):
+    """An exact value as the text 'exact ~ rounded' and as JSON."""
+    exact, rounded = fraction_string(value), decimal_string(value, decimals)
+    return f"{exact} ~ {rounded}", {"value": exact, "decimal": float(rounded)}
+
+
+def _parameters(params, decimals, unset):
+    """A parameter table by level (None first), then by label text;
+    unset describes an undefined row."""
+    lines, pi, transitions, undefined = [], [], [], []
+    for block, value in sorted(params.pi.items()):
+        text, pair = _value(value, decimals)
+        lines.append(f"{format_symbol(('pi', block))} = {text}")
+        pi.append({"block": list(block), **pair})
+    for (level, h, s), value in sorted(params.trans.items(),
+                                       key=lambda kv: (kv[0][0] or 0, kv[0][1:])):
+        text, pair = _value(value, decimals)
+        lines.append(f"{format_symbol(('a', level, h, s))} = {text}")
+        transitions.append({"level": level, "history": list(h), "next": s, **pair})
+    for level, h in sorted(params.undefined, key=lambda row: (row[0] or 0, row[1])):
+        where = "" if level is None else f" at level {level}"
+        lines.append(f"history {','.join(h)}{where}: {unset}")
+        undefined.append({"level": level, "history": list(h)})
+    return lines, {"pi": pi, "transitions": transitions, "undefined": undefined}
+
+
+def _estimate(report, decimals):
+    """An MLE's provenance line and parameter table."""
+    header = {"kind": report.kind, "order": report.order,
+              "horizon": report.horizon, "window": report.window,
+              "total": report.total}
+    lines, table = _parameters(report, decimals, "undefined (never occupied)")
+    lines.insert(0, "  ".join(f"{k}: {v}" for k, v in header.items()))
+    return lines, {**header, **table}
+
+
+def _verification(report, relset):
+    """One line per relation, and one per witness; the summary is not included."""
+    lines, entries = [], []
+    for entry in report.entries:
+        text = relset.binomials[entry.index].text(relset.table)
+        mark = "ok  " if entry.ok else "FAIL"
+        lines.append(f"[{entry.index:3d}] {mark} {entry.provenance:16s} {text}")
+        rec = {"index": entry.index, "provenance": entry.provenance, "text": text,
+               "status": entry.vanish.status, "trials": entry.vanish.trials}
+        w = entry.vanish.witness
+        if w is not None:
+            residual = fraction_string(w.residual)
+            lines.append(f"      nonzero at trial {w.trial}: residual {residual}")
+            rec["witness"] = {"trial": w.trial, "residual": residual}
+        rec["kernel_ok"] = entry.kernel.ok
+        entries.append(rec)
+    return lines, {"trials": report.trials, "seed": report.seed,
+                   "all_pass": report.all_pass, "agreement": report.agreement,
+                   "relations": entries,
+                   "slice": [list(p) for p in relset.slice_paths]}
+
+
+def _birch(residual, design, decimals):
+    """One line per moment equation, then the largest absolute residual."""
+    lines, rows = [], []
+    for sym, r in zip(design.row_symbols, residual):
+        text, pair = _value(r, decimals)
+        symbol = format_symbol(sym)
+        lines.append(f"{symbol}: {text}")
+        rows.append({"symbol": symbol, **pair})
+    text, pair = _value(max((abs(r) for r in residual), default=Fraction(0)),
+                        decimals)
+    lines.append(f"max |residual| = {text}")
+    return lines, {"rows": rows, "max_abs": pair["value"]}
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +264,22 @@ def cmd_verify(args):
     relset = _relations_for(args, spec, table)
     report = verify_relation_set(relset, spec, trials=args.trials,
                                  seed=_seed(args))
-    lines = []
-    for entry in report.entries:
-        mark = "ok  " if entry.ok else "FAIL"
-        binomial = relset.binomials[entry.index]
-        lines.append(f"[{entry.index:3d}] {mark} {entry.provenance:16s}"
-                     f" {binomial.text(table)}")
-        if entry.vanish.witness is not None:
-            w = entry.vanish.witness
-            lines.append(f"      nonzero at trial {w.trial}: "
-                         f"residual {fraction_string(w.residual)}")
+    lines, jsonable = _verification(report, relset)
     lines.append(report.summary())
     if not report.agreement:
         lines.append("warning: sampling and kernel routes disagree")
-    _emit(args, lines, iofiles.verification_to_jsonable(report, relset))
+    _emit(args, lines, jsonable)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 
 
 def _load_trajectories(args, spec):
     if bool(args.trajectories) == bool(args.counts):
-        raise SystemExit_(EXIT_IO,
-                          "exactly one of --trajectories or --counts is required")
+        raise SystemExit_("exactly one of --trajectories or --counts is required")
     if args.trajectories:
         return iofiles.ingest_trajectories(args.trajectories, spec)
     counts = iofiles.read_counts(args.counts, enumerate_paths(spec))
     if counts.total == 0:
-        raise SystemExit_(EXIT_VALIDATION, "counts file is all zero")
+        raise ParseError("counts file is all zero", filename=args.counts)
     return TrajectorySet.from_counts(counts).check(spec)
 
 
@@ -226,40 +287,20 @@ def _horizon(args, spec, trajs):
     return args.n if args.n is not None else min(spec.horizon, trajs.length)
 
 
-def _estimate(args, spec, trajs):
+def _fit(args, spec, trajs):
     n = _horizon(args, spec, trajs)
     if spec.homogeneous:
         return mle_homogeneous(trajs, spec, n=n, window=args.window)
     return mle_nonhomogeneous(trajs, spec, n=n)
 
 
-def _parameter_lines(params, decimals, unset):
-    """Text lines of a parameter table; unset describes an undefined row."""
-    pi_items, trans_items, undefined_rows = iofiles.parameter_items(params)
-    lines = [f"{format_symbol(('pi', block))} = {_pp(value, decimals)}"
-             for block, value in pi_items]
-    lines += [f"{format_symbol(('a',) + key)} = {_pp(value, decimals)}"
-              for key, value in trans_items]
-    for level, h in undefined_rows:
-        where = "" if level is None else f" at level {level}"
-        lines.append(f"history {','.join(h)}{where}: {unset}")
-    return lines
-
-
-def _estimate_lines(report, decimals):
-    return [f"kind: {report.kind}  order: {report.order}"
-            f"  horizon: {report.horizon}  window: {report.window}"
-            f"  total: {report.total}",
-            *_parameter_lines(report, decimals, "undefined (never occupied)")]
-
-
 def cmd_mle(args):
     spec = iofiles.parse_model_spec(args.spec)
     trajs = _load_trajectories(args, spec)
-    report = _estimate(args, spec, trajs)
+    report = _fit(args, spec, trajs)
     n = report.horizon
-    lines = _estimate_lines(report, args.decimals)
-    jsonable = {"estimate": iofiles.estimate_to_jsonable(report, args.decimals)}
+    lines, estimate = _estimate(report, args.decimals)
+    jsonable = {"estimate": estimate}
     fit_spec = spec.with_horizon(n)
     table = enumerate_paths(fit_spec)
     try:
@@ -272,11 +313,12 @@ def cmd_mle(args):
         u = counts_from_trajectories(trajs, spec, n=n, table=table)
         ll = loglikelihood(fitted, u)
         lines.append("fitted path probabilities:")
-        lines += [f"  {','.join(p)} = {_pp(fitted[j], args.decimals)}"
-                  for j, p in enumerate(table)]
+        jsonable["fitted"] = []
+        for j, p in enumerate(table):
+            text, pair = _value(fitted[j], args.decimals)
+            lines.append(f"  {','.join(p)} = {text}")
+            jsonable["fitted"].append({"path": list(p), **pair})
         lines.append(f"log-likelihood: {ll:.6f}")
-        jsonable["fitted"] = iofiles.assignment_to_jsonable(
-            fitted, table, args.decimals)
         jsonable["loglikelihood"] = ll
     _emit(args, lines, jsonable)
     return EXIT_OK
@@ -287,14 +329,20 @@ def cmd_recover(args):
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     rec = recover_parameters(assignment, spec, table)
-    lines = _parameter_lines(rec.params, args.decimals, "undetermined")
+    lines, jsonable = _parameters(rec.params, args.decimals, "undetermined")
+    jsonable["consistent"] = rec.consistent
+    jsonable["inconsistencies"] = []
     for c in rec.inconsistencies:
+        ratio_a, ratio_b = fraction_string(c.ratio_a), fraction_string(c.ratio_b)
         lines.append(
             f"inconsistent ratios for {','.join(c.history)} -> {c.next_state}: "
-            f"level {c.level_a} gives {fraction_string(c.ratio_a)}, "
-            f"level {c.level_b} gives {fraction_string(c.ratio_b)}")
+            f"level {c.level_a} gives {ratio_a}, level {c.level_b} gives {ratio_b}")
+        jsonable["inconsistencies"].append(
+            {"history": list(c.history), "next": c.next_state,
+             "level_a": c.level_a, "ratio_a": ratio_a,
+             "level_b": c.level_b, "ratio_b": ratio_b})
     lines.append("consistent" if rec.consistent else "inconsistent")
-    _emit(args, lines, iofiles.recovery_to_jsonable(rec, args.decimals))
+    _emit(args, lines, jsonable)
     return EXIT_OK if rec.consistent else EXIT_VERIFICATION
 
 
@@ -305,22 +353,18 @@ def cmd_birch(args):
     u = iofiles.read_counts(args.counts, table)
     design = build_design_matrix(spec, table)
     residual = birch_residual(assignment, u, design)
-    lines = [f"{format_symbol(sym)}: {_pp(r, args.decimals)}"
-             for sym, r in zip(design.row_symbols, residual)]
-    worst = max((abs(r) for r in residual), default=Fraction(0))
-    lines.append(f"max |residual| = {_pp(worst, args.decimals)}")
-    _emit(args, lines, iofiles.birch_to_jsonable(residual, design, args.decimals))
-    return EXIT_OK if worst == 0 else EXIT_VERIFICATION
+    _emit(args, *_birch(residual, design, args.decimals))
+    return EXIT_VERIFICATION if any(residual) else EXIT_OK
 
 
 def cmd_ingest(args):
     spec = iofiles.parse_model_spec(args.spec)
     if args.fine_spec and not args.collapse:
-        raise SystemExit_(EXIT_IO, "--fine-spec requires --collapse")
+        raise SystemExit_("--fine-spec requires --collapse")
     if args.corpus and not args.corpus_config:
-        raise SystemExit_(EXIT_IO, "--corpus requires --corpus-config")
+        raise SystemExit_("--corpus requires --corpus-config")
     if not (args.corpus or args.trajectories):
-        raise SystemExit_(EXIT_IO, "ingest needs --trajectories or --corpus")
+        raise SystemExit_("ingest needs --trajectories or --corpus")
     fine = iofiles.parse_model_spec(args.fine_spec) if args.fine_spec else None
     if args.corpus:
         cs = iofiles.read_corpus_spec(args.corpus_config)
@@ -377,12 +421,12 @@ def cmd_report(args):
         "paths": {"count": len(table)},
         "relations": {"by_provenance": by_tag,
                       "slice": len(relset.slice_paths)},
-        "verification": iofiles.verification_to_jsonable(verification, relset),
+        "verification": _verification(verification, relset)[1],
     }
     if args.trajectories or args.counts:
-        est = _estimate(args, spec, _load_trajectories(args, spec))
-        lines += _estimate_lines(est, args.decimals)
-        jsonable["estimate"] = iofiles.estimate_to_jsonable(est, args.decimals)
+        est_lines, jsonable["estimate"] = _estimate(
+            _fit(args, spec, _load_trajectories(args, spec)), args.decimals)
+        lines += est_lines
     _emit(args, lines, jsonable)
     if errors:
         return EXIT_VALIDATION
@@ -410,9 +454,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return COMMANDS[args.verb](args)
     except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
+        print(exc, file=sys.stderr)
+        return EXIT_IO
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,10 +1,10 @@
-"""File formats, corpus ingestion, state collapsing, and report rendering.
+"""File formats, corpus ingestion and state collapsing.
 
 Model specs and corpus configs are small YAML documents.  Trajectories
 and counts are plain text, one record per line, with `#` comments.
-Structured reports are JSON documents whose keys follow the package's
-field names.  All exact values are serialized as rational strings like
-"469/685"; rounded decimal views are provided alongside, never instead.
+Relation files are JSON documents whose keys follow the package's field
+names.  Exact values are written as rational strings like "469/685";
+decimal_string gives a rounded view of one, never a replacement.
 """
 
 import json
@@ -18,7 +18,7 @@ import yaml
 
 from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
 from .estimate import CountVector, TrajectorySet
-from .model import ModelSpec, format_symbol, is_label
+from .model import ModelSpec, is_label
 from .relations import RelationSet, canonicalize
 
 DEFAULT_DECIMALS = 3
@@ -469,7 +469,7 @@ def read_collapse_map(path):
 
 
 # ---------------------------------------------------------------------------
-# Relation files and structured reports
+# Relation files and JSON output
 
 
 def relations_to_jsonable(relset):
@@ -487,8 +487,7 @@ def relations_to_jsonable(relset):
 
 def write_relations(relset, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(relations_to_jsonable(relset), fh, indent=2)
-        fh.write("\n")
+        dump_json(relations_to_jsonable(relset), fh)
 
 
 def read_relations(path, table):
@@ -550,107 +549,6 @@ def read_relations(path, table):
                          filename=path) from None
     binomials = tuple(canonicalize(plus, minus) for plus, minus in sides)
     return RelationSet(table, binomials, tags, slice_paths)
-
-
-def _value_pair(value, decimals):
-    return {"value": fraction_string(value),
-            "decimal": float(decimal_string(value, decimals))}
-
-
-def parameter_items(params):
-    """The pi items, trans items and undefined rows of a ParameterPoint,
-    in the output order of the text and JSON renderers: by level (None
-    first), then by label text."""
-    return (sorted(params.pi.items()),
-            sorted(params.trans.items(),
-                   key=lambda kv: (kv[0][0] or 0, kv[0][1], kv[0][2])),
-            sorted(params.undefined, key=lambda row: (row[0] or 0, row[1])))
-
-
-def _parameters_to_jsonable(params, decimals):
-    pi_items, trans_items, undefined_rows = parameter_items(params)
-    return {
-        "pi": [{"block": list(b), **_value_pair(v, decimals)}
-               for b, v in pi_items],
-        "transitions": [
-            {"level": level, "history": list(h), "next": s,
-             **_value_pair(v, decimals)}
-            for (level, h, s), v in trans_items],
-        "undefined": [{"level": lv, "history": list(h)}
-                      for lv, h in undefined_rows],
-    }
-
-
-def estimate_to_jsonable(report, decimals=DEFAULT_DECIMALS):
-    return {
-        "kind": report.kind,
-        "order": report.order,
-        "horizon": report.horizon,
-        "window": report.window,
-        "total": report.total,
-        **_parameters_to_jsonable(report, decimals),
-    }
-
-
-def assignment_to_jsonable(assignment, table, decimals=DEFAULT_DECIMALS):
-    out = []
-    for j, p in enumerate(table):
-        v = assignment[j]
-        if v is None:
-            out.append({"path": list(p), "value": None, "decimal": None})
-        else:
-            out.append({"path": list(p), **_value_pair(v, decimals)})
-    return out
-
-
-def verification_to_jsonable(vr, relset):
-    entries = []
-    for entry in vr.entries:
-        binomial = relset.binomials[entry.index]
-        rec = {
-            "index": entry.index,
-            "provenance": entry.provenance,
-            "text": binomial.text(relset.table),
-            "status": entry.vanish.status,
-            "trials": entry.vanish.trials,
-        }
-        if entry.vanish.witness is not None:
-            rec["witness"] = {
-                "trial": entry.vanish.witness.trial,
-                "residual": fraction_string(entry.vanish.witness.residual),
-            }
-        rec["kernel_ok"] = entry.kernel.ok
-        entries.append(rec)
-    return {
-        "trials": vr.trials,
-        "seed": vr.seed,
-        "all_pass": vr.all_pass,
-        "agreement": vr.agreement,
-        "relations": entries,
-        "slice": [list(p) for p in relset.slice_paths],
-    }
-
-
-def recovery_to_jsonable(rec, decimals=DEFAULT_DECIMALS):
-    return {
-        **_parameters_to_jsonable(rec.params, decimals),
-        "consistent": rec.consistent,
-        "inconsistencies": [
-            {"history": list(c.history), "next": c.next_state,
-             "level_a": c.level_a, "ratio_a": fraction_string(c.ratio_a),
-             "level_b": c.level_b, "ratio_b": fraction_string(c.ratio_b)}
-            for c in rec.inconsistencies],
-    }
-
-
-def birch_to_jsonable(residual, design, decimals=DEFAULT_DECIMALS):
-    return {
-        "rows": [
-            {"symbol": format_symbol(sym), **_value_pair(r, decimals)}
-            for sym, r in zip(design.row_symbols, residual)],
-        "max_abs": fraction_string(max((abs(r) for r in residual),
-                                       default=Fraction(0))),
-    }
 
 
 def dump_json(obj, fh):

@@ -30,7 +30,8 @@ def _row_layout(spec):
 
     Row 0 holds the initial blocks; one row per (level, history) with
     successors follows, in spec.symbols() order.  Returns the row widths
-    and a mapping symbol -> (row, entry).
+    and a mapping symbol -> (row, entry).  ParameterError when a row has
+    more entries than DEFAULT_DENOMINATOR_BOUND.
     """
     widths, position, rows = [], {}, {}
     for sym in spec.symbols():
@@ -39,17 +40,12 @@ def _row_layout(spec):
             widths.append(0)
         position[sym] = (row, widths[row])
         widths[row] += 1
-    return widths, position
-
-
-def _check_denominator_bound(widths, denominator_bound):
-    if denominator_bound < 1:
-        raise ParameterError("denominator_bound must be at least 1")
     widest = max(widths)
-    if denominator_bound < widest:
+    if DEFAULT_DENOMINATOR_BOUND < widest:
         raise ParameterError(
-            f"denominator_bound {denominator_bound} is smaller than the widest "
-            f"row ({widest} entries)")
+            f"denominator bound {DEFAULT_DENOMINATOR_BOUND} is smaller than the "
+            f"widest row ({widest} entries)")
+    return widths, position
 
 
 def _check_trials(trials):
@@ -57,25 +53,26 @@ def _check_trials(trials):
         raise ParameterError(f"trials must be at least 1, got {trials}")
 
 
-def _draw_weights(widths, seed, denominator_bound):
+def _draw_weights(widths, seed):
     # The one definition of the sampling stream: integer weights in
-    # 1..denominator_bound, row by row.  Drawing fewer rows yields a
-    # prefix of the same values.
+    # 1..DEFAULT_DENOMINATOR_BOUND, row by row.  Drawing fewer rows
+    # yields a prefix of the same values.
     randint = random.Random(seed).randint
-    return [[randint(1, denominator_bound) for _ in range(w)] for w in widths]
+    return [[randint(1, DEFAULT_DENOMINATOR_BOUND) for _ in range(w)]
+            for w in widths]
 
 
-def sample_parameters(spec, seed, denominator_bound=DEFAULT_DENOMINATOR_BOUND):
+def sample_parameters(spec, seed):
     """Random strictly positive rational parameter point.
 
-    Each row draws one integer weight in 1..denominator_bound per allowed
-    entry and normalizes exactly, so rows sum to 1 by construction and
-    every allowed entry is strictly positive.  Deterministic in seed;
-    seeds may be any hashable accepted by random.Random.
+    Each row draws one integer weight in 1..DEFAULT_DENOMINATOR_BOUND
+    (97) per allowed entry and normalizes exactly, so rows sum to 1 by
+    construction and every allowed entry is strictly positive.
+    Deterministic in seed; seeds may be any hashable accepted by
+    random.Random.  ParameterError when a row has more entries than 97.
     """
     widths, position = _row_layout(spec)
-    _check_denominator_bound(widths, denominator_bound)
-    weights = _draw_weights(widths, seed, denominator_bound)
+    weights = _draw_weights(widths, seed)
     totals = [sum(row) for row in weights]
     pi, trans = {}, {}
     for sym, (row, entry) in position.items():
@@ -122,9 +119,7 @@ def _relation_rng_seed(seed, relation_index):
 
 
 def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
-                      seed=0, relation_index=0,
-                      denominator_bound=DEFAULT_DENOMINATOR_BOUND, *,
-                      _layout=None):
+                      seed=0, relation_index=0, *, _layout=None):
     """Evaluate a binomial at sampled model points until one is nonzero.
 
     Returns a RelationCheck whose status is "vanishes-exactly" when all
@@ -140,11 +135,12 @@ def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
     in integers and compared by cross-multiplying; a Fraction is built
     only for a witness's residual.  trials must be at least 1.
     """
-    _check_trials(trials)
+    if _layout is None:  # else verify_relation_set has checked trials
+        _check_trials(trials)
+        _layout = _row_layout(spec)
     if table is None:
         table = enumerate_paths(spec)
-    widths, position = _row_layout(spec) if _layout is None else _layout
-    _check_denominator_bound(widths, denominator_bound)
+    widths, position = _layout
     factors = {j: _path_factors(spec, position, table, j)
                for j in binomial.support()}
     plus_entries, plus_rows = _side_exponents(binomial.plus, factors)
@@ -152,7 +148,7 @@ def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
     drawn = widths[:1 + max((r for r, _ in plus_rows + minus_rows), default=0)]
     rng_seed = _relation_rng_seed(seed, relation_index)
     for t in range(trials):
-        w = _draw_weights(drawn, f"{rng_seed}:{t}", denominator_bound)
+        w = _draw_weights(drawn, f"{rng_seed}:{t}")
         pn = prod(w[r][e] ** c for (r, e), c in plus_entries)
         pd = prod(sum(w[r]) ** c for r, c in plus_rows)
         mn = prod(w[r][e] ** c for (r, e), c in minus_entries)
@@ -232,8 +228,7 @@ class VerificationReport:
 
 
 def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
-                        design=None,
-                        denominator_bound=DEFAULT_DENOMINATOR_BOUND):
+                        design=None):
     """Run both verification routes over every relation of a set.
 
     The design matrix defaults to the spec's own; pass one explicitly
@@ -248,8 +243,7 @@ def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
     entries = []
     for idx, (binomial, tag) in enumerate(relset):
         check = vanishes_on_model(binomial, spec, relset.table, trials,
-                                  seed, idx, denominator_bound,
-                                  _layout=layout)
+                                  seed, idx, _layout=layout)
         kc = kernel_membership(binomial, design)
         entries.append(RelationEntry(idx, tag, check, kc))
     return VerificationReport(tuple(entries), trials, seed)

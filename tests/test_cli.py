@@ -147,12 +147,15 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _path_values(d, "mle", "--counts", "0,0,0,0 5\n0,0,1,1 -3\n"),
     lambda d: _path_values(d, "recover", "--probabilities",
                            "0,0,0,0 5/4\n0,0,1,1 -1/4\n"),
+    lambda d: _path_values(d, "mle", "--counts", "0,0,0,0 0\n"),
+    lambda d: _path_values(d, "report", "--counts", "0,0,0,0 0\n0,0,1,1 0\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
         "alphabet-list-label", "collapse-null-label", "collapse-float-label",
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
-        "horizon-zero", "count-negative", "probability-negative"])
+        "horizon-zero", "count-negative", "probability-negative",
+        "mle-counts-all-zero", "report-counts-all-zero"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
@@ -417,6 +420,84 @@ def test_mle_and_recover_list_the_same_parameters(capsys, tmp_path):
         return [doc[key] for key in ("pi", "transitions", "undefined")]
 
     assert tables(recover) == tables(mle)
+
+
+def _report_argv(tmp_path, spec_file):
+    """mle, recover, birch and verify on data files for a spec: counts on
+    the model, probabilities off it, and a relation file whose last
+    relation is not on the model."""
+    spec = parse_model_spec(spec_file)
+    table = enumerate_paths(spec)
+    p = assignment_from_parameters(spec, sample_parameters(spec, seed=11),
+                                   table)
+    scale = math.lcm(*(v.denominator for v in p.values()))
+    off = {j: (p[j] + p[(j + 1) % len(table)]) / 2 for j in range(len(table))}
+    counts, probs = tmp_path / "counts.txt", tmp_path / "p.txt"
+    counts.write_text("".join(f"{','.join(path)} {p[j] * scale}\n"
+                              for j, path in enumerate(table)))
+    probs.write_text("".join(f"{','.join(path)} {off[j]}\n"
+                             for j, path in enumerate(table)))
+    rels = tmp_path / "relations.json"
+    write_relations(generators_for(spec, table), rels)
+    doc = json.loads(rels.read_text())
+    doc["relations"].append({"plus": [{"path": list(table[0])}],
+                             "minus": [{"path": list(table[1])}]})
+    rels.write_text(json.dumps(doc))
+    spec_arg = ["--spec", spec_file]
+    return {"mle": ["mle", *spec_arg, "--counts", str(counts)],
+            "recover": ["recover", *spec_arg, "--probabilities", str(probs)],
+            "birch": ["birch", *spec_arg, "--probabilities", str(probs),
+                      "--counts", str(counts)],
+            "verify": ["verify", *spec_arg, "--relations", str(rels),
+                       "--trials", "1"]}
+
+
+def _json_values(node):
+    """(exact, decimal or None) of each value and residual of a JSON
+    report, in document order."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _json_values(item)
+    elif isinstance(node, dict):
+        if "value" in node:
+            yield node["value"], node["decimal"]
+        for key, item in node.items():
+            if key in ("residual", "max_abs"):
+                yield item, None
+            else:
+                yield from _json_values(item)
+
+
+@pytest.mark.parametrize("verb", ["mle", "recover", "birch", "verify"])
+@pytest.mark.parametrize("spec_file", [ILLNESS, ILLNESS_HOM, VC_BOX],
+                         ids=["illness", "illness_hom", "vc_box"])
+def test_text_and_json_reports_agree(capsys, tmp_path, spec_file, verb):
+    argv = _report_argv(tmp_path, spec_file)[verb]
+    code, text, _ = run(capsys, *argv)
+    structured_code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert structured_code == code
+    doc = json.loads(out)
+    # the value on each text line that holds one: 'exact ~ rounded', or a
+    # witness's 'residual exact'
+    shown = []
+    for line in text.splitlines():
+        if m := re.search(r" (\S+) ~ (\S+)$", line):
+            shown.append((m[1], m[2]))
+        elif m := re.search(r" residual (\S+)$", line):
+            shown.append((m[1], None))
+    values = list(_json_values(doc))
+    assert values
+    assert [exact for exact, _ in shown] == [exact for exact, _ in values]
+    for (_, rounded), (_, decimal) in zip(shown, values):
+        assert decimal is None or float(rounded) == decimal
+    if verb == "verify":
+        marks = [(int(m[1]), m[2].strip()) for m in
+                 (re.match(r"\[\s*(\d+)\] (ok  |FAIL) ", line)
+                  for line in text.splitlines()) if m]
+        assert marks == [(rec["index"], "ok" if rec["status"] == "vanishes-exactly"
+                          and rec["kernel_ok"] else "FAIL")
+                         for rec in doc["relations"]]
+        assert marks[-1][1] == "FAIL"
 
 
 def enumerate_paths_cached():

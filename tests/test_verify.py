@@ -49,9 +49,12 @@ class TestSampleParameters:
         assert all(v > 0 for v in params.pi.values())
         assert all(v > 0 for v in params.trans.values())
 
-    def test_bound_below_row_width_rejected(self, illness_death):
-        with pytest.raises(ParameterError):
-            sample_parameters(illness_death, seed=0, denominator_bound=2)
+    def test_bound_below_row_width_rejected(self):
+        # 98 initial states: one row wider than the 97 weights; the
+        # spec's 98**3 paths are never enumerated
+        spec = ModelSpec([str(i) for i in range(98)], 1, 2)
+        with pytest.raises(ParameterError, match="widest row"):
+            sample_parameters(spec, seed=0)
 
 
 class TestEvaluateBinomial:
