@@ -24,6 +24,12 @@ from .relations import RelationSet, canonicalize
 DEFAULT_DECIMALS = 3
 DEFAULT_DROP_CHARS = "'0123456789"
 
+# Largest total degree of one side of a relation read from a file.  The
+# numeric route raises integer weights to each power, so its cost grows
+# faster than linearly with the degree; every emitted family has degree
+# at most 2.
+MAX_RELATION_DEGREE = 64
+
 MODEL_KEYS = {"states", "k", "n", "homogeneous", "forbid", "absorbing", "initial"}
 CORPUS_KEYS = {"alphabet", "pad", "horizon", "min_word_length",
                "max_word_length", "overlong", "drop_chars"}
@@ -496,9 +502,10 @@ def read_relations(path, table):
     Binomials are re-canonicalized on the way in, so a hand-edited file
     cannot smuggle in a non-canonical or degenerate relation.  A
     malformed term, a path that is not a list, a power that is not a
-    positive integer, a path outside the table, a slice entry that is
-    not an inadmissible path of string labels, or a provenance that is
-    not a string raises ParseError.
+    positive integer, a side whose total degree (repeated terms merged)
+    is above MAX_RELATION_DEGREE, a path outside the table, a slice
+    entry that is not an inadmissible path of string labels, or a
+    provenance that is not a string raises ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -508,6 +515,8 @@ def read_relations(path, table):
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, filename=path, line=exc.lineno,
                          column=exc.colno)
+    except ValueError as exc:  # an integer past Python's int-to-str digit limit
+        raise ParseError(str(exc), filename=path)
     if not isinstance(doc, dict) or "relations" not in doc:
         raise ParseError("relation file must contain a 'relations' list",
                          filename=path)
@@ -533,6 +542,10 @@ def read_relations(path, table):
             power = _field(term, "power", path, "a positive integer",
                            lambda v: _is_integer(v) and v >= 1, 1)
             out[j] = out.get(j, 0) + power
+        degree = sum(out.values())
+        if degree > MAX_RELATION_DEGREE:
+            raise ParseError(f"a relation side has degree {degree}, above the "
+                             f"limit {MAX_RELATION_DEGREE}", filename=path)
         return out
 
     try:

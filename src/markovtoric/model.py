@@ -236,11 +236,6 @@ class ModelSpec:
                             path[level - k - 1:level - 1], path[level - 1]))
         return symbols
 
-    def unrestricted(self):
-        """The companion spec with every transition and initial block allowed."""
-        return ModelSpec(self.states, self.order, self.horizon,
-                         homogeneous=self.homogeneous)
-
     def with_horizon(self, horizon):
         """The same rules over paths of another length; self if unchanged."""
         if horizon == self.horizon:

@@ -63,31 +63,18 @@ def enumerate_paths(spec):
     return PathTable(out)
 
 
-def block_counts(spec, path):
-    """Sufficient statistics of one path: occurrence count per parameter symbol.
-
-    One unit on the initial k-block symbol, one unit per transition
-    window.  Homogeneous specs pool windows across time (level None), so
-    exponents above 1 appear whenever a window repeats.
-    """
-    path = tuple(path)
-    spec.check_sequence(path)
-    counts = {}
-    for sym in spec.path_symbols(path):
-        counts[sym] = counts.get(sym, 0) + 1
-    return counts
-
-
 class DesignMatrix:
     """Integer matrix A with one row per parameter symbol and one column
     per path; column j is the sufficient-statistics vector of path j.
 
-    Columns are stored sparsely: column j is the tuple of the row
+    Columns are stored sparsely: column j is the sorted tuple of the row
     indices of path j's factors, with repeats, so a homogeneous path
-    that uses a window twice lists that row twice.  column(j) is the
-    derived dense view.  A binomial p^u - p^v lies in the toric ideal of
-    the parametrization exactly when A(u - v) = 0, and apply is the one
-    product both that kernel check and the Birch residual go through.
+    that uses a window twice lists that row twice.  Two paths have equal
+    columns exactly when these multisets are equal, so each is its
+    path's degree-1 fiber key.  column(j) is the derived dense view.  A
+    binomial p^u - p^v lies in the toric ideal of the parametrization
+    exactly when A(u - v) = 0, and apply is the one product both that
+    kernel check and the Birch residual go through.
     """
 
     __slots__ = ("row_symbols", "table", "_columns")
@@ -95,7 +82,7 @@ class DesignMatrix:
     def __init__(self, row_symbols, table, columns):
         self.row_symbols = tuple(row_symbols)
         self.table = table
-        self._columns = tuple(tuple(c) for c in columns)
+        self._columns = tuple(tuple(sorted(c)) for c in columns)
 
     @property
     def shape(self):
@@ -106,6 +93,14 @@ class DesignMatrix:
         for i in self._columns[j]:
             col[i] += 1
         return tuple(col)
+
+    def fibers(self):
+        """Path indices grouped by equal column, each group in table
+        order, the groups in order of their first path."""
+        groups = {}
+        for j, col in enumerate(self._columns):
+            groups.setdefault(col, []).append(j)
+        return list(groups.values())
 
     def apply(self, coeffs):
         """A @ x for a sparse {path index: integer coefficient} mapping."""
@@ -131,8 +126,9 @@ def build_design_matrix(spec, table=None):
         table = enumerate_paths(spec)
     symbols = spec.symbols()
     pos = {sym: i for i, sym in enumerate(symbols)}
-    columns = []
-    for path in table:
+
+    def column(path):
         spec.check_sequence(path)
-        columns.append(tuple(pos[sym] for sym in spec.path_symbols(path)))
-    return DesignMatrix(symbols, table, columns)
+        return [pos[sym] for sym in spec.path_symbols(path)]
+
+    return DesignMatrix(symbols, table, map(column, table))

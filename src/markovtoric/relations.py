@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import RelationError
 from .model import _join
-from .paths import enumerate_paths, block_counts
+from .paths import build_design_matrix, enumerate_paths
 
 PROV_NONHOM = "nonhom-exchange"
 PROV_HOM = "hom-exchange"
@@ -202,7 +202,7 @@ def slice_linear_generators(spec, table=None):
 
 
 def homogeneous_family(spec, table=None):
-    """Quadratic exchange relations for pooled (homogeneous) models.
+    """Exchange relations for pooled (homogeneous) models.
 
     Two paths that share a context window around positions r1 and r2,
 
@@ -213,6 +213,8 @@ def homogeneous_family(spec, table=None):
 
         p_path1 p_path2 - p_(x->y in path1) p_(y->x in path2).
 
+    The relation is quadratic unless an exchanged path equals path1 or
+    path2: then the common factor cancels and a linear p_a - p_b is left.
     The context blocks G and D have length k in the interior.  Near a
     boundary they are clipped, which is sound only when both paths are
     clipped identically, so unequal positions r1 != r2 are allowed only
@@ -295,8 +297,10 @@ def generators_for(spec, table=None):
 
     Nonhomogeneous specs get the exchange quadrics.  Homogeneous specs
     get the pooled exchange family plus the permutation linear
-    relations; the two cannot overlap (degrees 2 and 1).  Restricted
-    specs of either kind also carry their slice paths.
+    relations.  The two can overlap, because the exchange family emits
+    some linear relations too: binary k=1 n=4 lists p_0010 - p_0100
+    under both tags.  Such repeats are kept.  Restricted specs of
+    either kind also carry their slice paths.
     """
     if table is None:
         table = enumerate_paths(spec)
@@ -314,22 +318,13 @@ def permutation_linear_relations(spec, table=None):
 
     Homogeneous models cannot tell apart two paths whose initial block
     and window multiset coincide, so their probabilities are equal on
-    the whole model.  Emits one relation per non-representative class
-    member, with the lexicographically first path as representative.
+    the whole model.  Such paths share a design-matrix fiber; emits one
+    relation per non-representative fiber member, with the fiber's
+    first path as representative, in fiber order.
     """
     if not spec.homogeneous:
         raise RelationError("permutation relations exist only for homogeneous specs")
-    if table is None:
-        table = enumerate_paths(spec)
-    classes = {}
-    for j, path in enumerate(table):
-        key = frozenset(block_counts(spec, path).items())
-        classes.setdefault(key, []).append(j)
-    binomials = []
-    for members in classes.values():
-        rep = members[0]
-        for other in members[1:]:
-            binomials.append(canonicalize({rep: 1}, {other: 1}))
-    binomials.sort(key=lambda b: b.plus)
-    bs, tags = _dedup(binomials, PROV_LINEAR)
-    return RelationSet(table, bs, tags)
+    design = build_design_matrix(spec, table)
+    binomials = tuple(canonicalize({rep: 1}, {other: 1})
+                      for rep, *others in design.fibers() for other in others)
+    return RelationSet(design.table, binomials, (PROV_LINEAR,) * len(binomials))

@@ -15,6 +15,31 @@ from markovtoric.errors import RelationError
 from markovtoric.relations import PROV_HOM, RelationSet, _dedup, _pair
 
 
+def block_counts(spec, path):
+    """Occurrence count per parameter symbol of one path, tallied from
+    the window convention directly rather than through path_symbols.
+
+    One unit on ("pi", initial k-block), one per window ("a", level,
+    history, next) for levels k+1..n; homogeneous specs pool windows
+    across time (level None), so a repeated window counts above 1.
+    """
+    k = spec.order
+    counts = {("pi", tuple(path[:k])): 1}
+    for end in range(k, len(path)):
+        sym = ("a", None if spec.homogeneous else end + 1,
+               tuple(path[end - k:end]), path[end])
+        counts[sym] = counts.get(sym, 0) + 1
+    return counts
+
+
+def permutation_classes(spec, table):
+    """Path indices grouped by equal block_counts, in table order."""
+    classes = {}
+    for j, path in enumerate(table):
+        classes.setdefault(frozenset(block_counts(spec, path).items()), []).append(j)
+    return list(classes.values())
+
+
 def brute_force_degree2(design):
     """All canonical degree-2 binomials in the design matrix kernel.
 

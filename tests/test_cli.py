@@ -271,6 +271,19 @@ class TestRelationsAndVerify:
                            "--relations", str(rel), "--trials", "3")
         assert code == 2
 
+    def test_relation_above_the_degree_limit_exits_three(self, capsys, tmp_path):
+        rel = tmp_path / "high.json"
+        rel.write_text(json.dumps({"relations": [{
+            "plus": [{"path": ["0", "0", "0", "0"],
+                      "power": iofiles.MAX_RELATION_DEGREE + 1}],
+            "minus": [{"path": ["0", "0", "0", "1"], "power": 1}],
+            "provenance": "file"}]}))
+        code, out, err = run(capsys, "verify", "--spec", ILLNESS,
+                             "--relations", str(rel), "--trials", "1")
+        assert code == 3
+        assert out == ""
+        assert str(rel) in err
+
     def test_zero_trials_exits_one_with_named_error(self, capsys):
         code, out, err = run(capsys, "verify", "--spec", ILLNESS,
                              "--trials", "0")

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -20,7 +21,6 @@ def test_every_export_resolves():
 def test_exports_match_imports():
     assert len(set(markovtoric.__all__)) == len(markovtoric.__all__)
     assert set(markovtoric.__all__) == _imported_names()
-
 
 
 def _top_level_statements():
@@ -51,3 +51,65 @@ def test_every_public_definition_is_exported_or_used():
             and not stmt.name.startswith("_") and stmt.name not in exported
             and not any(stmt.name in u for k, u in enumerate(used) if k != i)]
     assert not dead, f"public but neither exported nor used: {dead}"
+
+
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def _bench_tree(name):
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _dotted(node):
+    # ("self", "mt", "cli", "main") for self.mt.cli.main; None past a call
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return (node.id, *reversed(parts))
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # the workloads reach the package only through mt.<name> and
+    # self.mt.<name> chains, such as mt.generators_for and mt.cli.main
+    chains = set()
+    for node in ast.walk(_bench_tree("workloads.py")):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] == "self":
+            chain = chain[1:]
+        if chain and chain[0] == "mt" and len(chain) > 1:
+            chains.add(chain[1:])
+    assert ("cli", "main") in chains
+    importlib.import_module("markovtoric.cli")  # bench/run.py imports it too
+    missing = []
+    for chain in sorted(chains):
+        obj = markovtoric
+        for attr in chain:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(".".join(chain))
+    assert not missing, f"read by bench/workloads.py but not in the package: {missing}"
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    # bench/spans.py names the functions it hooks ("layer.function") and
+    # the methods it traces ((layer, class, method, span name))
+    values = {node.targets[0].id: node.value
+              for node in _bench_tree("spans.py").body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    hooked = [key.value.split(".") for key in values["HOOKS"].keys]
+    methods = ast.literal_eval(values["METHODS"])
+    assert hooked and methods
+    gone = []
+    for layer, name in hooked:
+        module = importlib.import_module(f"markovtoric.{layer}")
+        fn = getattr(module, name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
+            gone.append(f"{layer}.{name}")
+    for layer, cls, meth, _ in methods:
+        owner = getattr(importlib.import_module(f"markovtoric.{layer}"), cls, None)
+        if not inspect.isfunction(vars(owner).get(meth) if owner else None):
+            gone.append(f"{layer}.{cls}.{meth}")
+    assert not gone, f"traced by bench/spans.py but not a function of its module: {gone}"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from markovtoric import (
     write_relations,
     write_trajectories,
 )
+from markovtoric.iofiles import MAX_RELATION_DEGREE
 from conftest import make_binary_chain, make_survival, make_vc_chain
 
 
@@ -461,7 +463,6 @@ class TestRelationFiles:
         relset = generators_for(illness_death)
         f = tmp_path / "r.json"
         write_relations(relset, f)
-        import json
         doc = json.loads(f.read_text())
         r = doc["relations"][0]
         r["plus"], r["minus"] = r["minus"], r["plus"]
@@ -473,7 +474,6 @@ class TestRelationFiles:
         relset = generators_for(illness_death)
         f = tmp_path / "r.json"
         write_relations(relset, f)
-        import json
         doc = json.loads(f.read_text())
         doc["relations"][0]["plus"][0]["path"] = ["0", "1", "0", "0"]
         f.write_text(json.dumps(doc))
@@ -501,7 +501,6 @@ class TestRelationFiles:
             "provenance-int", "provenance-null"])
     def test_reinterpreted_value_rejected(self, tmp_path, illness_death, edit):
         # each edit used to read back as some relation instead of failing
-        import json
         relset = generators_for(illness_death)
         f = tmp_path / "r.json"
         write_relations(relset, f)
@@ -510,6 +509,28 @@ class TestRelationFiles:
         f.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as err:
             read_relations(f, relset.table)
+        assert str(f) in str(err.value)
+
+    def test_side_degree_is_bounded(self, tmp_path, illness_death):
+        table = enumerate_paths(illness_death)
+        f = tmp_path / "r.json"
+
+        def write(powers):
+            f.write_text(json.dumps({"relations": [{
+                "plus": [{"path": ["0", "0", "0", "0"], "power": e} for e in powers],
+                "minus": [{"path": ["0", "0", "0", "1"], "power": 1}]}]}))
+
+        write([MAX_RELATION_DEGREE])
+        assert read_relations(f, table).binomials[0].degree() == MAX_RELATION_DEGREE
+        # repeated terms merge before the check, into one of degree limit + 1
+        write([MAX_RELATION_DEGREE, 1])
+        with pytest.raises(ParseError) as err:
+            read_relations(f, table)
+        assert str(f) in str(err.value)
+        # a power too long for int() is a parse error too, not a ValueError
+        f.write_text(f.read_text().replace(f"{MAX_RELATION_DEGREE}", "9" * 5000))
+        with pytest.raises(ParseError) as err:
+            read_relations(f, table)
         assert str(f) in str(err.value)
 
     def test_slice_read_against_an_empty_table(self, tmp_path):

@@ -11,7 +11,6 @@ from markovtoric import (
     ParameterPoint,
     SpecificationError,
     as_fraction,
-    block_counts,
     enumerate_paths,
     format_symbol,
     path_probability,
@@ -20,6 +19,7 @@ from markovtoric import (
     validate_parameters,
 )
 from conftest import make_binary_chain, make_illness_death, make_survival
+from oracles import block_counts
 
 
 class TestAsFraction:
@@ -96,10 +96,6 @@ class TestModelSpec:
         assert shorter.horizon == 3
         assert shorter.transition_pairs == illness_death.transition_pairs
         assert shorter.initial_blocks == illness_death.initial_blocks
-
-    def test_unrestricted_companion_allows_everything(self, illness_death):
-        full = illness_death.unrestricted()
-        assert len(enumerate_paths(full)) == 3 ** 4
 
     def test_levels(self, illness_death, illness_death_hom):
         assert illness_death.levels() == (2, 3, 4)

@@ -7,7 +7,6 @@ from markovtoric import (
     InadmissiblePathError,
     ModelSpec,
     RelationError,
-    block_counts,
     build_design_matrix,
     enumerate_paths,
     format_symbol,
@@ -18,7 +17,7 @@ from conftest import (
     make_survival,
     make_vc_chain,
 )
-from oracles import dense_product
+from oracles import block_counts, dense_product
 from reference_data import WORKED_PATHS
 
 

@@ -21,6 +21,7 @@ from oracles import (
     degree2_diffs,
     homogeneous_family_reference,
     lex_larger,
+    permutation_classes,
 )
 from reference_data import ILLNESS_DEATH_RELATIONS
 
@@ -253,6 +254,27 @@ def test_homogeneous_family_keeps_the_all_pairs_order(spec):
     want = homogeneous_family_reference(spec, table)
     assert got.binomials == want.binomials
     assert got.provenance == want.provenance
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_specs())
+@example(make_binary_chain(1, 4, homogeneous=True))
+@example(make_vc_chain(6))
+def test_fibers_index_the_permutation_classes(spec):
+    table = enumerate_paths(spec)
+    fibers = build_design_matrix(spec, table).fibers()
+    assert sorted(j for f in fibers for j in f) == list(range(len(table)))
+    # paths share a fiber exactly when their oracle tallies are equal, and
+    # the groups come in the same (table) order
+    classes = permutation_classes(spec, table)
+    assert fibers == classes
+    # the relations as the class scan gives them, ordered by representative
+    want = tuple(sorted((canonicalize({rep: 1}, {other: 1})
+                         for rep, *others in classes for other in others),
+                        key=lambda b: b.plus))
+    got = permutation_linear_relations(spec, table)
+    assert got.binomials == want
+    assert got.provenance == ("hom-linear",) * len(want)
 
 
 class TestPermutationLinearRelations:
