@@ -16,11 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EstimationError, ParameterError, RelationError
-from .model import ParameterPoint, _join, path_probability
+from .model import ParameterPoint, _join, is_integer, path_probability
 from .paths import enumerate_paths
 
 PREFIX = "prefix"
 SLIDE = "slide"
+
+
+def _as_int(value, what):
+    """value if it is an int (not a bool), else EstimationError naming it."""
+    if not is_integer(value):
+        raise EstimationError(f"{what} {value!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class TrajectorySet:
     records: tuple
 
     def __post_init__(self):
-        records = tuple((tuple(t), int(m)) for t, m in self.records)
+        records = tuple((tuple(t), _as_int(m, "multiplicity")) for t, m in self.records)
         object.__setattr__(self, "records", records)
         if not records:
             raise EstimationError("empty trajectory set")
@@ -87,7 +94,7 @@ class CountVector:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_as_int(c, "count") for c in self.counts)
         object.__setattr__(self, "counts", counts)
         if len(counts) != len(self.table):
             raise EstimationError(
@@ -284,7 +291,7 @@ def mle_paths_hierarchical(u, spec, table=None):
     _, windows, histories = _tally(records, spec.order, spec.horizon, False)
     out = {}
     for j, path in enumerate(table):
-        _, *factors = spec.path_symbols(path)
+        _, *factors = spec.check_sequence(path)
         num = math.prod(windows.get(f[1:], 0) for f in factors)
         den = M * math.prod(histories.get(f[1:3], 0) for f in factors[1:])
         out[j] = Fraction(num, den) if den != 0 else None
@@ -337,6 +344,8 @@ def recover_parameters(p, spec, table=None):
     """
     if table is None:
         table = enumerate_paths(spec)
+    for path in table:
+        spec.check_sequence(path)
     missing = [j for j in range(len(table)) if j not in p]
     if missing:
         raise ParameterError(f"assignment missing {len(missing)} path indices "

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
 from .estimate import CountVector, TrajectorySet
-from .model import ModelSpec, is_label
+from .model import ModelSpec, is_integer, is_label
 from .relations import RelationSet, canonicalize
 
 DEFAULT_DECIMALS = 3
@@ -87,10 +87,6 @@ def _load_yaml(path, what, keys=None, required=()):
     return doc
 
 
-def _is_integer(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _state_labels(value, what, path, length=None):
     """Check a YAML list of state labels."""
     if (not isinstance(value, list) or length not in (None, len(value))
@@ -120,7 +116,7 @@ def _field(doc, key, path, want, ok, default=None):
 def _integer_field(doc, key, path, default=None):
     # without a default, None stands for an unset optional integer
     return _field(doc, key, path, "an integer",
-                  lambda v: _is_integer(v) or (v is None and default is None),
+                  lambda v: is_integer(v) or (v is None and default is None),
                   default)
 
 
@@ -313,7 +309,14 @@ class CorpusSpec:
         if self.overlong not in ("error", "drop"):
             raise SpecificationError(
                 f"overlong policy must be 'error' or 'drop', got {self.overlong!r}")
-        if self.horizon is not None and int(self.horizon) < 1:
+        for name, optional in (("horizon", True), ("min_word_length", False),
+                               ("max_word_length", True)):
+            value = getattr(self, name)
+            if not (is_integer(value) or (optional and value is None)):
+                raise SpecificationError(
+                    f"{name} must be an integer{' or None' if optional else ''}, "
+                    f"got {value!r}")
+        if self.horizon is not None and self.horizon < 1:
             raise SpecificationError("horizon must be positive")
 
 
@@ -354,13 +357,13 @@ def corpus_to_trajectories(text, cs, spec=None):
     words = tokenize_corpus(text, cs)
     words = [w for w in words if len(w) >= cs.min_word_length]
     if cs.max_word_length is not None:
-        words = [w for w in words if len(w) <= int(cs.max_word_length)]
+        words = [w for w in words if len(w) <= cs.max_word_length]
     if cs.horizon is None:
         if not words:
             raise ParseError("corpus contains no usable words")
         L = max(len(w) for w in words)
     else:
-        L = int(cs.horizon)
+        L = cs.horizon
         over = [w for w in words if len(w) > L]
         if over and cs.overlong == "error":
             raise ParseError(
@@ -453,7 +456,7 @@ def read_corpus_spec(path):
                         lambda v: isinstance(v, str), DEFAULT_DROP_CHARS)
     horizon = (None if doc.get("horizon") == "max"
                else _field(doc, "horizon", path, "a positive integer",
-                           lambda v: v is None or (_is_integer(v) and v >= 1)))
+                           lambda v: v is None or (is_integer(v) and v >= 1)))
     return CorpusSpec(alphabet=alphabet, pad=str(pad), horizon=horizon,
                       min_word_length=_integer_field(doc, "min_word_length", path, 1),
                       max_word_length=_integer_field(doc, "max_word_length", path),
@@ -540,7 +543,7 @@ def read_relations(path, table):
         for term in terms:
             j = table.index(path_list(term["path"], "a term's path"))
             power = _field(term, "power", path, "a positive integer",
-                           lambda v: _is_integer(v) and v >= 1, 1)
+                           lambda v: is_integer(v) and v >= 1, 1)
             out[j] = out.get(j, 0) + power
         degree = sum(out.values())
         if degree > MAX_RELATION_DEGREE:

@@ -33,9 +33,14 @@ from .errors import (
 )
 
 
+def is_integer(x):
+    """Whether x is an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_label(x):
     """Whether x can be a state label: a string, or an int that is not a bool."""
-    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+    return isinstance(x, str) or is_integer(x)
 
 
 def _as_label(x):
@@ -195,11 +200,15 @@ class ModelSpec:
         return self._succ.get(tuple(history), ())
 
     def check_sequence(self, seq, require_horizon=True):
-        """Raise InadmissiblePathError unless seq is an admissible path.
+        """Check that seq is an admissible path and return its parameter symbols.
 
-        With require_horizon=False the sequence may have any length of
-        at least k + 1; transitions and the initial block are still
-        checked.
+        Returns the factors of the path's probability monomial, in
+        order: [("pi", initial block)] followed by ("a", level, history,
+        next) for each level l in k+1..len(seq), level None when
+        homogeneous.  Raises InadmissiblePathError, naming the first
+        fault, unless seq is admissible.  With require_horizon=False the
+        sequence may have any length of at least k + 1; transitions and
+        the initial block are still checked.
         """
         seq = tuple(seq)
         for pos, s in enumerate(seq, start=1):
@@ -209,31 +218,21 @@ class ModelSpec:
         if require_horizon and len(seq) != self.horizon:
             raise InadmissiblePathError(
                 f"path has length {len(seq)}, expected horizon {self.horizon}")
-        if len(seq) < self.order + 1:
+        k = self.order
+        if len(seq) < k + 1:
             raise InadmissiblePathError(
-                f"sequence of length {len(seq)} is shorter than order + 1 = {self.order + 1}")
-        if seq[:self.order] not in self._initial_set:
+                f"sequence of length {len(seq)} is shorter than order + 1 = {k + 1}")
+        if seq[:k] not in self._initial_set:
             raise InadmissiblePathError(
-                f"initial block {seq[:self.order]} is not allowed")
-        for level in range(self.order + 1, len(seq) + 1):
-            hist = seq[level - self.order - 1:level - 1]
+                f"initial block {seq[:k]} is not allowed")
+        symbols = [("pi", seq[:k])]
+        for level in range(k + 1, len(seq) + 1):
+            hist = seq[level - k - 1:level - 1]
             nxt = seq[level - 1]
             if nxt not in self._succ.get(hist, ()):
                 raise InadmissiblePathError(
                     f"transition {hist} -> {nxt!r} into position {level} is forbidden")
-
-    def path_symbols(self, path):
-        """Parameter symbols of a path's probability monomial, one per factor.
-
-        Returns [("pi", initial block)] followed by ("a", level, history,
-        next) for each level l in k+1..len(path), level None when
-        homogeneous.  The path is not checked; see check_sequence.
-        """
-        k = self.order
-        symbols = [("pi", path[:k])]
-        for level in range(k + 1, len(path) + 1):
-            symbols.append(("a", None if self.homogeneous else level,
-                            path[level - k - 1:level - 1], path[level - 1]))
+            symbols.append(("a", None if self.homogeneous else level, hist, nxt))
         return symbols
 
     def with_horizon(self, horizon):
@@ -252,18 +251,25 @@ class ModelSpec:
             return (None,)
         return tuple(range(self.order + 1, self.horizon + 1))
 
-    def a_symbols(self):
-        out = []
+    def rows(self):
+        """Parameter symbols grouped by simplex row, in symbols() order.
+
+        The first row holds the ("pi", block) symbols of the initial
+        blocks; one row of ("a", level, history, next) symbols follows
+        per (level, history) that has successors, by level and then
+        history, its entries in declaration order of the next state.
+        """
+        rows = [tuple(("pi", b) for b in self._initial)]
         for level in self.levels():
             for h in self._histories:
-                for s in self._succ[h]:
-                    out.append(("a", level, h, s))
-        return tuple(out)
+                if self._succ[h]:
+                    rows.append(tuple(("a", level, h, s) for s in self._succ[h]))
+        return tuple(rows)
 
     def symbols(self):
-        """All parameter symbols in canonical order: pi blocks, then
-        transition entries sorted by (level, history, next state)."""
-        return tuple(("pi", b) for b in self._initial) + self.a_symbols()
+        """All parameter symbols in canonical order: the rows() flattened,
+        so pi blocks, then transition entries by (level, history, next)."""
+        return tuple(sym for row in self.rows() for sym in row)
 
     def __repr__(self):
         kind = "homogeneous" if self.homogeneous else "nonhomogeneous"
@@ -312,6 +318,17 @@ class ParameterPoint:
             self.trans[(level, tuple(hist), nxt)] = as_fraction(v)
         self.undefined = frozenset((level, tuple(h)) for level, h in undefined)
 
+    @classmethod
+    def from_symbols(cls, values):
+        """The point holding a {parameter symbol: value} mapping."""
+        pi, trans = {}, {}
+        for sym, v in values.items():
+            if sym[0] == "pi":
+                pi[sym[1]] = v
+            else:
+                trans[sym[1:]] = v
+        return cls(pi, trans)
+
     def pi_value(self, block):
         return self.pi.get(tuple(block), _ZERO)
 
@@ -330,11 +347,8 @@ class ParameterPoint:
 
 def uniform_parameters(spec):
     """The uniform parameter point: equal weight on every allowed entry."""
-    m = len(spec.initial_blocks)
-    pi = {b: Fraction(1, m) for b in spec.initial_blocks}
-    trans = {sym[1:]: Fraction(1, len(spec.successors(sym[2])))
-             for sym in spec.a_symbols()}
-    return ParameterPoint(pi, trans)
+    return ParameterPoint.from_symbols(
+        {sym: Fraction(1, len(row)) for row in spec.rows() for sym in row})
 
 
 def validate_model(spec):
@@ -445,9 +459,7 @@ def path_probability(spec, params, path):
         EstimationError: if the path reaches an undefined row while
             its product is still nonzero.
     """
-    path = tuple(path)
-    spec.check_sequence(path)
-    (_, block), *factors = spec.path_symbols(path)
+    (_, block), *factors = spec.check_sequence(path)
     value = params.pi_value(block)
     for _, level, h, s in factors:
         if not value:

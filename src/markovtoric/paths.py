@@ -126,9 +126,5 @@ def build_design_matrix(spec, table=None):
         table = enumerate_paths(spec)
     symbols = spec.symbols()
     pos = {sym: i for i, sym in enumerate(symbols)}
-
-    def column(path):
-        spec.check_sequence(path)
-        return [pos[sym] for sym in spec.path_symbols(path)]
-
-    return DesignMatrix(symbols, table, map(column, table))
+    columns = ([pos[sym] for sym in spec.check_sequence(path)] for path in table)
+    return DesignMatrix(symbols, table, columns)

@@ -26,25 +26,19 @@ NONZERO = "nonzero"
 
 
 def _row_layout(spec):
-    """Rows of the sampling stream and the place of each symbol in them.
-
-    Row 0 holds the initial blocks; one row per (level, history) with
-    successors follows, in spec.symbols() order.  Returns the row widths
-    and a mapping symbol -> (row, entry).  ParameterError when a row has
-    more entries than DEFAULT_DENOMINATOR_BOUND.
+    """The sampling stream's rows, spec.rows(): their widths, and the
+    place of each symbol as a mapping symbol -> (row, entry).
+    ParameterError when a row has more entries than
+    DEFAULT_DENOMINATOR_BOUND.
     """
-    widths, position, rows = [], {}, {}
-    for sym in spec.symbols():
-        row = rows.setdefault(sym[:-1] if sym[0] == "a" else "pi", len(rows))
-        if row == len(widths):
-            widths.append(0)
-        position[sym] = (row, widths[row])
-        widths[row] += 1
+    rows = spec.rows()
+    widths = [len(row) for row in rows]
     widest = max(widths)
     if DEFAULT_DENOMINATOR_BOUND < widest:
         raise ParameterError(
             f"denominator bound {DEFAULT_DENOMINATOR_BOUND} is smaller than the "
             f"widest row ({widest} entries)")
+    position = {sym: (r, e) for r, row in enumerate(rows) for e, sym in enumerate(row)}
     return widths, position
 
 
@@ -74,14 +68,8 @@ def sample_parameters(spec, seed):
     widths, position = _row_layout(spec)
     weights = _draw_weights(widths, seed)
     totals = [sum(row) for row in weights]
-    pi, trans = {}, {}
-    for sym, (row, entry) in position.items():
-        value = Fraction(weights[row][entry], totals[row])
-        if sym[0] == "pi":
-            pi[sym[1]] = value
-        else:
-            trans[sym[1:]] = value
-    return ParameterPoint(pi, trans)
+    return ParameterPoint.from_symbols(
+        {sym: Fraction(weights[r][e], totals[r]) for sym, (r, e) in position.items()})
 
 
 @dataclass(frozen=True)
@@ -163,9 +151,7 @@ def _path_factors(spec, position, table, j):
     # (row, entry) of each factor of path j's probability monomial.
     if not 0 <= j < len(table):
         raise RelationError(f"path index {j} out of range 0..{len(table) - 1}")
-    path = tuple(table[j])
-    spec.check_sequence(path)
-    return [position[sym] for sym in spec.path_symbols(path)]
+    return [position[sym] for sym in spec.check_sequence(table[j])]
 
 
 def _side_exponents(terms, factors):

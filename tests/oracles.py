@@ -17,7 +17,7 @@ from markovtoric.relations import PROV_HOM, RelationSet, _dedup, _pair
 
 def block_counts(spec, path):
     """Occurrence count per parameter symbol of one path, tallied from
-    the window convention directly rather than through path_symbols.
+    the window convention directly rather than through check_sequence.
 
     One unit on ("pi", initial k-block), one per window ("a", level,
     history, next) for levels k+1..n; homogeneous specs pool windows

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from markovtoric import (
     CountVector,
     EstimationError,
+    InadmissiblePathError,
     ModelSpec,
     RelationError,
     TrajectorySet,
@@ -57,6 +58,12 @@ class TestTrajectorySet:
         with pytest.raises(EstimationError):
             TrajectorySet(())
 
+    @pytest.mark.parametrize("mult", [2.9, 1.5, 0.5, True, "3", Fraction(2)])
+    def test_multiplicity_that_is_not_an_int_rejected(self, mult):
+        with pytest.raises(EstimationError) as err:
+            TrajectorySet(((("0", "0"), mult),))
+        assert f"multiplicity {mult!r} is not an integer" in str(err.value)
+
     def test_total_weights_multiplicities(self):
         trajs = worked_trajectories()
         assert trajs.total == 685
@@ -88,6 +95,13 @@ class TestCountVector:
         table = enumerate_paths(illness_death)
         with pytest.raises(EstimationError):
             CountVector(table, tuple([-1] + [0] * 13))
+
+    @pytest.mark.parametrize("count", [2.9, 1.5, 0.5, True, False, "3"])
+    def test_count_that_is_not_an_int_rejected(self, illness_death, count):
+        table = enumerate_paths(illness_death)
+        with pytest.raises(EstimationError) as err:
+            CountVector(table, tuple([count] + [0] * 13))
+        assert f"count {count!r} is not an integer" in str(err.value)
 
     def test_total_and_indexing(self, illness_death):
         table = enumerate_paths(illness_death)
@@ -284,6 +298,27 @@ class TestHierarchicalPathMle:
         fitted = mle_paths_hierarchical(u, illness_death, table)
         values = [v for v in fitted.values() if v is not None]
         assert values and all(type(v) is Fraction for v in values)
+
+
+def unrestricted_three_state_table():
+    return enumerate_paths(ModelSpec(["0", "1", "2"], 1, 4))
+
+
+class TestTablePathsAreChecked:
+    # The 81 unrestricted paths include 67 that illness-death forbids
+    # (1 -> 0, leaving 2, starting in 2); a table may not smuggle them in.
+
+    def test_hierarchical_mle_rejects_an_inadmissible_table(self, illness_death):
+        table = unrestricted_three_state_table()
+        u = CountVector(table, (1,) * len(table))
+        with pytest.raises(InadmissiblePathError):
+            mle_paths_hierarchical(u, illness_death, table)
+
+    def test_recovery_rejects_an_inadmissible_table(self, illness_death):
+        table = unrestricted_three_state_table()
+        p = {j: Fraction(1, len(table)) for j in range(len(table))}
+        with pytest.raises(InadmissiblePathError):
+            recover_parameters(p, illness_death, table)
 
 
 class TestRecoverParameters:

@@ -93,12 +93,18 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert not missing, f"read by bench/workloads.py but not in the package: {missing}"
 
 
+def _spans_top_level():
+    # bench/spans.py's module-level assignments and functions, by name
+    body = _bench_tree("spans.py").body
+    values = {node.targets[0].id: node.value for node in body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    return values, {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+
+
 def test_every_traced_name_is_a_function_of_its_module():
     # bench/spans.py names the functions it hooks ("layer.function") and
     # the methods it traces ((layer, class, method, span name))
-    values = {node.targets[0].id: node.value
-              for node in _bench_tree("spans.py").body
-              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    values, _ = _spans_top_level()
     hooked = [key.value.split(".") for key in values["HOOKS"].keys]
     methods = ast.literal_eval(values["METHODS"])
     assert hooked and methods
@@ -113,3 +119,23 @@ def test_every_traced_name_is_a_function_of_its_module():
         if not inspect.isfunction(vars(owner).get(meth) if owner else None):
             gone.append(f"{layer}.{cls}.{meth}")
     assert not gone, f"traced by bench/spans.py but not a function of its module: {gone}"
+
+
+def test_every_argument_a_hook_reads_is_a_parameter_of_its_function():
+    # a HOOKS hook reads the hooked call's bound arguments as args["name"];
+    # a renamed parameter would break only the traced run
+    values, defs = _spans_top_level()
+    hooks = values["HOOKS"]
+    checked, unknown = 0, []
+    for key, value in zip(hooks.keys, hooks.values):
+        hook = value.func if isinstance(value, ast.Call) else value
+        read = {node.slice.value for node in ast.walk(defs[hook.id])
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "args" and isinstance(node.slice, ast.Constant)}
+        layer, name = key.value.split(".")
+        params = inspect.signature(
+            getattr(importlib.import_module(f"markovtoric.{layer}"), name)).parameters
+        unknown += [f"{key.value}: {arg}" for arg in sorted(read) if arg not in params]
+        checked += len(read)
+    assert checked >= 10
+    assert not unknown, f"read by a bench/spans.py hook but not a parameter: {unknown}"

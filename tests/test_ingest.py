@@ -333,6 +333,17 @@ class TestCorpusPipeline:
         with pytest.raises(SpecificationError):
             CorpusSpec(alphabet=letters_alphabet(), pad="_", overlong="keep")
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", "abc"), ("horizon", True), ("horizon", 3.0),
+        ("min_word_length", "x"), ("min_word_length", None),
+        ("min_word_length", False), ("max_word_length", "5"),
+        ("max_word_length", True)])
+    def test_lengths_must_be_integers(self, field, value):
+        with pytest.raises(SpecificationError) as err:
+            CorpusSpec(alphabet=letters_alphabet(), pad="_", **{field: value})
+        assert f"{field} must be an integer" in str(err.value)
+        assert repr(value) in str(err.value)
+
     def test_pad_must_be_absorbing_in_target_spec(self):
         spec = make_binary_chain(1, 3)  # no absorbing states
         cs = CorpusSpec(alphabet={"a": "0", "b": "1"}, pad="0")

@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, reject, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from markovtoric import (
     InadmissiblePathError,
@@ -11,14 +12,16 @@ from markovtoric import (
     ParameterPoint,
     SpecificationError,
     as_fraction,
+    build_design_matrix,
     enumerate_paths,
     format_symbol,
     path_probability,
+    sample_parameters,
     uniform_parameters,
     validate_model,
     validate_parameters,
 )
-from conftest import make_binary_chain, make_illness_death, make_survival
+from conftest import make_binary_chain, make_illness_death, make_survival, make_vc_chain
 from oracles import block_counts
 
 
@@ -257,3 +260,47 @@ def test_with_horizon_equals_a_fresh_spec_from_the_same_rules(case):
                for h in itertools.product(states, repeat=k))
     assert shorter.initial_blocks == fresh.initial_blocks
     assert list(enumerate_paths(shorter)) == list(enumerate_paths(fresh))
+
+
+@st.composite
+def small_specs(draw):
+    """Specs of either kind with 2-4 states, k in {1, 2}, forbidden
+    pairs, a set of absorbing states and an optional restricted initial
+    set; n <= k + 3."""
+    states = [str(i) for i in range(draw(st.integers(2, 4)))]
+    k = draw(st.integers(1, 2))
+    pair = st.tuples(st.sampled_from(states), st.sampled_from(states))
+    # at most 3 of the >= 4 pairs, so some k-block stays admissible
+    forbidden = draw(st.lists(pair, max_size=3, unique=True))
+    absorbing = draw(st.lists(st.sampled_from(states), max_size=2, unique=True))
+    absorbing = [s for s in absorbing if (s, s) not in forbidden]
+    rules = dict(forbidden=forbidden, absorbing=absorbing,
+                 homogeneous=draw(st.booleans()))
+    histories = ModelSpec(states, k, k + 1, **rules).initial_blocks
+    initial = draw(st.none() | st.lists(st.sampled_from(histories), min_size=1,
+                                       unique=True))
+    return ModelSpec(states, k, draw(st.integers(k + 1, k + 3)), initial=initial,
+                     **rules)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 2**32))
+@example(make_illness_death(), 0)
+@example(make_vc_chain(5, homogeneous=False), 1)
+@example(ModelSpec(["0", "1"], 2, 4, forbidden=[("1", "0")], homogeneous=True), 2)
+def test_check_sequence_and_rows_agree_with_the_oracle_and_symbols(spec, seed):
+    # check_sequence is the path's monomial, tallied against the oracle
+    for path in enumerate_paths(spec):
+        assert Counter(spec.check_sequence(path)) == Counter(block_counts(spec, path))
+    rows = spec.rows()
+    assert spec.symbols() == tuple(itertools.chain.from_iterable(rows))
+    assert rows[0] == tuple(("pi", b) for b in spec.initial_blocks)
+    assert [row[0][1:3] for row in rows[1:]] == [
+        (level, h) for level in spec.levels() for h in spec.histories
+        if spec.successors(h)]
+    for row in rows[1:]:
+        assert {sym[:3] for sym in row} == {row[0][:3]}
+        assert tuple(sym[3] for sym in row) == spec.successors(row[0][2])
+    assert build_design_matrix(spec).row_symbols == spec.symbols()
+    for point in (uniform_parameters(spec), sample_parameters(spec, seed)):
+        assert validate_parameters(spec, point) == []
