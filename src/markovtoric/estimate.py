@@ -1,14 +1,15 @@
 """Closed-form maximum likelihood estimation from trajectory or count data.
 
-Nonhomogeneous models are fitted by per-time conditional frequencies,
-homogeneous models by pooling window counts across time.  Both are the
-exact maximizers of the multinomial path likelihood, so no iteration is
-ever performed.  Everything is kept as exact rationals; rounding happens
-only in the reporting layer.
+The MLE of each parameter symbol is its tallied weight over the weight
+of its row, keyed by the symbols check_sequence gives a path (the
+design-matrix row symbols).  These are the exact maximizers of the
+multinomial path likelihood, kept as exact rationals; rounding happens
+only in reporting.  An inadmissible analysed prefix is an
+InadmissiblePathError.
 
-A zero-visit history row has an undefined estimate (0/0).  Undefined is
-not zero: such rows are tracked explicitly and surface either as flags
-or as errors when a requested quantity actually depends on them.
+A row of zero weight has an undefined estimate (0/0).  Undefined is not
+zero: such rows are tracked explicitly and surface either as flags or
+as errors when a requested quantity actually depends on them.
 """
 
 import math
@@ -156,42 +157,39 @@ class EstimateReport(ParameterPoint):
         self.window = window
 
 
-def _tally(records, k, last, pooled):
-    """Summed weights of (sequence, weight) records per initial block,
-    per window (level, history, next) and per history (level, history),
-    over levels k+1..last; level is None when pooled."""
-    starts = [(None if pooled else level, level - k - 1)
-              for level in range(k + 1, last + 1)]
-    initial, windows, histories = {}, {}, {}
+def _tally(spec, records):
+    """Each parameter symbol's summed weight over (sequence, weight)
+    records, keyed as check_sequence keys positions 1..spec.horizon, and
+    each symbol's row total over spec.rows().  A key that is not a
+    design-matrix row symbol sends the records through check_sequence."""
+    k = spec.order
+    starts = [(None if spec.homogeneous else level, level - k - 1)
+              for level in range(k + 1, spec.horizon + 1)]
+    # windows become symbols once per key: a 4-tuple per window is slower
+    weights, windows = {}, {}
     for seq, weight in records:
-        block = seq[:k]
-        initial[block] = initial.get(block, 0) + weight
+        key = ("pi", seq[:k])
+        weights[key] = weights.get(key, 0) + weight
         for level, i in starts:
-            window = (level, seq[i:i + k], seq[i + k])
-            windows[window] = windows.get(window, 0) + weight
-    for (level, h, _), weight in windows.items():
-        histories[(level, h)] = histories.get((level, h), 0) + weight
-    return initial, windows, histories
+            key = (level, seq[i:i + k], seq[i + k])
+            windows[key] = windows.get(key, 0) + weight
+    weights.update({("a", *key): w for key, w in windows.items()})
+    if not weights.keys() <= set(spec.symbols()):
+        for seq, _ in records:
+            spec.check_sequence(seq[:spec.horizon])
+    totals = {}
+    for row in spec.rows():
+        totals.update(dict.fromkeys(row, sum(weights.get(sym, 0) for sym in row)))
+    return weights, totals
 
 
-def _conditionals(spec, records, last, pooled, total):
-    """The ParameterPoint of weighted records: block weight over total,
-    and window weight over history weight per (level, history) row.  A
-    row whose history weight is zero is undefined, never zero."""
-    initial, windows, histories = _tally(records, spec.order, last, pooled)
-    pi = {b: Fraction(initial.get(b, 0), total) for b in spec.initial_blocks}
-    levels = (None,) if pooled else range(spec.order + 1, last + 1)
-    trans = {}
-    undefined = set()
-    for level in levels:
-        for h in spec.histories:
-            d = histories.get((level, h), 0)
-            if d == 0:
-                undefined.add((level, h))
-                continue
-            for s in spec.successors(h):
-                trans[(level, h, s)] = Fraction(windows.get((level, h, s), 0), d)
-    return ParameterPoint(pi, trans, undefined)
+def _conditionals(spec, records):
+    """The ParameterPoint of weighted records: each symbol's weight over
+    its row's weight.  A row of zero weight is undefined, never zero."""
+    weights, totals = _tally(spec, records)
+    values = {sym: Fraction(weights.get(sym, 0), t) for sym, t in totals.items() if t}
+    undefined = {sym[1:3] for sym, t in totals.items() if not t}
+    return ParameterPoint.from_symbols(values, undefined)
 
 
 def mle_nonhomogeneous(trajs, spec, n=None):
@@ -205,9 +203,8 @@ def mle_nonhomogeneous(trajs, spec, n=None):
     if spec.homogeneous:
         raise EstimationError("spec is homogeneous; use mle_homogeneous")
     n = _resolve_horizon(trajs, spec, n)
-    M = trajs.total
-    return EstimateReport(_conditionals(spec, trajs.records, n, False, M),
-                          "nonhomogeneous", spec.order, n, M)
+    return EstimateReport(_conditionals(spec.with_horizon(n), trajs.records),
+                          "nonhomogeneous", spec.order, n, trajs.total)
 
 
 def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
@@ -223,10 +220,9 @@ def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
     if window not in (PREFIX, SLIDE):
         raise EstimationError(f"unknown window mode {window!r}")
     n = _resolve_horizon(trajs, spec, n)
-    M = trajs.total
     last = trajs.length if window == SLIDE else n
-    return EstimateReport(_conditionals(spec, trajs.records, last, True, M),
-                          "homogeneous", spec.order, n, M, window)
+    return EstimateReport(_conditionals(spec.with_horizon(last), trajs.records),
+                          "homogeneous", spec.order, n, trajs.total, window)
 
 
 def fitted_path_probabilities(report, spec, table):
@@ -287,13 +283,15 @@ def mle_paths_hierarchical(u, spec, table=None):
     M = u.total
     if M == 0:
         raise EstimationError("empty count vector")
-    records = [(path, c) for path, c in zip(table, u.counts) if c]
-    _, windows, histories = _tally(records, spec.order, spec.horizon, False)
+    for path in table:
+        spec.check_sequence(path)
+    weights, totals = _tally(
+        spec, [(path, c) for path, c in zip(table, u.counts) if c])
     out = {}
     for j, path in enumerate(table):
         _, *factors = spec.check_sequence(path)
-        num = math.prod(windows.get(f[1:], 0) for f in factors)
-        den = M * math.prod(histories.get(f[1:3], 0) for f in factors[1:])
+        num = math.prod(weights.get(f, 0) for f in factors)
+        den = M * math.prod(totals[f] for f in factors[1:])
         out[j] = Fraction(num, den) if den != 0 else None
     return out
 
@@ -350,25 +348,23 @@ def recover_parameters(p, spec, table=None):
     if missing:
         raise ParameterError(f"assignment missing {len(missing)} path indices "
                              f"(first: {missing[0]})")
-    total = sum((p[j] for j in range(len(table))), Fraction(0))
-    if total == 0:
+    if sum(p[j] for j in range(len(table))) == 0:
         raise ParameterError("assignment sums to zero; nothing to recover")
     records = [(path, p[j]) for j, path in enumerate(table)]
-    point = _conditionals(spec, records, spec.horizon, False, total)
     if not spec.homogeneous:
-        return Recovery(point)
+        return Recovery(_conditionals(spec, records))
 
-    levels = range(spec.order + 1, spec.horizon + 1)
-    trans = {}
-    pooled_undefined = set()
-    conflicts = []
-    for h in spec.histories:
-        defined = [level for level in levels
+    twin = spec._rebuild(spec.horizon, homogeneous=False)
+    point = _conditionals(twin, records)
+    trans, pooled_undefined, conflicts = {}, set(), []
+    for row in spec.rows()[1:]:
+        h = row[0][2]
+        defined = [level for level in twin.levels()
                    if (level, h) not in point.undefined]
         if not defined:
             pooled_undefined.add((None, h))
         for level in defined:
-            for s in spec.successors(h):
+            for _, _, _, s in row:
                 r = point.trans[(level, h, s)]
                 witness = trans.setdefault((None, h, s), r)
                 if r != witness:

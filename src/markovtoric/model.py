@@ -118,9 +118,9 @@ class ModelSpec:
             raise SpecificationError("state set is empty")
         if len(set(states)) != len(states):
             raise SpecificationError(f"duplicate state labels in {states}")
-        if not isinstance(order, int) or order < 1:
+        if not is_integer(order) or order < 1:
             raise SpecificationError(f"order must be an integer >= 1, got {order}")
-        if not isinstance(horizon, int) or horizon < order + 1:
+        if not is_integer(horizon) or horizon < order + 1:
             raise SpecificationError(
                 f"horizon must be an integer >= order + 1 = {order + 1}, got {horizon}")
         self.states = states
@@ -239,11 +239,14 @@ class ModelSpec:
         """The same rules over paths of another length; self if unchanged."""
         if horizon == self.horizon:
             return self
+        return self._rebuild(horizon, self.homogeneous)
+
+    def _rebuild(self, horizon, homogeneous):
         return ModelSpec(self.states, self.order, horizon,
                          forbidden=[(a, b) for a in self.states for b in self.states
                                     if (a, b) not in self._pairs],
                          absorbing=self.absorbing, initial=self._initial,
-                         homogeneous=self.homogeneous)
+                         homogeneous=homogeneous)
 
     def levels(self):
         """Transition levels: (k+1, ..., n) or (None,) when homogeneous."""
@@ -319,15 +322,15 @@ class ParameterPoint:
         self.undefined = frozenset((level, tuple(h)) for level, h in undefined)
 
     @classmethod
-    def from_symbols(cls, values):
-        """The point holding a {parameter symbol: value} mapping."""
+    def from_symbols(cls, values, undefined=frozenset()):
+        """The point holding a {symbol: value} mapping and undefined rows."""
         pi, trans = {}, {}
         for sym, v in values.items():
             if sym[0] == "pi":
                 pi[sym[1]] = v
             else:
                 trans[sym[1:]] = v
-        return cls(pi, trans)
+        return cls(pi, trans, undefined)
 
     def pi_value(self, block):
         return self.pi.get(tuple(block), _ZERO)

@@ -32,6 +32,32 @@ def block_counts(spec, path):
     return counts
 
 
+def mle_reference(spec, records):
+    """(pi, trans, undefined) fitted to (path, weight) records of length
+    spec.horizon: block_counts tallies, each over its row's tally.
+
+    The rows are enumerated from the initial blocks and, per level and
+    history, the allowed successors, not from spec.rows(); a history
+    with no successor has no row, and a row of zero tally is undefined.
+    """
+    tally = {}
+    for path, weight in records:
+        for sym, c in block_counts(spec, path).items():
+            tally[sym] = tally.get(sym, 0) + weight * c
+    total = sum(weight for _, weight in records)
+    pi = {b: Fraction(tally.get(("pi", b), 0), total) for b in spec.initial_blocks}
+    trans, undefined = {}, set()
+    for level in spec.levels():
+        for h in spec.histories:
+            row = [("a", level, h, s) for s in spec.successors(h)]
+            d = sum(tally.get(sym, 0) for sym in row)
+            if row and d == 0:
+                undefined.add((level, h))
+            elif row:
+                trans.update({sym[1:]: Fraction(tally.get(sym, 0), d) for sym in row})
+    return pi, trans, undefined
+
+
 def permutation_classes(spec, table):
     """Path indices grouped by equal block_counts, in table order."""
     classes = {}

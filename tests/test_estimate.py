@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from markovtoric import (
     CountVector,
@@ -31,13 +31,14 @@ from conftest import (
     make_survival,
     make_vc_chain,
 )
-from oracles import assignment_from_parameters, birch_residual_reference
+from oracles import assignment_from_parameters, birch_residual_reference, mle_reference
 from reference_data import (
     WORKED_COUNTS,
     WORKED_PATHS,
     WORKED_PI,
     WORKED_POOLED_ROWS,
 )
+from test_model import small_specs
 
 
 def worked_trajectories():
@@ -200,6 +201,96 @@ class TestMleHomogeneous:
                             window="center")
 
 
+def fit(trajs, spec, n, window):
+    if spec.homogeneous:
+        return mle_homogeneous(trajs, spec, n=n, window=window)
+    return mle_nonhomogeneous(trajs, spec, n=n)
+
+
+FITS = [(False, "prefix"), (True, "prefix"), (True, "slide")]
+
+
+class TestRecordsAreChecked:
+    # A TrajectorySet is not checked against a spec when it is built, so
+    # the estimators check the analysed prefix of every record.
+
+    @pytest.mark.parametrize("bad", [("1", "0", "2", "2"), ("0", "0", "x", "x")])
+    @pytest.mark.parametrize("homogeneous, window", FITS)
+    def test_inadmissible_record_raises_check_sequences_error(
+            self, bad, homogeneous, window):
+        spec = make_illness_death(homogeneous)
+        trajs = TrajectorySet(((("0", "0", "1", "1"), 3), (bad, 1)))
+        with pytest.raises(InadmissiblePathError) as want:
+            spec.with_horizon(3).check_sequence(bad[:3])
+        with pytest.raises(InadmissiblePathError) as err:
+            fit(trajs, spec, 3, window)
+        assert str(err.value) == str(want.value)
+
+    def test_only_the_analysed_prefix_is_checked(self, illness_death_hom):
+        trajs = TrajectorySet(((("0", "1", "1", "0"), 1),))
+        est = mle_homogeneous(trajs, illness_death_hom, n=3)
+        assert est.trans_value(None, ("1",), "1") == 1
+        with pytest.raises(InadmissiblePathError, match="into position 4"):
+            mle_homogeneous(trajs, illness_death_hom, n=3, window="slide")
+
+
+def random_records(spec, length, rng, count):
+    """count random admissible sequences of the given length, each with a
+    weight in 1..5, or None when no admissible sequence is that long."""
+    k = spec.order
+    # viable[r]: the histories from which r more steps can be taken
+    viable = [set(spec.histories)]
+    for _ in range(length - k):
+        viable.append({h for h in spec.histories
+                       if any(h[1:] + (s,) in viable[-1] for s in spec.successors(h))})
+    starts = [b for b in spec.initial_blocks if b in viable[-1]]
+    if not starts:
+        return None
+    records = []
+    for _ in range(count):
+        seq = rng.choice(starts)
+        for r in range(length - k, 0, -1):
+            h = seq[-k:]
+            seq += (rng.choice([s for s in spec.successors(h)
+                                if h[1:] + (s,) in viable[r - 1]]),)
+        records.append((seq, rng.randint(1, 5)))
+    return records
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 2**32))
+def test_mle_equals_the_block_count_oracle(spec, seed):
+    rng = random.Random(seed)
+    n, length = spec.horizon, spec.horizon + 2
+    records = random_records(spec, length, rng, rng.randint(1, 8))
+    if records is None:
+        reject()
+    trajs = TrajectorySet(tuple(records))
+    windows = ("prefix", "slide") if spec.homogeneous else ("prefix",)
+    for window in windows:
+        analysed = spec.with_horizon(length if window == "slide" else n)
+        pi, trans, undefined = mle_reference(
+            analysed, [(seq[:analysed.horizon], w) for seq, w in records])
+        est = fit(trajs, spec, n, window)
+        assert (est.pi, est.trans, est.undefined) == (pi, trans, undefined)
+
+    # one forbidden step inside the analysed prefix
+    seq, _ = rng.choice(records)
+    k = spec.order
+    steps = [(p, t) for p in range(k, n) for t in spec.states
+             if t not in spec.successors(seq[p - k:p])]
+    if steps:
+        p, t = rng.choice(steps)
+        bad = seq[:p] + (t,) + seq[p + 1:]
+        trajs = TrajectorySet((*records, (bad, 1)))
+        with pytest.raises(InadmissiblePathError) as want:
+            spec.check_sequence(bad[:n])
+        for window in windows:
+            with pytest.raises(InadmissiblePathError) as err:
+                fit(trajs, spec, n, window)
+            assert str(err.value) == str(want.value)
+
+
 class TestFittedPathProbabilities:
     def test_sums_to_one_for_complete_nonhomogeneous_fit(self, illness_death):
         est = mle_nonhomogeneous(worked_trajectories(), illness_death)
@@ -314,6 +405,12 @@ class TestTablePathsAreChecked:
         with pytest.raises(InadmissiblePathError):
             mle_paths_hierarchical(u, illness_death, table)
 
+    def test_hierarchical_mle_rejects_a_short_table(self, illness_death):
+        table = enumerate_paths(illness_death.with_horizon(3))
+        u = CountVector(table, (1,) * len(table))
+        with pytest.raises(InadmissiblePathError, match="expected horizon 4"):
+            mle_paths_hierarchical(u, illness_death, table)
+
     def test_recovery_rejects_an_inadmissible_table(self, illness_death):
         table = unrestricted_three_state_table()
         p = {j: Fraction(1, len(table)) for j in range(len(table))}
@@ -381,6 +478,24 @@ class TestRecoverParameters:
         assert validate_parameters(survival, est) == [
             "row (level=2, history=('1',)) is undefined",
             "row (level=3, history=('1',)) is undefined"]
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_a_history_without_successors_has_no_undefined_row(self, homogeneous):
+        # x can be neither entered nor left, so history (x,) has no row
+        spec = ModelSpec(["0", "1", "x"], 1, 3, initial=["0", "1"],
+                         forbidden=[("0", "x"), ("1", "x"), ("x", "0"),
+                                    ("x", "1"), ("x", "x")],
+                         homogeneous=homogeneous)
+        trajs = TrajectorySet(((("0", "0", "1"), 2), (("1", "1", "0"), 1),
+                               (("0", "1", "0"), 3)))
+        est = fit(trajs, spec, 3, "prefix")
+        assert est.undefined == frozenset()
+        assert validate_parameters(spec, est) == []
+        table = enumerate_paths(spec)
+        fitted = fitted_path_probabilities(est, spec, table)
+        rec = recover_parameters(fitted, spec, table)
+        assert rec.consistent
+        assert validate_parameters(spec, rec.params) == []
 
     def test_recovered_point_is_valid_when_all_rows_reachable(self):
         spec = make_binary_chain(1, 4)

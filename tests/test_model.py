@@ -51,6 +51,11 @@ class TestModelSpec:
     def test_order_must_leave_room_for_a_transition(self):
         with pytest.raises(SpecificationError):
             ModelSpec(["0", "1"], 3, 3)
+        # a bool is not an integer order or horizon, though True == 1
+        with pytest.raises(SpecificationError, match="order must be an integer"):
+            ModelSpec(["0", "1"], True, 3)
+        with pytest.raises(SpecificationError, match="horizon must be an integer"):
+            ModelSpec(["0", "1"], 1, True)
 
     def test_unknown_state_in_forbidden_rejected(self):
         with pytest.raises(SpecificationError):
