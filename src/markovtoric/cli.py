@@ -280,7 +280,7 @@ def _load_trajectories(args, spec):
     counts = iofiles.read_counts(args.counts, enumerate_paths(spec))
     if counts.total == 0:
         raise ParseError("counts file is all zero", filename=args.counts)
-    return TrajectorySet.from_counts(counts).check(spec)
+    return TrajectorySet.from_counts(counts)
 
 
 def _horizon(args, spec, trajs):
@@ -361,6 +361,8 @@ def cmd_ingest(args):
     spec = iofiles.parse_model_spec(args.spec)
     if args.fine_spec and not args.collapse:
         raise SystemExit_("--fine-spec requires --collapse")
+    if args.collapse and args.trajectories and not args.fine_spec:
+        raise SystemExit_("--collapse with --trajectories requires --fine-spec")
     if args.corpus and not args.corpus_config:
         raise SystemExit_("--corpus requires --corpus-config")
     if not (args.corpus or args.trajectories):

@@ -112,7 +112,7 @@ class CountVector:
 
 
 def _resolve_horizon(trajs, spec, n):
-    n = trajs.length if n is None else int(n)
+    n = trajs.length if n is None else _as_int(n, "n")
     if n < spec.order + 1:
         raise EstimationError(f"n = {n} is shorter than order + 1")
     if n > trajs.length:
@@ -283,13 +283,11 @@ def mle_paths_hierarchical(u, spec, table=None):
     M = u.total
     if M == 0:
         raise EstimationError("empty count vector")
-    for path in table:
-        spec.check_sequence(path)
+    factors_of = [spec.check_sequence(path)[1:] for path in table]
     weights, totals = _tally(
         spec, [(path, c) for path, c in zip(table, u.counts) if c])
     out = {}
-    for j, path in enumerate(table):
-        _, *factors = spec.check_sequence(path)
+    for j, factors in enumerate(factors_of):
         num = math.prod(weights.get(f, 0) for f in factors)
         den = M * math.prod(totals[f] for f in factors[1:])
         out[j] = Fraction(num, den) if den != 0 else None

@@ -9,9 +9,8 @@ exchange family is sound but known incomplete: pooled models can satisfy
 relations of higher degree that no quadratic family reaches.
 """
 
-import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import RelationError
 from .model import _join
@@ -141,19 +140,42 @@ def _dedup(raw, tag):
     return tuple(seen), tuple(seen.values())
 
 
+def _exchanges(table, moves, tag):
+    """RelationSet of the binomials p_i1 p_i2 - p_j1 p_j2 of moves
+    (i1, i2, j1, j2), in move order, each canonical form once.
+
+    The canonical form depends only on the unordered quad {(i1, i2),
+    (j1, j2)}, so a repeated quad is skipped before canonicalizing; a
+    move that cancels to zero is skipped too.
+    """
+    raw, seen = [], set()
+    for i1, i2, j1, j2 in moves:
+        quad = frozenset({(min(i1, i2), max(i1, i2)), (min(j1, j2), max(j1, j2))})
+        if quad in seen:
+            continue
+        seen.add(quad)
+        try:
+            raw.append(canonicalize(_pair(i1, i2), _pair(j1, j2)))
+        except RelationError:
+            continue
+    binomials, tags = _dedup(raw, tag)
+    return RelationSet(table, binomials, tags)
+
+
 def nonhomogeneous_generators(spec, table=None):
     """Exchange binomials generating the nonhomogeneous vanishing ideal.
 
     For every split position r in {1, ..., n-k-1}, every separator block
-    J of length k, and admissible prefixes I != I' and suffixes S != S'
-    the quadric
+    J of length k, and admissible paths I J S and I' J S' with I != I'
+    and S != S', the quadric
 
         p_{I J S} p_{I' J S'} - p_{I J S'} p_{I' J S}
 
     vanishes on the model.  The two degenerate splits r = 0 and r = n-k
-    produce zero binomials and are skipped.  For restricted specs the
-    family is generated over the unrestricted shape and relations
-    touching any inadmissible path are dropped; those paths come back
+    produce zero binomials and are skipped.  The crossed paths are
+    admissible by construction: every length-(k+1) window of I J S'
+    lies in I J or in J S', and its initial block lies in I J.  For
+    restricted specs the paths the restriction forbids come back
     separately as slice_paths, each pinned to zero.
 
     Returns a RelationSet over the spec's own path table, deduplicated
@@ -164,23 +186,19 @@ def nonhomogeneous_generators(spec, table=None):
     if table is None:
         table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
-    raw = []
-    for r in range(1, n - k):
-        groups = {}
-        for path in table:
-            groups.setdefault(path[r:r + k], []).append((path[:r], path[r + k:]))
-        for J, members in groups.items():
-            for (I, S), (I2, S2) in itertools.combinations(members, 2):
-                if I == I2 or S == S2:
-                    continue
-                cross1, cross2 = I + J + S2, I2 + J + S
-                if cross1 not in table or cross2 not in table:
-                    continue
-                raw.append(canonicalize(
-                    {table.index(I + J + S): 1, table.index(I2 + J + S2): 1},
-                    {table.index(cross1): 1, table.index(cross2): 1}))
-    binomials, tags = _dedup(raw, PROV_NONHOM)
-    return RelationSet(table, binomials, tags, slice_linear_generators(spec, table))
+
+    def moves():
+        for r in range(1, n - k):
+            groups = {}
+            for i, path in enumerate(table):
+                groups.setdefault(path[r:r + k], []).append((i, path[:r], path[r + k:]))
+            for J, members in groups.items():
+                for (i1, I, S), (i2, I2, S2) in itertools.combinations(members, 2):
+                    if I != I2 and S != S2:
+                        yield i1, i2, table.index(I + J + S2), table.index(I2 + J + S)
+
+    return replace(_exchanges(table, moves(), PROV_NONHOM),
+                   slice_paths=slice_linear_generators(spec, table))
 
 
 def slice_linear_generators(spec, table=None):
@@ -218,15 +236,18 @@ def homogeneous_family(spec, table=None):
     The context blocks G and D have length k in the interior.  Near a
     boundary they are clipped, which is sound only when both paths are
     clipped identically, so unequal positions r1 != r2 are allowed only
-    with full length-k context on both sides.  Relations whose four
-    paths are not all admissible are dropped.  The family is sound but
-    known incomplete: it need not generate the full pooled ideal.
+    with full length-k context on both sides.  The exchanged paths are
+    admissible by construction: every length-(k+1) window through the
+    traded position lies in G y D, a stretch of path2, and a clipped G
+    pins the position, so the initial block comes from path1 or path2.
+    The family is sound but known incomplete: it need not generate the
+    full pooled ideal.
 
-    Each (path, position) slot is keyed by its clipped context (G, D).
-    A clipped block's length fixes the position, so two slots can
-    exchange exactly when their keys are equal and their letters
-    differ.  Pairs are visited in (path1, path2, r1, r2) order, path1 <=
-    path2, which fixes the order of the output.
+    Each (path, position) slot is filed under its clipped context
+    (G, D) and its letter; two slots can exchange exactly when their
+    contexts are equal and their letters differ.  Moves are ordered by
+    (path1, path2, r1, r2) with (path1, r1) < (path2, r2), which fixes
+    the order of the output.
     """
     if not spec.homogeneous:
         raise RelationError("spec is nonhomogeneous; use nonhomogeneous_generators")
@@ -234,58 +255,27 @@ def homogeneous_family(spec, table=None):
         table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
     paths = table.paths
-    # context (G, D) -> bucket {letter: [(path index, position), ...]},
-    # each list in (index, position) order; slots[i][r] is the bucket of
-    # position r of path i
-    buckets, slots = {}, []
+    # clipped context (G, D) -> {letter: [(path index, position), ...]}
+    contexts = {}
     for i, p in enumerate(paths):
-        own = []
         for r in range(n):
-            bucket = buckets.setdefault((p[max(r - k, 0):r], p[r + 1:r + 1 + k]), {})
-            bucket.setdefault(p[r], []).append((i, r))
-            own.append(bucket)
-        slots.append(own)
-
-    swapped = {}
-
-    def swap(i, r, letter):
-        # index of path i with `letter` at position r, or None if inadmissible
-        at = (i, r, letter)
-        if at not in swapped:
-            p = paths[i]
-            m = p[:r] + (letter,) + p[r + 1:]
-            swapped[at] = table.index(m) if m in table else None
-        return swapped[at]
-
-    raw, done = [], set()
-    for i1, p1 in enumerate(paths):
-        pairs = []
-        for r1, bucket in enumerate(slots[i1]):
-            x = p1[r1]
-            for y, members in bucket.items():
-                if y == x:
-                    continue
-                j1 = swap(i1, r1, y)
-                if j1 is None:
-                    continue
-                for i2, r2 in members[bisect.bisect_left(members, (i1,)):]:
-                    j2 = swap(i2, r2, x)
-                    if j2 is not None:
-                        pairs.append((i2, r1, r2, j1, j2))
-        pairs.sort()
-        for i2, _, _, j1, j2 in pairs:
-            # the canonical binomial depends only on the two unordered
-            # pairs; a repeat would land after its first copy in raw
-            quad = frozenset({(i1, i2), (min(j1, j2), max(j1, j2))})
-            if quad in done:
-                continue
-            done.add(quad)
-            try:
-                raw.append(canonicalize(_pair(i1, i2), _pair(j1, j2)))
-            except RelationError:
-                continue  # exchanged pair equals the original pair
-    binomials, tags = _dedup(raw, PROV_HOM)
-    return RelationSet(table, binomials, tags)
+            letters = contexts.setdefault((p[max(r - k, 0):r], p[r + 1:r + 1 + k]), {})
+            letters.setdefault(p[r], []).append((i, r))
+    moves = []
+    for letters in contexts.values():
+        for (x, xs), (y, ys) in itertools.combinations(letters.items(), 2):
+            # (path index, position, exchanged path index) per slot
+            to_y = [(i, r, table.index(paths[i][:r] + (y,) + paths[i][r + 1:]))
+                    for i, r in xs]
+            to_x = [(i, r, table.index(paths[i][:r] + (x,) + paths[i][r + 1:]))
+                    for i, r in ys]
+            for a in to_y:
+                for b in to_x:
+                    lo, hi = (a, b) if a < b else (b, a)
+                    moves.append((lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]))
+    moves.sort()
+    return _exchanges(table, ((i1, i2, j1, j2) for i1, i2, _, _, j1, j2 in moves),
+                      PROV_HOM)
 
 
 def _pair(i, j):

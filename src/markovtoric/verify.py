@@ -3,9 +3,13 @@
 A binomial can be checked numerically, by evaluating it at random
 rational parameter points of the model, and algebraically, by testing
 its exponent difference against the integer kernel of the design
-matrix.  The two routes agree on binomials supported on admissible
-paths; both are kept separate on purpose so each can catch bugs in the
-other.  All arithmetic is exact; a reported zero is a zero.
+matrix.  The numeric route tests vanishing on the normalized model;
+the kernel route tests membership in the toric ideal of the full
+design matrix, whose forced rows (one entry, 1 on the model) it still
+counts.  So a relation trading windows of forced rows can vanish yet
+fail the kernel route: a disagreement is not always a bug.  The routes
+stay separate so each can catch bugs in the other.  All arithmetic is
+exact; a reported zero is a zero.
 """
 
 import random
@@ -188,8 +192,8 @@ class VerificationReport:
     """Joint outcome of both routes over a RelationSet.
 
     Entries appear in relation order.  agreement is False when the two
-    routes disagree on some relation, which signals a bug in one of
-    them rather than a property of the model.
+    routes disagree on some relation: a bug in one of them, or a
+    relation that trades windows of forced rows (see the module doc).
     """
     entries: tuple
     trials: int

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from markovtoric import canonicalize, enumerate_paths, path_probability
 from markovtoric.errors import RelationError
-from markovtoric.relations import PROV_HOM, RelationSet, _dedup, _pair
+from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet, _dedup, _pair
 
 
 def block_counts(spec, path):
@@ -141,6 +141,36 @@ def homogeneous_family_reference(spec, table=None):
                     except RelationError:
                         continue  # exchanged pair equals the original pair
     binomials, tags = _dedup(raw, PROV_HOM)
+    return RelationSet(table, binomials, tags)
+
+
+def nonhomogeneous_generators_reference(spec, table=None):
+    """The nonhomogeneous exchange quadrics by the plain split loop.
+
+    Visits splits r, separator blocks J in first-seen order and member
+    pairs in table order, and drops any relation whose crossed paths
+    leave the table, so the output order is the one
+    relations.nonhomogeneous_generators must reproduce.
+    """
+    if table is None:
+        table = enumerate_paths(spec)
+    k, n = spec.order, spec.horizon
+    raw = []
+    for r in range(1, n - k):
+        groups = {}
+        for path in table:
+            groups.setdefault(path[r:r + k], []).append((path[:r], path[r + k:]))
+        for J, members in groups.items():
+            for (I, S), (I2, S2) in itertools.combinations(members, 2):
+                if I == I2 or S == S2:
+                    continue
+                cross1, cross2 = I + J + S2, I2 + J + S
+                if cross1 not in table or cross2 not in table:
+                    continue
+                raw.append(canonicalize(
+                    {table.index(I + J + S): 1, table.index(I2 + J + S2): 1},
+                    {table.index(cross1): 1, table.index(cross2): 1}))
+    binomials, tags = _dedup(raw, PROV_NONHOM)
     return RelationSet(table, binomials, tags)
 
 

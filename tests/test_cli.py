@@ -585,6 +585,27 @@ class TestIngest:
         assert out == ""
         assert "--fine-spec requires --collapse" in err
 
+    def test_collapsed_trajectories_require_fine_spec(self, capsys, tmp_path):
+        # the uncollapsed labels are checked against --fine-spec, never
+        # against the coarse --spec they are not written in
+        coarse = tmp_path / "coarse.yaml"
+        coarse.write_text('states: [V, C, "_"]\nk: 1\nn: 3\nabsorbing: ["_"]\n')
+        fine = tmp_path / "fine.yaml"
+        fine.write_text('states: [a, b, "_"]\nk: 1\nn: 3\nabsorbing: ["_"]\n')
+        cmap = tmp_path / "collapse.yaml"
+        cmap.write_text('"_": "_"\na: V\nb: C\n')
+        t = tmp_path / "t.txt"
+        t.write_text("a,b,_ 2\nb,a,a 1\n")
+        argv = ["ingest", "--spec", str(coarse), "--trajectories", str(t),
+                "--collapse", str(cmap)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "--collapse with --trajectories requires --fine-spec" in err
+        code, out, _ = run(capsys, *argv, "--fine-spec", str(fine))
+        assert code == 0
+        assert out == "V,C,_ 2\nC,V,V 1\n"
+
 
 class TestReport:
     def test_full_report_runs(self, capsys, worked_counts_file):
@@ -606,6 +627,29 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--spec", ILLNESS,
                            "--trials", "2")
         assert code == 0
+
+    def test_reachable_dead_end_exits_one(self, capsys, tmp_path):
+        # 1 has no successor, so paths through it stall before the horizon
+        f = tmp_path / "dead.yaml"
+        f.write_text("states: [0, 1]\nk: 1\nn: 3\nforbid: [[1, 0], [1, 1]]\n"
+                     "initial: [0]\n")
+        code, out, _ = run(capsys, "report", "--spec", str(f), "--trials", "2")
+        assert code == 1
+        assert "error: " in out
+        assert "relations verified" in out
+
+    def test_non_member_in_relations_file_exits_two(self, capsys, tmp_path):
+        rel = tmp_path / "bogus.json"
+        rel.write_text(json.dumps({"relations": [{
+            "plus": [{"path": ["0", "0", "0", "0"], "power": 1},
+                     {"path": ["1", "1", "1", "1"], "power": 1}],
+            "minus": [{"path": ["0", "0", "0", "1"], "power": 1},
+                      {"path": ["1", "1", "1", "2"], "power": 1}],
+            "provenance": "file"}]}))
+        code, out, _ = run(capsys, "report", "--spec", ILLNESS,
+                           "--relations", str(rel), "--trials", "3")
+        assert code == 2
+        assert "0/1 relations verified" in out
 
 
 class TestSeedHandling:

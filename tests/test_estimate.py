@@ -127,6 +127,18 @@ class TestCountsFromTrajectories:
         with pytest.raises(EstimationError):
             counts_from_trajectories(worked_trajectories(), illness_death, n=5)
 
+    @pytest.mark.parametrize("n", [3.9, "3", True])
+    @pytest.mark.parametrize("fit", ["counts", "nonhomogeneous", "homogeneous"])
+    def test_n_that_is_not_an_int_rejected(self, fit, n):
+        # n is never truncated or parsed: 3.9 and "3" are not horizon 3
+        call = {"counts": counts_from_trajectories,
+                "nonhomogeneous": mle_nonhomogeneous,
+                "homogeneous": mle_homogeneous}[fit]
+        spec = make_illness_death(homogeneous=fit == "homogeneous")
+        with pytest.raises(EstimationError) as err:
+            call(worked_trajectories(), spec, n=n)
+        assert f"n {n!r} is not an integer" in str(err.value)
+
     def test_identical_trajectories_accumulate(self, illness_death):
         trajs = TrajectorySet.from_sequences(
             [("0", "0", "0", "0"), ("0", "0", "0", "0")])
@@ -478,6 +490,19 @@ class TestRecoverParameters:
         assert validate_parameters(survival, est) == [
             "row (level=2, history=('1',)) is undefined",
             "row (level=3, history=('1',)) is undefined"]
+
+    def test_pooled_row_undefined_at_every_level(self, illness_death_hom):
+        # all mass on 0000: histories 1 and 2 are never seen at any level
+        table = enumerate_paths(illness_death_hom)
+        p = {j: int(path == ("0", "0", "0", "0")) for j, path in enumerate(table)}
+        rec = recover_parameters(p, illness_death_hom, table)
+        assert rec.consistent
+        assert rec.params.undefined == {(None, ("1",)), (None, ("2",))}
+        assert rec.params.trans == {(None, ("0",), s): int(s == "0")
+                                    for s in ("0", "1", "2")}
+        assert validate_parameters(illness_death_hom, rec.params) == [
+            "row (level=None, history=('1',)) is undefined",
+            "row (level=None, history=('2',)) is undefined"]
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_a_history_without_successors_has_no_undefined_row(self, homogeneous):

@@ -6,6 +6,7 @@ import pytest
 from markovtoric import (
     CollapseMap,
     CorpusSpec,
+    EstimationError,
     ModelSpec,
     ParseError,
     SpecificationError,
@@ -155,6 +156,13 @@ class TestTrajectoryFiles:
         f.write_text("0,0,0,0 1 1\n")
         with pytest.raises(ParseError):
             ingest_trajectories(f, illness_death)
+
+    def test_empty_state_label(self, tmp_path, illness_death):
+        f = tmp_path / "t.txt"
+        f.write_text("0,0,0,0 1\n0,,1,1 3\n")
+        with pytest.raises(ParseError, match="empty state label") as err:
+            ingest_trajectories(f, illness_death)
+        assert err.value.line == 2
 
     def test_empty_file(self, tmp_path, illness_death):
         f = tmp_path / "t.txt"
@@ -349,6 +357,25 @@ class TestCorpusPipeline:
         cs = CorpusSpec(alphabet={"a": "0", "b": "1"}, pad="0")
         with pytest.raises(SpecificationError):
             corpus_to_trajectories("bba", cs, spec)
+
+    def test_absorbing_pad_passes_the_target_check(self):
+        spec = ModelSpec(["a", "b", "_"], 1, 4, forbidden=[("b", "b")],
+                         absorbing=["_"])
+        cs = CorpusSpec(alphabet={"a": "a", "b": "b"}, pad="_")
+        trajs = corpus_to_trajectories("ab ba aba ab", cs, spec)
+        assert trajs.records == ((("a", "b", "_", "_"), 2),
+                                 (("b", "a", "_", "_"), 1),
+                                 (("a", "b", "a", "_"), 1))
+        # every trajectory is still checked against the target spec
+        with pytest.raises(EstimationError, match="record 2: transition"):
+            corpus_to_trajectories("ab abb", cs, spec)
+
+    def test_max_word_length_excludes_words_before_the_horizon(self):
+        cs = CorpusSpec(alphabet=letters_alphabet(), pad="_", max_word_length=3)
+        trajs = corpus_to_trajectories("go stop cat trees", cs)
+        # L is the longest surviving word, 3, not 5
+        assert trajs.records == ((("g", "o", "_", "_"), 1),
+                                 (("c", "a", "t", "_"), 1))
 
     def test_deterministic(self, data_dir):
         cs = read_corpus_spec(data_dir / "vc_corpus.yaml")

@@ -162,6 +162,24 @@ class TestParameters:
         problems = validate_parameters(illness_death, params)
         assert any("forbidden" in p for p in problems)
 
+    @pytest.mark.parametrize("edit, problem", [
+        ({"pi": {("2",): 0}}, "pi has an entry on disallowed block ('2',)"),
+        ({"pi": {("0",): Fraction(-1, 2), ("1",): Fraction(3, 2)}},
+         "pi[('0',)] = -1/2 is negative"),
+        ({"pi": {("0",): Fraction(1, 4)}}, "pi sums to 3/4, expected 1"),
+        ({"trans": {(7, ("0",), "0"): 0}},
+         "transition entry on unknown row (level=7, history=('0',))"),
+        ({"trans": {(2, ("0",), "0"): Fraction(-1, 3), (2, ("0",), "1"): Fraction(2, 3),
+                    (2, ("0",), "2"): Fraction(2, 3)}},
+         "a[2, ('0',), '0'] = -1/3 is negative"),
+    ], ids=["disallowed-block", "negative-pi", "pi-sum", "unknown-row",
+            "negative-transition"])
+    def test_each_problem_is_named(self, illness_death, edit, problem):
+        params = uniform_parameters(illness_death)
+        params.pi.update(edit.get("pi", {}))
+        params.trans.update(edit.get("trans", {}))
+        assert validate_parameters(illness_death, params) == [problem]
+
     def test_missing_entries_read_as_zero(self, illness_death):
         params = ParameterPoint({}, {})
         assert params.pi_value(("0",)) == 0

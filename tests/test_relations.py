@@ -20,6 +20,7 @@ from oracles import (
     brute_force_degree2,
     degree2_diffs,
     homogeneous_family_reference,
+    nonhomogeneous_generators_reference,
     lex_larger,
     permutation_classes,
 )
@@ -217,10 +218,10 @@ MAX_PATHS = 150
 
 
 @st.composite
-def homogeneous_specs(draw):
-    """Homogeneous specs with 2-4 states in a shuffled declaration order,
-    k in {1, 2}, optional forbidden pairs, absorbing state and restricted
-    initial set; n <= k + 4, lowered until the table has <= MAX_PATHS."""
+def restricted_specs(draw, homogeneous):
+    """Specs with 2-4 states in a shuffled declaration order, k in {1, 2},
+    optional forbidden pairs, absorbing state and restricted initial set;
+    n <= k + 4, lowered until the table has <= MAX_PATHS."""
     nstates = draw(st.integers(2, 4))
     states = draw(st.permutations([str(i) for i in range(nstates)]))
     k = draw(st.integers(1, 2))
@@ -229,7 +230,7 @@ def homogeneous_specs(draw):
     absorbing = draw(st.lists(st.sampled_from(states), max_size=1))
     if any((s, s) in forbidden for s in absorbing):
         absorbing = []
-    rules = dict(forbidden=forbidden, absorbing=absorbing, homogeneous=True)
+    rules = dict(forbidden=forbidden, absorbing=absorbing, homogeneous=homogeneous)
     histories = ModelSpec(states, k, k + 1, **rules).initial_blocks
     initial = draw(st.none() | st.lists(st.sampled_from(histories), min_size=1,
                                        unique=True))
@@ -242,7 +243,22 @@ def homogeneous_specs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(homogeneous_specs())
+@given(restricted_specs(homogeneous=False))
+@example(make_illness_death())
+@example(ModelSpec(["2", "0", "3", "1"], 1, 5, forbidden=[("1", "0"), ("2", "0")],
+                   absorbing=["3"], initial=["0", "1"]))
+@example(ModelSpec(["1", "0"], 2, 6, initial=[("0", "1"), ("1", "1")]))
+def test_nonhomogeneous_generators_keep_the_split_loop_order(spec):
+    # ordered tuples, not sets: relation indices are part of the output
+    table = enumerate_paths(spec)
+    got = nonhomogeneous_generators(spec, table)
+    want = nonhomogeneous_generators_reference(spec, table)
+    assert got.binomials == want.binomials
+    assert got.provenance == want.provenance
+
+
+@settings(max_examples=60, deadline=None)
+@given(restricted_specs(homogeneous=True))
 @example(make_vc_chain(6))
 @example(ModelSpec(["2", "0", "3", "1"], 1, 5, forbidden=[("1", "0"), ("2", "0")],
                    absorbing=["3"], initial=["0", "1"], homogeneous=True))
@@ -257,7 +273,7 @@ def test_homogeneous_family_keeps_the_all_pairs_order(spec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(homogeneous_specs())
+@given(restricted_specs(homogeneous=True))
 @example(make_binary_chain(1, 4, homogeneous=True))
 @example(make_vc_chain(6))
 def test_fibers_index_the_permutation_classes(spec):

@@ -184,6 +184,30 @@ class TestVerifyRelationSet:
         assert [e.ok for e in report.entries] == [True, False]
         assert len(report.failures()) == 1
 
+    @staticmethod
+    def _competing_risks_probe():
+        # two absorbing causes of death: a22 = a33 = 1 on the whole model,
+        # so trading a 22 window for a 33 window leaves p unchanged, while
+        # the full design matrix still counts both windows
+        spec = ModelSpec(("0", "1", "2", "3"), 1, 4, absorbing=["2", "3"],
+                         initial=["0"], homogeneous=True)
+        table = enumerate_paths(spec)
+        at = {"".join(p): j for j, p in enumerate(table)}
+        probe = canonicalize({at["0002"]: 1, at["0033"]: 1},
+                             {at["0003"]: 1, at["0022"]: 1})
+        return spec, RelationSet(table, (probe,), ("file",))
+
+    def test_forced_row_trade_vanishes_on_model(self):
+        spec, rs = self._competing_risks_probe()
+        assert vanishes_on_model(rs.binomials[0], spec, rs.table, trials=20).ok
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_forced_row_trade_passes_both_routes(self):
+        spec, rs = self._competing_risks_probe()
+        report = verify_relation_set(rs, spec, trials=20, seed=0)
+        assert report.entries[0].vanish.ok
+        assert report.entries[0].kernel.ok
+
     def test_report_is_deterministic(self, illness_death):
         rs = generators_for(illness_death)
         r1 = verify_relation_set(rs, illness_death, trials=4, seed=11)
