@@ -375,8 +375,8 @@ def cmd_ingest(args):
                 text = fh.read()
         except OSError as exc:
             raise ParseError(str(exc), filename=args.corpus)
-        target = None if args.collapse else spec
-        trajs = iofiles.corpus_to_trajectories(text, cs, target)
+        trajs = iofiles.corpus_to_trajectories(text, cs,
+                                               fine if args.collapse else spec)
     else:
         trajs = iofiles.ingest_trajectories(args.trajectories,
                                             spec if fine is None else fine)

@@ -63,10 +63,15 @@ class TrajectorySet:
         return sum(m for _, m in self.records)
 
     def check(self, spec):
-        """Validate every record against a spec, reporting the offender."""
+        """Validate every record against spec's rules at this set's length,
+        reporting the offender."""
+        if self.length < spec.order + 1:
+            raise EstimationError(f"trajectory length {self.length} is shorter "
+                                  f"than order + 1 = {spec.order + 1}")
+        spec = spec.with_horizon(self.length)
         for num, (traj, _) in enumerate(self.records, start=1):
             try:
-                spec.check_sequence(traj, require_horizon=False)
+                spec.check_sequence(traj)
             except Exception as exc:
                 raise EstimationError(f"record {num}: {exc}") from exc
         return self

@@ -113,13 +113,6 @@ def _field(doc, key, path, want, ok, default=None):
     return value
 
 
-def _integer_field(doc, key, path, default=None):
-    # without a default, None stands for an unset optional integer
-    return _field(doc, key, path, "an integer",
-                  lambda v: is_integer(v) or (v is None and default is None),
-                  default)
-
-
 def parse_model_spec(path):
     """Read a model spec file.
 
@@ -144,8 +137,8 @@ def parse_model_spec(path):
                    for block in _list_field(doc, "initial", path)]
     homogeneous = _field(doc, "homogeneous", path, "true or false",
                          lambda v: isinstance(v, bool), False)
-    return ModelSpec(states, _integer_field(doc, "k", path),
-                     _integer_field(doc, "n", path),
+    return ModelSpec(states, _field(doc, "k", path, "an integer", is_integer),
+                     _field(doc, "n", path, "an integer", is_integer),
                      forbidden=forbid, absorbing=absorbing, initial=initial,
                      homogeneous=homogeneous)
 
@@ -288,13 +281,15 @@ def write_probabilities(assignment, table, path, decimals=None):
 class CorpusSpec:
     """How to turn raw text into padded trajectories.
 
-    alphabet maps characters to state labels; pad is the absorbing pad
-    state appended after each word.  horizon fixes L, or None takes the
-    longest surviving word.  Words shorter than min_word_length are
-    dropped; with max_word_length set, longer words are excluded before
-    L is chosen.  overlong says what to do with words longer than a
-    fixed horizon: "error" or "drop".  drop_chars are removed from words
-    before mapping (case is always lowered first).
+    alphabet maps characters, each one that lowercasing leaves unchanged,
+    to state labels; pad is the absorbing pad state appended after each
+    word.  horizon fixes L, or None takes the longest surviving word.
+    Words shorter than min_word_length are dropped; with max_word_length
+    set, longer words are excluded before L is chosen.  overlong says
+    what to do with words longer than a fixed horizon: "error" or
+    "drop".  drop_chars, a string, are removed from words before mapping
+    (case is always lowered first).  Labels are stored as strings; any
+    other value raises SpecificationError.
     """
 
     alphabet: dict
@@ -306,6 +301,18 @@ class CorpusSpec:
     drop_chars: str = DEFAULT_DROP_CHARS
 
     def __post_init__(self):
+        if not isinstance(self.alphabet, dict):
+            raise SpecificationError(f"alphabet must be a mapping, got {self.alphabet!r}")
+        for a, b in self.alphabet.items():
+            key = str(a)
+            if not (is_label(a) and is_label(b) and len(key) == 1 and key.lower() == key):
+                raise SpecificationError(
+                    f"alphabet must map characters that lowercasing leaves unchanged "
+                    f"to state labels, got {a!r}: {b!r}")
+        if not is_label(self.pad):
+            raise SpecificationError(f"pad must be a state label, got {self.pad!r}")
+        if not isinstance(self.drop_chars, str):
+            raise SpecificationError(f"drop_chars must be a string, got {self.drop_chars!r}")
         if self.overlong not in ("error", "drop"):
             raise SpecificationError(
                 f"overlong policy must be 'error' or 'drop', got {self.overlong!r}")
@@ -317,7 +324,10 @@ class CorpusSpec:
                     f"{name} must be an integer{' or None' if optional else ''}, "
                     f"got {value!r}")
         if self.horizon is not None and self.horizon < 1:
-            raise SpecificationError("horizon must be positive")
+            raise SpecificationError(f"horizon must be positive, got {self.horizon}")
+        object.__setattr__(self, "alphabet",
+                           {str(a): str(b) for a, b in self.alphabet.items()})
+        object.__setattr__(self, "pad", str(self.pad))
 
 
 def letters_alphabet():
@@ -326,22 +336,24 @@ def letters_alphabet():
 
 
 def tokenize_corpus(text, cs):
-    """Lowercase, strip dropped characters, split on whitespace.
-
-    Any remaining unmapped character is an error naming the character,
-    so nothing is ever silently reinterpreted.
-    """
-    words = []
-    for raw in text.lower().split():
-        word = "".join(ch for ch in raw if ch not in cs.drop_chars)
-        if not word:
-            continue
-        for ch in word:
-            if ch not in cs.alphabet:
-                raise ParseError(
-                    f"character {ch!r} in word {raw!r} is neither mapped nor dropped")
-        words.append(word)
-    return words
+    """Counter of the words of a lowercased, whitespace-split text, each
+    stripped of drop_chars and counted in first-seen order; a word left
+    empty is skipped, and Don't and dont share one entry.  A remaining
+    unmapped character is a ParseError naming it and the first word of
+    the text holding one, so nothing is silently reinterpreted."""
+    drop = str.maketrans("", "", cs.drop_chars)
+    mapped = cs.alphabet.keys()
+    tally = Counter()
+    for raw, count in Counter(text.lower().split()).items():
+        word = raw.translate(drop)
+        unmapped = set(word) - mapped
+        if unmapped:
+            ch = next(ch for ch in word if ch in unmapped)
+            raise ParseError(
+                f"character {ch!r} in word {raw!r} is neither mapped nor dropped")
+        if word:
+            tally[word] += count
+    return tally
 
 
 def corpus_to_trajectories(text, cs, spec=None):
@@ -354,26 +366,23 @@ def corpus_to_trajectories(text, cs, spec=None):
     must be one of its absorbing states and every trajectory must be
     admissible.
     """
-    words = tokenize_corpus(text, cs)
-    words = [w for w in words if len(w) >= cs.min_word_length]
-    if cs.max_word_length is not None:
-        words = [w for w in words if len(w) <= cs.max_word_length]
+    top = cs.max_word_length
+    words = {w: m for w, m in tokenize_corpus(text, cs).items()
+             if cs.min_word_length <= len(w) and (top is None or len(w) <= top)}
     if cs.horizon is None:
-        if not words:
-            raise ParseError("corpus contains no usable words")
-        L = max(len(w) for w in words)
+        L = max(map(len, words), default=0)
     else:
         L = cs.horizon
-        over = [w for w in words if len(w) > L]
-        if over and cs.overlong == "error":
-            raise ParseError(
-                f"word {over[0]!r} has length {len(over[0])}, horizon is {L}")
-        words = [w for w in words if len(w) <= L]
+        over = next((w for w in words if len(w) > L), None)
+        if over is not None:
+            if cs.overlong == "error":
+                raise ParseError(f"word {over!r} has length {len(over)}, horizon is {L}")
+            words = {w: m for w, m in words.items() if len(w) <= L}
     if not words:
         raise ParseError("corpus contains no usable words")
     trajs = TrajectorySet(tuple(
-        (tuple(cs.alphabet[ch] for ch in w) + (cs.pad,) * (L + 1 - len(w)), mult)
-        for w, mult in Counter(words).items()))
+        (tuple(map(cs.alphabet.__getitem__, w)) + (cs.pad,) * (L + 1 - len(w)), m)
+        for w, m in words.items()))
     if spec is not None:
         if cs.pad not in spec.absorbing:
             raise SpecificationError(
@@ -440,41 +449,28 @@ def collapse_states(trajs, cm, coarse_spec, fine_spec=None):
 
 
 def read_corpus_spec(path):
+    """Read a corpus config: CorpusSpec's fields as keys, pad required;
+    alphabet: letters (the default) stands for letters_alphabet() and
+    horizon: max for None.  CorpusSpec checks every value, and its
+    SpecificationError becomes a ParseError naming the file."""
     doc = _load_yaml(path, "corpus spec", CORPUS_KEYS, ("pad",))
-    alphabet = doc.get("alphabet", "letters")
-    if alphabet == "letters":
-        alphabet = letters_alphabet()
-    elif isinstance(alphabet, dict):
-        alphabet = _label_map(alphabet, "alphabet", path)
-    else:
-        raise ParseError("alphabet must be a mapping or the word 'letters'",
-                         filename=path)
-    pad = _field(doc, "pad", path, "a state label", is_label)
-    overlong = _field(doc, "overlong", path, "'error' or 'drop'",
-                      lambda v: v in ("error", "drop"), "error")
-    drop_chars = _field(doc, "drop_chars", path, "a string",
-                        lambda v: isinstance(v, str), DEFAULT_DROP_CHARS)
-    horizon = (None if doc.get("horizon") == "max"
-               else _field(doc, "horizon", path, "a positive integer",
-                           lambda v: v is None or (is_integer(v) and v >= 1)))
-    return CorpusSpec(alphabet=alphabet, pad=str(pad), horizon=horizon,
-                      min_word_length=_integer_field(doc, "min_word_length", path, 1),
-                      max_word_length=_integer_field(doc, "max_word_length", path),
-                      overlong=overlong, drop_chars=drop_chars)
-
-
-def _label_map(doc, what, path):
-    """A YAML mapping whose keys and values are state labels, as strings."""
-    for a, b in doc.items():
-        if not (is_label(a) and is_label(b)):
-            raise ParseError(f"{what} must map state labels to state labels, "
-                             f"got {a!r}: {b!r}", filename=path)
-    return {str(a): str(b) for a, b in doc.items()}
+    if doc.get("alphabet", "letters") == "letters":
+        doc["alphabet"] = letters_alphabet()
+    if doc.get("horizon") == "max":
+        doc["horizon"] = None
+    try:
+        return CorpusSpec(**doc)
+    except SpecificationError as exc:
+        raise ParseError(str(exc), filename=path) from None
 
 
 def read_collapse_map(path):
     doc = _load_yaml(path, "collapse map")
-    return CollapseMap(_label_map(doc, "collapse map", path))
+    for a, b in doc.items():
+        if not (is_label(a) and is_label(b)):
+            raise ParseError(f"collapse map must map state labels to state labels, "
+                             f"got {a!r}: {b!r}", filename=path)
+    return CollapseMap({str(a): str(b) for a, b in doc.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -199,29 +199,24 @@ class ModelSpec:
         """Allowed next states after a length-k history (empty if none)."""
         return self._succ.get(tuple(history), ())
 
-    def check_sequence(self, seq, require_horizon=True):
+    def check_sequence(self, seq):
         """Check that seq is an admissible path and return its parameter symbols.
 
         Returns the factors of the path's probability monomial, in
         order: [("pi", initial block)] followed by ("a", level, history,
-        next) for each level l in k+1..len(seq), level None when
-        homogeneous.  Raises InadmissiblePathError, naming the first
-        fault, unless seq is admissible.  With require_horizon=False the
-        sequence may have any length of at least k + 1; transitions and
-        the initial block are still checked.
+        next) for each level l in k+1..n, level None when homogeneous.
+        Raises InadmissiblePathError, naming the first fault, unless seq
+        is admissible.
         """
         seq = tuple(seq)
         for pos, s in enumerate(seq, start=1):
             if s not in self._state_index:
                 raise InadmissiblePathError(
                     f"unknown state label {s!r} at position {pos}")
-        if require_horizon and len(seq) != self.horizon:
+        if len(seq) != self.horizon:
             raise InadmissiblePathError(
                 f"path has length {len(seq)}, expected horizon {self.horizon}")
         k = self.order
-        if len(seq) < k + 1:
-            raise InadmissiblePathError(
-                f"sequence of length {len(seq)} is shorter than order + 1 = {k + 1}")
         if seq[:k] not in self._initial_set:
             raise InadmissiblePathError(
                 f"initial block {seq[:k]} is not allowed")

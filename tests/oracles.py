@@ -8,10 +8,11 @@ from the integer routes the package uses.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from markovtoric import canonicalize, enumerate_paths, path_probability
-from markovtoric.errors import RelationError
+from markovtoric import TrajectorySet, canonicalize, enumerate_paths, path_probability
+from markovtoric.errors import ParseError, RelationError, SpecificationError
 from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet, _dedup, _pair
 
 
@@ -172,6 +173,51 @@ def nonhomogeneous_generators_reference(spec, table=None):
                     {table.index(cross1): 1, table.index(cross2): 1}))
     binomials, tags = _dedup(raw, PROV_NONHOM)
     return RelationSet(table, binomials, tags)
+
+
+def corpus_to_trajectories_reference(text, cs, spec=None):
+    """The corpus pipeline over one entry per word occurrence.
+
+    Every occurrence is cleaned and checked character by character, the
+    list is filtered by length, and only the survivors are counted, so
+    the records, their order and every error are the ones
+    iofiles.corpus_to_trajectories must reproduce from its tally.
+    """
+    words = []
+    for raw in text.lower().split():
+        word = "".join(ch for ch in raw if ch not in cs.drop_chars)
+        if not word:
+            continue
+        for ch in word:
+            if ch not in cs.alphabet:
+                raise ParseError(
+                    f"character {ch!r} in word {raw!r} is neither mapped nor dropped")
+        words.append(word)
+    words = [w for w in words if len(w) >= cs.min_word_length]
+    if cs.max_word_length is not None:
+        words = [w for w in words if len(w) <= cs.max_word_length]
+    if cs.horizon is None:
+        if not words:
+            raise ParseError("corpus contains no usable words")
+        L = max(len(w) for w in words)
+    else:
+        L = cs.horizon
+        over = [w for w in words if len(w) > L]
+        if over and cs.overlong == "error":
+            raise ParseError(
+                f"word {over[0]!r} has length {len(over[0])}, horizon is {L}")
+        words = [w for w in words if len(w) <= L]
+    if not words:
+        raise ParseError("corpus contains no usable words")
+    trajs = TrajectorySet(tuple(
+        (tuple(cs.alphabet[ch] for ch in w) + (cs.pad,) * (L + 1 - len(w)), mult)
+        for w, mult in Counter(words).items()))
+    if spec is not None:
+        if cs.pad not in spec.absorbing:
+            raise SpecificationError(
+                f"pad symbol {cs.pad!r} is not an absorbing state of the target spec")
+        trajs.check(spec)
+    return trajs
 
 
 def lex_larger(u, v):

@@ -149,13 +149,15 @@ def _path_values(tmp_path, verb, flag, text):
                            "0,0,0,0 5/4\n0,0,1,1 -1/4\n"),
     lambda d: _path_values(d, "mle", "--counts", "0,0,0,0 0\n"),
     lambda d: _path_values(d, "report", "--counts", "0,0,0,0 0\n0,0,1,1 0\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: ~\nn: 3\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn:\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
         "alphabet-list-label", "collapse-null-label", "collapse-float-label",
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
         "horizon-zero", "count-negative", "probability-negative",
-        "mle-counts-all-zero", "report-counts-all-zero"])
+        "mle-counts-all-zero", "report-counts-all-zero", "k-null", "n-null"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
@@ -570,6 +572,36 @@ class TestIngest:
         assert code == 0
         text = dest.read_text()
         assert "C,C,V,_,_ 4" in text
+
+    def test_collapsed_corpus_is_checked_against_the_fine_spec(self, capsys, tmp_path):
+        # a -> a is forbidden in the fine spec but a word of the corpus has it
+        coarse = tmp_path / "coarse.yaml"
+        coarse.write_text('states: [V, C, "_"]\nk: 1\nn: 4\nabsorbing: ["_"]\n')
+        fine = tmp_path / "fine.yaml"
+        fine.write_text('states: [a, b, "_"]\nk: 1\nn: 4\nforbid: [[a, a]]\n'
+                        'absorbing: ["_"]\n')
+        cmap = tmp_path / "collapse.yaml"
+        cmap.write_text('"_": "_"\na: V\nb: C\n')
+        config = tmp_path / "corpus.yaml"
+        config.write_text('alphabet: {a: a, b: b}\npad: "_"\n')
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("aab ab\n")
+        t = tmp_path / "t.txt"
+        t.write_text("a,a,b,_ 1\na,b,_,_ 1\n")
+        common = ["ingest", "--spec", str(coarse), "--collapse", str(cmap),
+                  "--fine-spec", str(fine)]
+        code, out, err = run(capsys, *common, "--corpus", str(corpus),
+                             "--corpus-config", str(config))
+        assert code == 1
+        assert out == ""
+        assert "record 1: transition ('a',) -> 'a' into position 2 is forbidden" in err
+        # the same paths as a trajectory file fail the same way
+        assert run(capsys, *common, "--trajectories", str(t)) == (1, out, err)
+        corpus.write_text("ab ba ab\n")
+        code, out, _ = run(capsys, *common, "--corpus", str(corpus),
+                           "--corpus-config", str(config))
+        assert code == 0
+        assert out == "V,C,_ 2\nC,V,_ 1\n"
 
     def test_corpus_requires_config(self, capsys, tmp_path):
         code, _, _ = run(capsys, "ingest", "--spec", VC_BOX,

@@ -85,6 +85,18 @@ class TestTrajectorySet:
     def test_check_passes_valid_data(self, illness_death):
         assert worked_trajectories().check(illness_death) is not None
 
+    def test_check_applies_the_spec_rules_at_the_set_length(self, illness_death):
+        # records shorter than the spec's horizon are checked at their own
+        # length: initial block and transitions still count
+        assert TrajectorySet(((("0", "1"), 1),)).check(illness_death) is not None
+        with pytest.raises(EstimationError, match=r"record 1: transition \('1',\)"):
+            TrajectorySet(((("1", "0"), 1),)).check(illness_death)
+        with pytest.raises(EstimationError, match="record 2: initial block"):
+            TrajectorySet(((("0", "1"), 1), (("2", "2"), 1))).check(illness_death)
+        with pytest.raises(EstimationError) as err:
+            TrajectorySet(((("0",), 1),)).check(illness_death)
+        assert "length 1" in str(err.value)
+
 
 class TestCountVector:
     def test_length_mismatch_rejected(self, illness_death):

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from markovtoric import (
     CollapseMap,
@@ -35,6 +36,7 @@ from markovtoric import (
 )
 from markovtoric.iofiles import MAX_RELATION_DEGREE
 from conftest import make_binary_chain, make_survival, make_vc_chain
+from oracles import corpus_to_trajectories_reference
 
 
 class TestNumberRendering:
@@ -292,13 +294,22 @@ class TestProbabilityFiles:
 class TestCorpusPipeline:
     def test_tokenizer_drops_digits_and_apostrophes(self):
         cs = CorpusSpec(alphabet=letters_alphabet(), pad="_")
-        assert tokenize_corpus("don't 123 end2end", cs) == ["dont", "endend"]
+        tally = tokenize_corpus("don't 123 end2end Dont\nDON'T end2end", cs)
+        # case and dropped-character variants share one entry, first-seen order
+        assert list(tally.items()) == [("dont", 3), ("endend", 2)]
 
     def test_unmapped_character_is_an_error(self):
         cs = CorpusSpec(alphabet=letters_alphabet(), pad="_")
         with pytest.raises(ParseError) as err:
             tokenize_corpus("naïve", cs)
         assert "ï" in str(err.value)
+        # the first unmapped character, in word order, of the first word
+        # in the text that holds one
+        cs = CorpusSpec(alphabet={"a": "a", "b": "b"}, pad="_", drop_chars="'")
+        with pytest.raises(ParseError) as err:
+            tokenize_corpus("ab ab BX9C b9 bac", cs)
+        assert str(err.value) == ("character 'x' in word 'bx9c' is neither "
+                                  "mapped nor dropped")
 
     def test_short_words_dropped_and_padding_applied(self):
         cs = CorpusSpec(alphabet=letters_alphabet(), pad="_",
@@ -352,6 +363,28 @@ class TestCorpusPipeline:
         assert f"{field} must be an integer" in str(err.value)
         assert repr(value) in str(err.value)
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("pad", ["_"], "['_']"), ("pad", None, "None"), ("drop_chars", 5, "5"),
+        ("drop_chars", ["'"], '["\'"]'), ("alphabet", ["a", "b"], "['a', 'b']"),
+        ("alphabet", "letters", "'letters'"), ("alphabet", {"a": None}, "'a': None"),
+        ("alphabet", {"a": 1.5}, "'a': 1.5"), ("alphabet", {True: "a"}, "True: 'a'"),
+        # text is lowercased and mapped one character at a time, so these
+        # keys could never match
+        ("alphabet", {"ab": "C"}, "'ab': 'C'"), ("alphabet", {"A": "C"}, "'A': 'C'"),
+        ("alphabet", {"": "C"}, "'': 'C'"), ("alphabet", {"É": "C"}, "'É': 'C'"),
+        ("alphabet", {10: "C"}, "10: 'C'")])
+    def test_settings_are_checked_by_corpus_spec(self, field, value, shown):
+        settings = {"alphabet": letters_alphabet(), "pad": "_", field: value}
+        with pytest.raises(SpecificationError) as err:
+            CorpusSpec(**settings)
+        assert f"{field} must" in str(err.value)
+        assert f"got {shown}" in str(err.value)
+
+    def test_labels_are_stored_as_strings(self):
+        cs = CorpusSpec(alphabet={"a": 0, 5: "C", "é": 1}, pad=2)
+        assert cs.alphabet == {"a": "0", "5": "C", "é": "1"}
+        assert cs.pad == "2"
+
     def test_pad_must_be_absorbing_in_target_spec(self):
         spec = make_binary_chain(1, 3)  # no absorbing states
         cs = CorpusSpec(alphabet={"a": "0", "b": "1"}, pad="0")
@@ -382,6 +415,53 @@ class TestCorpusPipeline:
         text = (data_dir / "sample_corpus.txt").read_text()
         assert (corpus_to_trajectories(text, cs).records
                 == corpus_to_trajectories(text, cs).records)
+
+
+def _outcome(pipeline, text, cs, spec):
+    try:
+        return pipeline(text, cs, spec).records
+    except (EstimationError, ParseError, SpecificationError) as exc:
+        return type(exc), str(exc)
+
+
+# words of mapped letters in mixed case, digits and apostrophes; in half
+# the texts an unmapped x too
+_word_lists = st.sampled_from(["aabbccnotABCNOT''019", "aabbccnotABCNOT''019x"]).flatmap(
+    lambda chars: st.lists(st.text(chars, min_size=1, max_size=6), min_size=1,
+                           max_size=14))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_word_lists,
+       gaps=st.lists(st.sampled_from([" ", "  ", "\n", "\t "]), min_size=14, max_size=14),
+       drop_chars=st.sampled_from(["'0123456789", "'023456789", "c'0123456789", "'"]),
+       pad=st.sampled_from(["_", "a"]),
+       horizon=st.none() | st.integers(1, 6),
+       min_word_length=st.integers(0, 3),
+       max_word_length=st.none() | st.integers(1, 6),
+       overlong=st.sampled_from(["error", "drop"]),
+       target=st.sampled_from([None, 1, 2]))
+@example(words=["Don't", "dont", "ab", "DONT"], gaps=[" "] * 14, drop_chars="'",
+         pad="_", horizon=None, min_word_length=1, max_word_length=None,
+         overlong="error", target=None)
+@example(words=["ab", "Bx0", "0", "x"], gaps=[" "] * 14, drop_chars="'", pad="_",
+         horizon=2, min_word_length=1, max_word_length=None, overlong="error",
+         target=None)
+def test_tally_pipeline_matches_the_occurrence_list(
+        words, gaps, drop_chars, pad, horizon, min_word_length, max_word_length,
+        overlong, target):
+    text = "".join(w + g for w, g in zip(words, gaps))
+    alphabet = {"a": "a", "b": "b", "c": "c", "d": "d", "n": "a", "o": "b", "t": "c",
+                "1": "b"}
+    cs = CorpusSpec(alphabet=alphabet, pad=pad, horizon=horizon,
+                    min_word_length=min_word_length, max_word_length=max_word_length,
+                    overlong=overlong, drop_chars=drop_chars)
+    # order 1 or 2 over a, b, c and an absorbing pad, with c -> c forbidden
+    spec = None if target is None else ModelSpec(
+        ["a", "b", "c", "_"], target, target + 1, forbidden=[("c", "c")],
+        absorbing=["_"])
+    assert (_outcome(corpus_to_trajectories, text, cs, spec)
+            == _outcome(corpus_to_trajectories_reference, text, cs, spec))
 
 
 class TestCollapse:

@@ -93,7 +93,8 @@ class TestModelSpec:
     def test_check_sequence_rejects_wrong_horizon(self, illness_death):
         with pytest.raises(InadmissiblePathError):
             illness_death.check_sequence(("0", "1"))
-        illness_death.check_sequence(("0", "1"), require_horizon=False)
+        with pytest.raises(InadmissiblePathError):
+            illness_death.check_sequence(("0", "0", "0", "0", "0"))
 
     def test_check_sequence_rejects_disallowed_initial_block(self, illness_death):
         with pytest.raises(InadmissiblePathError):
