@@ -146,18 +146,19 @@ def _value(value, decimals):
 
 
 def _parameters(params, decimals, unset):
-    """A parameter table by level (None first), then by label text;
-    unset describes an undefined row."""
+    """A parameter table by label text: pi by block, then transitions by
+    level (None first); unset describes an undefined row."""
     lines, pi, transitions, undefined = [], [], [], []
-    for block, value in sorted(params.pi.items()):
-        text, pair = _value(value, decimals)
-        lines.append(f"{format_symbol(('pi', block))} = {text}")
-        pi.append({"block": list(block), **pair})
-    for (level, h, s), value in sorted(params.trans.items(),
-                                       key=lambda kv: (kv[0][0] or 0, kv[0][1:])):
-        text, pair = _value(value, decimals)
-        lines.append(f"{format_symbol(('a', level, h, s))} = {text}")
-        transitions.append({"level": level, "history": list(h), "next": s, **pair})
+    # (False, block) or (True, level or 0, (history, next))
+    for sym in sorted(params.values, key=lambda sym: (sym[0] == "a", sym[1] or 0,
+                                                      sym[2:])):
+        text, pair = _value(params.values[sym], decimals)
+        lines.append(f"{format_symbol(sym)} = {text}")
+        if sym[0] == "pi":
+            pi.append({"block": list(sym[1]), **pair})
+        else:
+            _, level, h, s = sym
+            transitions.append({"level": level, "history": list(h), "next": s, **pair})
     for level, h in sorted(params.undefined, key=lambda row: (row[0] or 0, row[1])):
         where = "" if level is None else f" at level {level}"
         lines.append(f"history {','.join(h)}{where}: {unset}")
@@ -373,10 +374,10 @@ def cmd_ingest(args):
         try:
             with open(args.corpus, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+            trajs = iofiles.corpus_to_trajectories(text, cs,
+                                                   fine if args.collapse else spec)
+        except (OSError, ParseError) as exc:
             raise ParseError(str(exc), filename=args.corpus)
-        trajs = iofiles.corpus_to_trajectories(text, cs,
-                                               fine if args.collapse else spec)
     else:
         trajs = iofiles.ingest_trajectories(args.trajectories,
                                             spec if fine is None else fine)

@@ -144,17 +144,19 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
 class EstimateReport(ParameterPoint):
     """A fitted ParameterPoint with provenance of how it was tallied.
 
-    Its undefined rows are the (level, history) rows whose visit count
-    was zero.  kind is "nonhomogeneous" or "homogeneous"; total is the
-    number of trajectories; horizon is the prefix length the tallies
-    used; window records whether pooled tallies used the prefix or
-    every window of longer trajectories.
+    Its values hold every symbol of each row that has weight, zeros
+    included, and an absent symbol reads as zero.  Its undefined rows
+    are the (level, history) rows whose visit count was zero; undefined
+    is not zero.  kind is "nonhomogeneous" or "homogeneous"; total is
+    the number of trajectories; horizon is the prefix length the
+    tallies used; window records whether pooled tallies used the prefix
+    or every window of longer trajectories.
     """
 
     __slots__ = ("kind", "order", "horizon", "total", "window")
 
     def __init__(self, point, kind, order, horizon, total, window=PREFIX):
-        super().__init__(point.pi, point.trans, point.undefined)
+        super().__init__(point.values, point.undefined)
         self.kind = kind
         self.order = order
         self.horizon = horizon
@@ -194,7 +196,7 @@ def _conditionals(spec, records):
     weights, totals = _tally(spec, records)
     values = {sym: Fraction(weights.get(sym, 0), t) for sym, t in totals.items() if t}
     undefined = {sym[1:3] for sym, t in totals.items() if not t}
-    return ParameterPoint.from_symbols(values, undefined)
+    return ParameterPoint(values, undefined)
 
 
 def mle_nonhomogeneous(trajs, spec, n=None):
@@ -359,22 +361,23 @@ def recover_parameters(p, spec, table=None):
 
     twin = spec._rebuild(spec.horizon, homogeneous=False)
     point = _conditionals(twin, records)
-    trans, pooled_undefined, conflicts = {}, set(), []
-    for row in spec.rows()[1:]:
+    rows = spec.rows()
+    values = {sym: point.values[sym] for sym in rows[0]}
+    pooled_undefined, conflicts = set(), []
+    for row in rows[1:]:
         h = row[0][2]
         defined = [level for level in twin.levels()
                    if (level, h) not in point.undefined]
         if not defined:
             pooled_undefined.add((None, h))
         for level in defined:
-            for _, _, _, s in row:
-                r = point.trans[(level, h, s)]
-                witness = trans.setdefault((None, h, s), r)
+            for sym in row:
+                r = point.values[("a", level, h, sym[3])]
+                witness = values.setdefault(sym, r)
                 if r != witness:
-                    conflicts.append(RatioConflict(h, s, defined[0], witness,
+                    conflicts.append(RatioConflict(h, sym[3], defined[0], witness,
                                                    level, r))
-    return Recovery(ParameterPoint(point.pi, trans, pooled_undefined),
-                    tuple(conflicts))
+    return Recovery(ParameterPoint(values, pooled_undefined), tuple(conflicts))
 
 
 def birch_residual(p, u, design):

@@ -297,55 +297,42 @@ class ParameterPoint:
     """Exact rational parameter values for a ModelSpec.
 
     Attributes:
-        pi: mapping from initial block to Fraction.
-        trans: mapping from (level, history, next_state) to Fraction,
-            with level None for homogeneous models.
+        values: mapping from parameter symbol, ("pi", block) or ("a",
+            level, history, next) with level None for homogeneous
+            models, to Fraction.  An absent symbol reads as zero.
         undefined: (level, history) rows that have no value, such as an
             estimate's never-visited rows.  Undefined is not zero.
-
-    An entry absent from pi or trans reads as zero.
     """
 
-    __slots__ = ("pi", "trans", "undefined")
+    __slots__ = ("values", "undefined")
 
-    def __init__(self, pi, trans, undefined=frozenset()):
-        self.pi = {tuple(b): as_fraction(v) for b, v in pi.items()}
-        self.trans = {}
-        for key, v in trans.items():
-            level, hist, nxt = key
-            self.trans[(level, tuple(hist), nxt)] = as_fraction(v)
+    def __init__(self, values, undefined=frozenset()):
+        self.values = {sym: as_fraction(v) for sym, v in values.items()}
         self.undefined = frozenset((level, tuple(h)) for level, h in undefined)
 
-    @classmethod
-    def from_symbols(cls, values, undefined=frozenset()):
-        """The point holding a {symbol: value} mapping and undefined rows."""
-        pi, trans = {}, {}
-        for sym, v in values.items():
-            if sym[0] == "pi":
-                pi[sym[1]] = v
-            else:
-                trans[sym[1:]] = v
-        return cls(pi, trans, undefined)
+    @property
+    def pi(self):
+        """Read-only view {block: value} of the initial-block values.
 
-    def pi_value(self, block):
-        return self.pi.get(tuple(block), _ZERO)
+        Kept, with trans, only because the benchmark's workloads read
+        these two views; they go when its pinned digests are re-pinned.
+        """
+        return {sym[1]: v for sym, v in self.values.items() if sym[0] == "pi"}
 
-    def trans_value(self, level, history, nxt):
-        """Value of a transition entry; EstimationError on an undefined row."""
-        history = tuple(history)
-        if (level, history) in self.undefined:
-            raise EstimationError(f"row (level={level}, history={history}) "
-                                  f"is undefined (its history has zero weight)")
-        return self.trans.get((level, history, nxt), _ZERO)
+    @property
+    def trans(self):
+        """Read-only view {(level, history, next): value} of the
+        transition values; see pi."""
+        return {sym[1:]: v for sym, v in self.values.items() if sym[0] == "a"}
 
     def __repr__(self):
-        return (f"{type(self).__name__}(pi={self.pi!r}, trans={self.trans!r}, "
+        return (f"{type(self).__name__}(values={self.values!r}, "
                 f"undefined={set(self.undefined)!r})")
 
 
 def uniform_parameters(spec):
     """The uniform parameter point: equal weight on every allowed entry."""
-    return ParameterPoint.from_symbols(
+    return ParameterPoint(
         {sym: Fraction(1, len(row)) for row in spec.rows() for sym in row})
 
 
@@ -402,49 +389,43 @@ def validate_parameters(spec, params):
     nonnegative, no undefined row, the initial row and every history
     row at every level summing to exactly 1.  An absorbing
     self-transition is forced to 1 by its row sum, since it is the
-    row's only allowed entry.
+    row's only allowed entry.  Entry problems come first, in the order
+    of params.values, then row problems in spec.rows() order.
     """
     problems = []
-    allowed_blocks = set(spec.initial_blocks)
-    for b, v in params.pi.items():
-        if b not in allowed_blocks:
-            problems.append(f"pi has an entry on disallowed block {b}")
-        elif v < 0:
-            problems.append(f"pi[{b}] = {v} is negative")
-    total = sum((params.pi.get(b, Fraction(0)) for b in allowed_blocks),
-                Fraction(0))
-    if total != 1:
-        problems.append(f"pi sums to {total}, expected 1")
-
-    level_set = set(spec.levels())
-    hist_set = set(spec.histories)
-    for (level, h, s), v in params.trans.items():
-        if level not in level_set or h not in hist_set:
-            problems.append(f"transition entry on unknown row (level={level}, history={h})")
-        elif s not in spec.successors(h):
-            if v != 0:
-                problems.append(
-                    f"nonzero value {v} on forbidden transition {h} -> {s!r}"
-                    + ("" if level is None else f" at level {level}"))
-        elif v < 0:
-            problems.append(f"a[{level}, {h}, {s!r}] = {v} is negative")
-    for level in spec.levels():
-        for h in spec.histories:
-            if (level, h) in params.undefined:
-                problems.append(f"row (level={level}, history={h}) is undefined")
+    allowed = set(spec.symbols())
+    level_set, hist_set = set(spec.levels()), set(spec.histories)
+    for sym, v in params.values.items():
+        if sym in allowed:
+            if v < 0:
+                where = (f"pi[{sym[1]}]" if sym[0] == "pi"
+                         else f"a[{sym[1]}, {sym[2]}, {sym[3]!r}]")
+                problems.append(f"{where} = {v} is negative")
+        elif sym[0] == "pi":
+            problems.append(f"pi has an entry on disallowed block {sym[1]}")
+        elif sym[1] not in level_set or sym[2] not in hist_set:
+            problems.append(f"transition entry on unknown row "
+                            f"(level={sym[1]}, history={sym[2]})")
+        elif v != 0:
+            problems.append(f"nonzero value {v} on forbidden transition "
+                            f"{sym[2]} -> {sym[3]!r}"
+                            + ("" if sym[1] is None else f" at level {sym[1]}"))
+    for row in spec.rows():
+        name = "pi"
+        if row[0][0] == "a":
+            name = f"row (level={row[0][1]}, history={row[0][2]})"
+            if row[0][1:3] in params.undefined:
+                problems.append(f"{name} is undefined")
                 continue
-            succ = spec.successors(h)
-            if not succ:
-                continue
-            row = sum((params.trans_value(level, h, s) for s in succ), Fraction(0))
-            if row != 1:
-                problems.append(
-                    f"row (level={level}, history={h}) sums to {row}, expected 1")
+        total = sum((params.values.get(sym, _ZERO) for sym in row), _ZERO)
+        if total != 1:
+            problems.append(f"{name} sums to {total}, expected 1")
     return problems
 
 
 def path_probability(spec, params, path):
-    """Exact probability of an admissible path under a parameter table.
+    """Exact probability of an admissible path under a parameter table:
+    the product of params.values over check_sequence's symbols.
 
     Factors are read left to right, and the product stops at the first
     zero: later rows are never read, so a zero factor before an
@@ -457,10 +438,14 @@ def path_probability(spec, params, path):
         EstimationError: if the path reaches an undefined row while
             its product is still nonzero.
     """
-    (_, block), *factors = spec.check_sequence(path)
-    value = params.pi_value(block)
-    for _, level, h, s in factors:
+    values, undefined = params.values, params.undefined
+    first, *factors = spec.check_sequence(path)
+    value = values.get(first, _ZERO)
+    for sym in factors:
         if not value:
             break
-        value *= params.trans_value(level, h, s)
+        if sym[1:3] in undefined:
+            raise EstimationError(f"row (level={sym[1]}, history={sym[2]}) "
+                                  f"is undefined (its history has zero weight)")
+        value *= values.get(sym, _ZERO)
     return value

@@ -72,16 +72,19 @@ class DesignMatrix:
     that uses a window twice lists that row twice.  Two paths have equal
     columns exactly when these multisets are equal, so each is its
     path's degree-1 fiber key.  column(j) is the derived dense view.  A
-    binomial p^u - p^v lies in the toric ideal of the parametrization
-    exactly when A(u - v) = 0, and apply is the one product both that
+    binomial p^u - p^v vanishes on the model exactly when A'(u - v) = 0,
+    where A' keeps the free_rows: the indices of the rows whose
+    simplex row of ModelSpec.rows() has two or more entries.  A forced
+    row is 1 on the whole model.  apply is the one product both that
     kernel check and the Birch residual go through.
     """
 
-    __slots__ = ("row_symbols", "table", "_columns")
+    __slots__ = ("row_symbols", "table", "free_rows", "_columns")
 
-    def __init__(self, row_symbols, table, columns):
+    def __init__(self, row_symbols, table, columns, free_rows):
         self.row_symbols = tuple(row_symbols)
         self.table = table
+        self.free_rows = tuple(free_rows)
         self._columns = tuple(tuple(sorted(c)) for c in columns)
 
     @property
@@ -127,4 +130,5 @@ def build_design_matrix(spec, table=None):
     symbols = spec.symbols()
     pos = {sym: i for i, sym in enumerate(symbols)}
     columns = ([pos[sym] for sym in spec.check_sequence(path)] for path in table)
-    return DesignMatrix(symbols, table, columns)
+    free = [pos[sym] for row in spec.rows() if len(row) > 1 for sym in row]
+    return DesignMatrix(symbols, table, columns, free)

@@ -3,13 +3,15 @@
 A binomial can be checked numerically, by evaluating it at random
 rational parameter points of the model, and algebraically, by testing
 its exponent difference against the integer kernel of the design
-matrix.  The numeric route tests vanishing on the normalized model;
-the kernel route tests membership in the toric ideal of the full
-design matrix, whose forced rows (one entry, 1 on the model) it still
-counts.  So a relation trading windows of forced rows can vanish yet
-fail the kernel route: a disagreement is not always a bug.  The routes
-stay separate so each can catch bugs in the other.  All arithmetic is
-exact; a reported zero is a zero.
+matrix.  The numeric route tests vanishing on the normalized model.
+The kernel route tests the design matrix's free rows, A': a forced row
+(one entry, 1 on the model) constrains nothing, and within a row of two
+or more entries, the coordinates of an open simplex, distinct monomials
+are distinct functions.  So a binomial vanishes on the model exactly
+when A' annihilates its exponent difference, and a disagreement
+between the routes means a bug.  The routes stay separate so each can
+catch bugs in the other.  All arithmetic is exact; a reported zero is
+a zero.
 """
 
 import random
@@ -72,7 +74,7 @@ def sample_parameters(spec, seed):
     widths, position = _row_layout(spec)
     weights = _draw_weights(widths, seed)
     totals = [sum(row) for row in weights]
-    return ParameterPoint.from_symbols(
+    return ParameterPoint(
         {sym: Fraction(weights[r][e], totals[r]) for sym, (r, e) in position.items()})
 
 
@@ -170,9 +172,11 @@ def _side_exponents(terms, factors):
 
 
 def kernel_membership(binomial, design):
-    """Exact integer test A(plus - minus) = 0 against a design matrix."""
+    """Exact integer test A'(plus - minus) = 0 on the design matrix's
+    free rows; the residual lists A(plus - minus) over every row."""
     residual = design.apply(binomial.diff())
-    return KernelCheck(all(r == 0 for r in residual), tuple(residual))
+    return KernelCheck(all(residual[i] == 0 for i in design.free_rows),
+                       tuple(residual))
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,8 @@ class VerificationReport:
     """Joint outcome of both routes over a RelationSet.
 
     Entries appear in relation order.  agreement is False when the two
-    routes disagree on some relation: a bug in one of them, or a
-    relation that trades windows of forced rows (see the module doc).
+    routes disagree on some relation, which means a bug in one of them,
+    since both test vanishing on the model (see the module doc).
     """
     entries: tuple
     trials: int

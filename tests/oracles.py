@@ -33,9 +33,30 @@ def block_counts(spec, path):
     return counts
 
 
+def free_block_counts(spec, path):
+    """block_counts without the forced symbols, which are 1 on the whole
+    model: the initial block when there is one initial block, and each
+    window whose history has one successor.  The rest are the A' rows."""
+    return Counter({sym: c for sym, c in block_counts(spec, path).items()
+                    if len(spec.initial_blocks if sym[0] == "pi"
+                           else spec.successors(sym[2])) > 1})
+
+
+def free_fiber_pairs(spec, table):
+    """Pairs (m1, m2) of distinct degree-2 monomials, each an index pair
+    (a, b) with a <= b, whose free_block_counts sum to the same A'
+    statistics, by brute force over every pair of paths."""
+    free = [free_block_counts(spec, p) for p in table]
+    fibers = {}
+    for m in itertools.combinations_with_replacement(range(len(table)), 2):
+        fibers.setdefault(frozenset((free[m[0]] + free[m[1]]).items()), []).append(m)
+    return [pair for fiber in fibers.values() for pair in itertools.combinations(fiber, 2)]
+
+
 def mle_reference(spec, records):
-    """(pi, trans, undefined) fitted to (path, weight) records of length
-    spec.horizon: block_counts tallies, each over its row's tally.
+    """(values, undefined) fitted to (path, weight) records of length
+    spec.horizon: block_counts tallies, each over its row's tally, keyed
+    by parameter symbol.
 
     The rows are enumerated from the initial blocks and, per level and
     history, the allowed successors, not from spec.rows(); a history
@@ -46,8 +67,9 @@ def mle_reference(spec, records):
         for sym, c in block_counts(spec, path).items():
             tally[sym] = tally.get(sym, 0) + weight * c
     total = sum(weight for _, weight in records)
-    pi = {b: Fraction(tally.get(("pi", b), 0), total) for b in spec.initial_blocks}
-    trans, undefined = {}, set()
+    values = {("pi", b): Fraction(tally.get(("pi", b), 0), total)
+              for b in spec.initial_blocks}
+    undefined = set()
     for level in spec.levels():
         for h in spec.histories:
             row = [("a", level, h, s) for s in spec.successors(h)]
@@ -55,8 +77,8 @@ def mle_reference(spec, records):
             if row and d == 0:
                 undefined.add((level, h))
             elif row:
-                trans.update({sym[1:]: Fraction(tally.get(sym, 0), d) for sym in row})
-    return pi, trans, undefined
+                values.update({sym: Fraction(tally.get(sym, 0), d) for sym in row})
+    return values, undefined
 
 
 def permutation_classes(spec, table):

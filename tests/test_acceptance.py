@@ -191,12 +191,12 @@ def test_criterion_06_worked_mle(capsys, illness_death_hom):
         est = mle_homogeneous(worked_trajectories(), illness_death_hom)
         for s, target in WORKED_PI_DECIMALS.items():
             if (s,) in illness_death_hom.initial_blocks:
-                assert abs(float(est.pi_value((s,))) - target) <= 0.001
+                assert abs(float(est.values[("pi", (s,))]) - target) <= 0.001
             else:
                 assert target == 0.0
         for (h, s), target in WORKED_POOLED_DECIMALS.items():
             if s in illness_death_hom.successors((h,)):
-                assert abs(float(est.trans_value(None, (h,), s)) - target) <= 0.001
+                assert abs(float(est.values[("a", None, (h,), s)]) - target) <= 0.001
             else:
                 assert target == 0.0
         table = enumerate_paths(illness_death_hom)
@@ -299,7 +299,7 @@ def test_criterion_11_corpus_pipeline(capsys):
         expected_pi = {("C", "C"): Fraction(5, 19), ("C", "V"): Fraction(8, 19),
                        ("V", "C"): Fraction(5, 19), ("V", "V"): Fraction(1, 19)}
         for block, v in expected_pi.items():
-            assert est.pi_value(block) == v
+            assert est.values[("pi", block)] == v
         expected_rows = {
             ("V", "V"): {"V": Fraction(0), "C": Fraction(1, 4),
                          "_": Fraction(3, 4)},
@@ -315,16 +315,15 @@ def test_criterion_11_corpus_pipeline(capsys):
         }
         for hist, row in expected_rows.items():
             for s, v in row.items():
-                assert est.trans_value(None, hist, s) == v, (hist, s)
+                assert est.values[("a", None, hist, s)] == v, (hist, s)
 
         # printed rounded estimates, fed back in as exact decimals,
         # must reproduce the printed path products
         spec3 = make_vc_chain(3)
-        pi = {b: Fraction(v) for b, v in SECOND_ORDER_PI.items()}
-        trans = {(None, h, s): Fraction(v)
-                 for h, row in SECOND_ORDER_ROWS.items()
-                 for s, v in row.items()}
-        params = ParameterPoint(pi, trans)
+        params = ParameterPoint({
+            **{("pi", b): Fraction(v) for b, v in SECOND_ORDER_PI.items()},
+            **{("a", None, h, s): Fraction(v)
+               for h, row in SECOND_ORDER_ROWS.items() for s, v in row.items()}})
         for path_str, printed in SECOND_ORDER_PRODUCTS.items():
             got = path_probability(spec3, params, tuple(path_str))
             assert abs(got - Fraction(printed)) <= Fraction(1, 10_000), path_str
@@ -346,8 +345,8 @@ def test_criterion_12_homogeneity_separating_relation(capsys, illness_death,
         # time-dependent witness: the same relation separates as soon as
         # the level-2 and level-3 rows differ
         params = sample_parameters(illness_death, "accept12:witness")
-        assert (params.trans_value(2, ("0",), "1")
-                != params.trans_value(3, ("0",), "1"))
+        assert (params.values[("a", 2, ("0",), "1")]
+                != params.values[("a", 3, ("0",), "1")])
         assignment = {j: path_probability(illness_death, params, table[j])
                       for j in b.support()}
         assert evaluate_binomial(b, assignment) != 0

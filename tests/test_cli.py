@@ -603,6 +603,24 @@ class TestIngest:
         assert code == 0
         assert out == "V,C,_ 2\nC,V,_ 1\n"
 
+    @pytest.mark.parametrize("text, horizon, message", [
+        ("hello w\u00f6rld\n", "max",
+         "character '\u00f6' in word 'w\u00f6rld' is neither mapped nor dropped"),
+        ("hello world\n", "3", "word 'hello' has length 5, horizon is 3"),
+        ("a b\n", "max", "corpus contains no usable words"),
+    ], ids=["unmapped", "overlong", "no-words"])
+    def test_corpus_errors_name_the_corpus_file(self, capsys, tmp_path, text,
+                                                horizon, message):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(text, encoding="utf-8")
+        config = tmp_path / "cc.yaml"
+        config.write_text(f'alphabet: letters\npad: "_"\nhorizon: {horizon}\n'
+                          "min_word_length: 2\n")
+        code, out, err = run(capsys, "ingest", "--spec", VC_BOX,
+                             "--corpus", str(corpus), "--corpus-config", str(config),
+                             "--collapse", str(DATA / "vc_collapse.yaml"))
+        assert (code, out, err) == (3, "", f"error: {corpus}: {message}\n")
+
     def test_corpus_requires_config(self, capsys, tmp_path):
         code, _, _ = run(capsys, "ingest", "--spec", VC_BOX,
                          "--corpus", str(DATA / "sample_corpus.txt"))

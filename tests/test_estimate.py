@@ -9,6 +9,7 @@ from markovtoric import (
     EstimationError,
     InadmissiblePathError,
     ModelSpec,
+    ParameterPoint,
     RelationError,
     TrajectorySet,
     birch_residual,
@@ -161,13 +162,13 @@ class TestCountsFromTrajectories:
 class TestMleNonhomogeneous:
     def test_worked_example_level2_rows(self, illness_death):
         est = mle_nonhomogeneous(worked_trajectories(), illness_death)
-        assert est.pi_value("0") == Fraction(469, 685)
-        assert est.pi_value("1") == Fraction(216, 685)
-        assert est.trans_value(2, ("0",), "0") == Fraction(313, 469)
-        assert est.trans_value(2, ("0",), "1") == Fraction(117, 469)
-        assert est.trans_value(2, ("0",), "2") == Fraction(39, 469)
-        assert est.trans_value(2, ("1",), "1") == Fraction(171, 216)
-        assert est.trans_value(2, ("1",), "2") == Fraction(45, 216)
+        assert est.values[("pi", ("0",))] == Fraction(469, 685)
+        assert est.values[("pi", ("1",))] == Fraction(216, 685)
+        assert est.values[("a", 2, ("0",), "0")] == Fraction(313, 469)
+        assert est.values[("a", 2, ("0",), "1")] == Fraction(117, 469)
+        assert est.values[("a", 2, ("0",), "2")] == Fraction(39, 469)
+        assert est.values[("a", 2, ("1",), "1")] == Fraction(171, 216)
+        assert est.values[("a", 2, ("1",), "2")] == Fraction(45, 216)
 
     def test_rows_sum_to_one_where_defined(self, illness_death):
         est = mle_nonhomogeneous(worked_trajectories(), illness_death)
@@ -175,7 +176,7 @@ class TestMleNonhomogeneous:
             for h in illness_death.histories:
                 if (level, h) in est.undefined:
                     continue
-                row = sum(est.trans_value(level, h, s)
+                row = sum(est.values[("a", level, h, s)]
                           for s in illness_death.successors(h))
                 assert row == 1
 
@@ -183,8 +184,14 @@ class TestMleNonhomogeneous:
         trajs = TrajectorySet(((("0", "0", "0"), 2),))
         est = mle_nonhomogeneous(trajs, survival)
         assert (2, ("1",)) in est.undefined
-        with pytest.raises(EstimationError):
-            est.trans_value(2, ("1",), "1")
+        # the fit gives 0 -> 1 weight 0, so a path into 1 stops before
+        # its undefined row; give 0 -> 1 weight and the row is reached
+        assert path_probability(survival, est, ("0", "1", "1")) == 0
+        reach = ParameterPoint({**est.values, ("a", 2, ("0",), "0"): 0,
+                                ("a", 2, ("0",), "1"): 1}, est.undefined)
+        with pytest.raises(EstimationError, match=r"row \(level=3, history=\('1',\)\) "
+                                                  r"is undefined"):
+            path_probability(survival, reach, ("0", "1", "1"))
 
     def test_homogeneous_spec_rejected(self, illness_death_hom):
         with pytest.raises(EstimationError):
@@ -195,16 +202,29 @@ class TestMleHomogeneous:
     def test_worked_example_pooled_rows(self, illness_death_hom):
         est = mle_homogeneous(worked_trajectories(), illness_death_hom)
         for s, v in WORKED_PI.items():
-            assert est.pi_value((s,)) == Fraction(v)
+            assert est.values[("pi", (s,))] == Fraction(v)
         for (h, s), v in WORKED_POOLED_ROWS.items():
-            assert est.trans_value(None, (h,), s) == Fraction(v)
+            assert est.values[("a", None, (h,), s)] == Fraction(v)
+
+    def test_pi_and_trans_views_keep_their_keys(self, illness_death_hom):
+        # the benchmark's workloads read these two views, keyed by block
+        # and by (level, history, next)
+        est = mle_homogeneous(worked_trajectories(), illness_death_hom)
+        assert est.pi == {(s,): Fraction(v) for s, v in WORKED_PI.items()}
+        assert est.trans == {(None, (h,), s): Fraction(v)
+                             for (h, s), v in WORKED_POOLED_ROWS.items()}
+        est = mle_nonhomogeneous(TrajectorySet(((("0", "0", "1"), 1),)),
+                                 make_survival())
+        assert est.pi == {("0",): 1}
+        assert est.trans == {(2, ("0",), "0"): 1, (2, ("0",), "1"): 0,
+                             (3, ("0",), "0"): 0, (3, ("0",), "1"): 1}
 
     def test_prefix_window_ignores_tail(self):
         spec = make_binary_chain(1, 3, homogeneous=True)
         trajs = TrajectorySet(((("0", "0", "1", "1", "1"), 1),))
         est = mle_homogeneous(trajs, spec, n=3)
         # prefix windows: 00, 01
-        assert est.trans_value(None, ("0",), "0") == Fraction(1, 2)
+        assert est.values[("a", None, ("0",), "0")] == Fraction(1, 2)
         assert (None, ("1",)) in est.undefined
 
     def test_slide_window_pools_full_trajectory(self):
@@ -212,7 +232,7 @@ class TestMleHomogeneous:
         trajs = TrajectorySet(((("0", "0", "1", "1", "1"), 1),))
         est = mle_homogeneous(trajs, spec, n=3, window="slide")
         # all windows: 00, 01, 11, 11
-        assert est.trans_value(None, ("1",), "1") == 1
+        assert est.values[("a", None, ("1",), "1")] == 1
         assert est.window == "slide"
 
     def test_nonhomogeneous_spec_rejected(self, illness_death):
@@ -253,7 +273,7 @@ class TestRecordsAreChecked:
     def test_only_the_analysed_prefix_is_checked(self, illness_death_hom):
         trajs = TrajectorySet(((("0", "1", "1", "0"), 1),))
         est = mle_homogeneous(trajs, illness_death_hom, n=3)
-        assert est.trans_value(None, ("1",), "1") == 1
+        assert est.values[("a", None, ("1",), "1")] == 1
         with pytest.raises(InadmissiblePathError, match="into position 4"):
             mle_homogeneous(trajs, illness_death_hom, n=3, window="slide")
 
@@ -293,10 +313,10 @@ def test_mle_equals_the_block_count_oracle(spec, seed):
     windows = ("prefix", "slide") if spec.homogeneous else ("prefix",)
     for window in windows:
         analysed = spec.with_horizon(length if window == "slide" else n)
-        pi, trans, undefined = mle_reference(
+        values, undefined = mle_reference(
             analysed, [(seq[:analysed.horizon], w) for seq, w in records])
         est = fit(trajs, spec, n, window)
-        assert (est.pi, est.trans, est.undefined) == (pi, trans, undefined)
+        assert (est.values, est.undefined) == (values, undefined)
 
     # one forbidden step inside the analysed prefix
     seq, _ = rng.choice(records)
@@ -486,7 +506,7 @@ class TestRecoverParameters:
         spec = make_illness_death(homogeneous)
         table = enumerate_paths(spec)
         rec = recover_parameters({j: 1 for j in range(len(table))}, spec, table)
-        values = [*rec.params.pi.values(), *rec.params.trans.values()]
+        values = rec.params.values.values()
         assert values and all(type(v) is Fraction for v in values)
 
     def test_undefined_rows_are_validation_problems(self, illness_death,
@@ -510,8 +530,9 @@ class TestRecoverParameters:
         rec = recover_parameters(p, illness_death_hom, table)
         assert rec.consistent
         assert rec.params.undefined == {(None, ("1",)), (None, ("2",))}
-        assert rec.params.trans == {(None, ("0",), s): int(s == "0")
-                                    for s in ("0", "1", "2")}
+        assert rec.params.values == {
+            ("pi", ("0",)): 1, ("pi", ("1",)): 0,
+            **{("a", None, ("0",), s): int(s == "0") for s in ("0", "1", "2")}}
         assert validate_parameters(illness_death_hom, rec.params) == [
             "row (level=None, history=('1',)) is undefined",
             "row (level=None, history=('2',)) is undefined"]

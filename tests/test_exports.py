@@ -1,9 +1,13 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import markovtoric
+import markovtoric.cli  # noqa: F401  (the workloads read markovtoric.cli)
 
 
 def _imported_names():
@@ -58,6 +62,28 @@ BENCH = Path(__file__).parent.parent / "bench"
 
 def _bench_tree(name):
     return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["verify", "generate", "fit", "cli"])
+def test_one_tiny_bench_pass_has_no_failed_operation(name, tmp_path):
+    # each workload reads attributes of what the package returns, such
+    # as an estimate's views, which no static check of its names sees
+    workloads = _load_workloads()
+    workload = workloads.WORKLOADS[name](markovtoric, "tiny", str(tmp_path))
+    chk = workloads.Checks()
+    state = workload.setup(2)
+    workload.check_setup(state, chk)
+    workload.run(state, chk)
+    assert chk.attempted > 0
+    assert chk.failed == 0, chk.problems
 
 
 def _dotted(node):

@@ -150,41 +150,45 @@ class TestParameters:
         assert validate_parameters(illness_death, params) == []
 
     def test_row_sum_violation_reported(self, illness_death):
-        params = uniform_parameters(illness_death)
-        params.trans[(2, ("0",), "0")] = Fraction(1, 2)
+        values = uniform_parameters(illness_death).values
+        params = ParameterPoint({**values, ("a", 2, ("0",), "0"): Fraction(1, 2)})
         assert validate_parameters(illness_death, params)
 
     def test_entry_off_allowed_support_reported(self, illness_death):
-        params = uniform_parameters(illness_death)
+        values = uniform_parameters(illness_death).values
         # an explicit zero on a forbidden transition is consistent
-        params.trans[(2, ("1",), "0")] = Fraction(0)
+        params = ParameterPoint({**values, ("a", 2, ("1",), "0"): Fraction(0)})
         assert validate_parameters(illness_death, params) == []
-        params.trans[(2, ("1",), "0")] = Fraction(1, 100)
+        params = ParameterPoint({**values, ("a", 2, ("1",), "0"): Fraction(1, 100)})
         problems = validate_parameters(illness_death, params)
         assert any("forbidden" in p for p in problems)
 
     @pytest.mark.parametrize("edit, problem", [
-        ({"pi": {("2",): 0}}, "pi has an entry on disallowed block ('2',)"),
-        ({"pi": {("0",): Fraction(-1, 2), ("1",): Fraction(3, 2)}},
+        ({("pi", ("2",)): 0}, "pi has an entry on disallowed block ('2',)"),
+        ({("pi", ("0",)): Fraction(-1, 2), ("pi", ("1",)): Fraction(3, 2)},
          "pi[('0',)] = -1/2 is negative"),
-        ({"pi": {("0",): Fraction(1, 4)}}, "pi sums to 3/4, expected 1"),
-        ({"trans": {(7, ("0",), "0"): 0}},
+        ({("pi", ("0",)): Fraction(1, 4)}, "pi sums to 3/4, expected 1"),
+        ({("a", 7, ("0",), "0"): 0},
          "transition entry on unknown row (level=7, history=('0',))"),
-        ({"trans": {(2, ("0",), "0"): Fraction(-1, 3), (2, ("0",), "1"): Fraction(2, 3),
-                    (2, ("0",), "2"): Fraction(2, 3)}},
+        ({("a", 2, ("0",), "0"): Fraction(-1, 3), ("a", 2, ("0",), "1"): Fraction(2, 3),
+          ("a", 2, ("0",), "2"): Fraction(2, 3)},
          "a[2, ('0',), '0'] = -1/3 is negative"),
     ], ids=["disallowed-block", "negative-pi", "pi-sum", "unknown-row",
             "negative-transition"])
     def test_each_problem_is_named(self, illness_death, edit, problem):
-        params = uniform_parameters(illness_death)
-        params.pi.update(edit.get("pi", {}))
-        params.trans.update(edit.get("trans", {}))
+        params = ParameterPoint({**uniform_parameters(illness_death).values, **edit})
         assert validate_parameters(illness_death, params) == [problem]
 
     def test_missing_entries_read_as_zero(self, illness_death):
-        params = ParameterPoint({}, {})
-        assert params.pi_value(("0",)) == 0
-        assert params.trans_value(None, ("0",), "1") == 0
+        assert ParameterPoint({}).values == {}
+        assert path_probability(illness_death, ParameterPoint({}), ("0",) * 4) == 0
+        # pi_0 and a2_00 are 1, and a3_00 is absent
+        params = ParameterPoint({("pi", ("0",)): 1, ("a", 2, ("0",), "0"): 1})
+        assert path_probability(illness_death, params, ("0",) * 4) == 0
+        assert validate_parameters(illness_death, ParameterPoint({})) == [
+            "pi sums to 0, expected 1",
+            *(f"row (level={level}, history={h}) sums to 0, expected 1"
+              for level in (2, 3, 4) for h in (("0",), ("1",), ("2",)))]
 
 
 class TestPathProbability:
@@ -216,10 +220,7 @@ class TestPathProbability:
         mono = block_counts(illness_death, path)
         value = Fraction(1)
         for sym, e in mono.items():
-            if sym[0] == "pi":
-                value *= params.pi_value(sym[1]) ** e
-            else:
-                value *= params.trans_value(sym[1], sym[2], sym[3]) ** e
+            value *= params.values[sym] ** e
         assert value == path_probability(illness_death, params, path)
 
 

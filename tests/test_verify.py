@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from markovtoric import (
     Binomial,
@@ -21,9 +21,17 @@ from markovtoric import (
     vanishes_on_model,
     verify_relation_set,
 )
+from markovtoric.iofiles import parse_model_spec
 from markovtoric.verify import NONZERO, VANISHES
-from conftest import make_binary_chain, make_vc_chain
-from oracles import assignment_from_parameters, evaluate_binomial
+from conftest import DATA, make_binary_chain, make_vc_chain
+from oracles import (
+    assignment_from_parameters,
+    block_counts,
+    evaluate_binomial,
+    free_block_counts,
+    free_fiber_pairs,
+)
+from test_model import small_specs
 
 
 class TestSampleParameters:
@@ -34,20 +42,20 @@ class TestSampleParameters:
     def test_deterministic_in_seed(self, illness_death):
         a = sample_parameters(illness_death, seed=42)
         b = sample_parameters(illness_death, seed=42)
-        assert a.pi == b.pi and a.trans == b.trans
+        assert a.values == b.values
 
     def test_different_seeds_differ(self, illness_death):
         a = sample_parameters(illness_death, seed=1)
         b = sample_parameters(illness_death, seed=2)
-        assert (a.pi, a.trans) != (b.pi, b.trans)
+        assert a.values != b.values
 
     def test_string_seeds_accepted(self, illness_death):
         sample_parameters(illness_death, seed="0:3:1")
 
     def test_strictly_positive_on_support(self, illness_death):
         params = sample_parameters(illness_death, seed=5)
-        assert all(v > 0 for v in params.pi.values())
-        assert all(v > 0 for v in params.trans.values())
+        assert set(params.values) == set(illness_death.symbols())
+        assert all(v > 0 for v in params.values.values())
 
     def test_bound_below_row_width_rejected(self):
         # 98 initial states: one row wider than the 97 weights; the
@@ -133,7 +141,7 @@ class TestVanishesOnModel:
         # the sampled points for different relation indices differ
         p0 = sample_parameters(illness_death, "7:0:0")
         p1 = sample_parameters(illness_death, "7:1:0")
-        assert (p0.pi, p0.trans) != (p1.pi, p1.trans)
+        assert p0.values != p1.values
 
 
 class TestKernelMembership:
@@ -189,8 +197,7 @@ class TestVerifyRelationSet:
         # two absorbing causes of death: a22 = a33 = 1 on the whole model,
         # so trading a 22 window for a 33 window leaves p unchanged, while
         # the full design matrix still counts both windows
-        spec = ModelSpec(("0", "1", "2", "3"), 1, 4, absorbing=["2", "3"],
-                         initial=["0"], homogeneous=True)
+        spec = parse_model_spec(DATA / "competing_risks.yaml")
         table = enumerate_paths(spec)
         at = {"".join(p): j for j, p in enumerate(table)}
         probe = canonicalize({at["0002"]: 1, at["0033"]: 1},
@@ -201,12 +208,33 @@ class TestVerifyRelationSet:
         spec, rs = self._competing_risks_probe()
         assert vanishes_on_model(rs.binomials[0], spec, rs.table, trials=20).ok
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_forced_row_trade_passes_both_routes(self):
         spec, rs = self._competing_risks_probe()
         report = verify_relation_set(rs, spec, trials=20, seed=0)
         assert report.entries[0].vanish.ok
         assert report.entries[0].kernel.ok
+
+    def test_every_competing_risks_candidate_passes_both_routes(self):
+        # every degree-2 binomial whose sides have equal A' statistics;
+        # 13 of them trade forced windows, so their full statistics differ
+        spec, rs = self._competing_risks_probe()
+        table = rs.table
+        full = [Counter(block_counts(spec, p)) for p in table]
+        forced = {}
+        for m1, m2 in free_fiber_pairs(spec, table):
+            b = canonicalize(Counter(m1), Counter(m2))
+            if b.degree() == 2:
+                forced[b] = full[m1[0]] + full[m1[1]] != full[m2[0]] + full[m2[1]]
+        assert len(forced) == 43
+        trades = {b.text(table) for b, f in forced.items() if f}
+        assert len(trades) == 13
+        assert {"p_0002*p_0033 - p_0003*p_0022",
+                "p_0112*p_0133 - p_0113*p_0122"} <= trades
+        candidates = sorted(forced, key=lambda b: (b.plus, b.minus))
+        relset = RelationSet(table, tuple(candidates), ("scan",) * len(candidates))
+        report = verify_relation_set(relset, spec, trials=20, seed=0)
+        assert [(e.vanish.ok, e.kernel.ok) for e in report.entries] == [(True, True)] * 43
+        assert report.agreement
 
     def test_report_is_deterministic(self, illness_death):
         rs = generators_for(illness_death)
@@ -293,3 +321,37 @@ def test_integer_route_matches_fraction_route(case, seed, idx, member,
         assert trial is None
     else:
         assert (check.witness.trial, check.witness.residual) == (trial, residual)
+
+
+COMPETING_RISKS = parse_model_spec(DATA / "competing_risks.yaml")
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_specs(), kind=st.sampled_from(["forced", "fiber", "random"]),
+       pick=st.integers(0, 10**6), quadric=st.tuples(*[st.integers(0, 10**4)] * 4),
+       seed=st.integers(0, 10**6))
+@example(spec=COMPETING_RISKS, kind="forced", pick=0, quadric=(0, 0, 0, 0), seed=0)
+def test_kernel_route_tests_the_free_rows(spec, kind, pick, quadric, seed):
+    # p_a p_b - p_c p_d vanishes on the model exactly when both sides
+    # have equal A' statistics: both routes pass then, and both fail
+    # otherwise.  A pair is drawn from the degree-2 fibers of A' (its
+    # "forced" pairs trade forced windows, so their full statistics
+    # differ) or at random.
+    table = enumerate_paths(spec)
+    assume(2 <= len(table) <= 150)
+    free = [free_block_counts(spec, p) for p in table]
+    full = [Counter(block_counts(spec, p)) for p in table]
+    pairs = free_fiber_pairs(spec, table)
+    if kind == "forced":
+        pairs = [(m1, m2) for m1, m2 in pairs
+                 if full[m1[0]] + full[m1[1]] != full[m2[0]] + full[m2[1]]]
+    if kind != "random" and pairs:
+        (a, b), (c, d) = pairs[pick % len(pairs)]
+    else:
+        a, b, c, d = (q % len(table) for q in quadric)
+        assume(sorted((a, b)) != sorted((c, d)))
+    binomial = canonicalize(Counter((a, b)), Counter((c, d)))
+    equal = free[a] + free[b] == free[c] + free[d]
+    check = vanishes_on_model(binomial, spec, table, trials=20, seed=seed)
+    kernel = kernel_membership(binomial, build_design_matrix(spec, table))
+    assert (check.ok, kernel.ok) == (equal, equal)
