@@ -30,7 +30,7 @@ from .estimate import (
     mle_nonhomogeneous,
     recover_parameters,
 )
-from .iofiles import DEFAULT_DECIMALS, _write_records, decimal_string, fraction_string
+from .iofiles import DEFAULT_DECIMALS, decimal_string, fraction_string
 from .model import format_symbol, validate_model
 from .paths import build_design_matrix, enumerate_paths
 from .relations import generators_for
@@ -114,17 +114,16 @@ def build_parser():
     return top
 
 
-def _emit(args, text, jsonable):
-    """Write jsonable with --format structured, else text (a list of lines,
-    or a function that writes them to a file), to --out or stdout."""
+def _emit(args, lines, jsonable):
+    """Write jsonable with --format structured, else lines (any iterable of
+    strings, written one at a time, each with a newline), to --out or stdout."""
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as fh:
         if args.format == "structured":
             iofiles.dump_json(jsonable, fh)
-        elif callable(text):
-            text(fh)
         else:
-            fh.write("\n".join(text) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
 
 
 def _seed(args):
@@ -371,12 +370,11 @@ def cmd_ingest(args):
     fine = iofiles.parse_model_spec(args.fine_spec) if args.fine_spec else None
     if args.corpus:
         cs = iofiles.read_corpus_spec(args.corpus_config)
+        text = iofiles.read_text(args.corpus)
         try:
-            with open(args.corpus, "r", encoding="utf-8") as fh:
-                text = fh.read()
             trajs = iofiles.corpus_to_trajectories(text, cs,
                                                    fine if args.collapse else spec)
-        except (OSError, ParseError) as exc:
+        except ParseError as exc:
             raise ParseError(str(exc), filename=args.corpus)
     else:
         trajs = iofiles.ingest_trajectories(args.trajectories,
@@ -395,7 +393,7 @@ def cmd_ingest(args):
         jsonable = {"length": trajs.length, "total": trajs.total,
                     "records": [{"trajectory": list(t), "multiplicity": m}
                                 for t, m in records]}
-    _emit(args, lambda fh: _write_records(fh, records), jsonable)
+    _emit(args, iofiles.record_lines(records), jsonable)
     return EXIT_OK
 
 

@@ -5,8 +5,14 @@ and counts are plain text, one record per line, with `#` comments.
 Relation files are JSON documents whose keys follow the package's field
 names.  Exact values are written as rational strings like "469/685";
 decimal_string gives a rounded view of one, never a replacement.
+
+Every input file is read as UTF-8 by one reader, read_text; a file that
+cannot be opened or decoded is a ParseError naming the file (exit 3 on
+the command line).  Every data file is written, one line at a time, by
+one writer, _write_lines.
 """
 
+import io
 import json
 import sys
 from collections import Counter
@@ -59,14 +65,23 @@ def fraction_string(value):
                              f"long to write out in decimal") from None
 
 
+def read_text(path):
+    """The UTF-8 text of a file, newlines universal; a file that cannot be
+    opened or decoded is a ParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(str(exc), filename=path)
+
+
 def _load_yaml(path, what, keys=None, required=()):
     """The YAML mapping in a file, named what in messages; ParseError unless its
     keys are all in keys (any when None) and include every key in required."""
+    stream = io.StringIO(read_text(path))
+    stream.name = path  # a ReaderError names the file, not "<unicode string>"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), filename=path)
+        doc = yaml.safe_load(stream)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -144,12 +159,8 @@ def parse_model_spec(path):
 
 
 def _data_lines(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise ParseError(str(exc), filename=path)
-    for lineno, line in enumerate(raw, start=1):
+    # split("\n"), not splitlines(), which also breaks at \x0c, \x85, ...
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -192,15 +203,21 @@ def ingest_trajectories(path, spec):
     return TrajectorySet(tuple(records)).check(spec)
 
 
-def _write_records(fh, records):
-    """Write one 'comma,joined,path value' line per (path, value) pair."""
+def record_lines(records):
+    """One 'comma,joined,path value' line per (path, value) pair."""
     for p, value in records:
-        fh.write(f"{','.join(p)} {value}\n")
+        yield f"{','.join(p)} {value}"
+
+
+def _write_lines(path, lines):
+    """Write each line and a newline to a UTF-8 file, one line at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_trajectories(trajs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_records(fh, trajs.records)
+    _write_lines(path, record_lines(trajs.records))
 
 
 def _path_values(path, table, what, parse, kind):
@@ -249,8 +266,7 @@ def read_counts(path, table):
 
 
 def write_counts(counts, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_records(fh, zip(counts.table, counts.counts))
+    _write_lines(path, record_lines(zip(counts.table, counts.counts)))
 
 
 def read_probabilities(path, table):
@@ -269,8 +285,8 @@ def read_probabilities(path, table):
 def write_probabilities(assignment, table, path, decimals=None):
     text = (fraction_string if decimals is None
             else lambda value: decimal_string(value, decimals))
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_records(fh, ((p, text(assignment[j])) for j, p in enumerate(table)))
+    _write_lines(path, record_lines((p, text(assignment[j]))
+                                    for j, p in enumerate(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +304,9 @@ class CorpusSpec:
     set, longer words are excluded before L is chosen.  overlong says
     what to do with words longer than a fixed horizon: "error" or
     "drop".  drop_chars, a string, are removed from words before mapping
-    (case is always lowered first).  Labels are stored as strings; any
-    other value raises SpecificationError.
+    (case is always lowered first), so none may be an alphabet key.
+    Labels are stored as strings; any other value, or a min_word_length
+    above max_word_length, raises SpecificationError.
     """
 
     alphabet: dict
@@ -313,6 +330,10 @@ class CorpusSpec:
             raise SpecificationError(f"pad must be a state label, got {self.pad!r}")
         if not isinstance(self.drop_chars, str):
             raise SpecificationError(f"drop_chars must be a string, got {self.drop_chars!r}")
+        dropped = next((a for a in self.alphabet if str(a) in self.drop_chars), None)
+        if dropped is not None:
+            raise SpecificationError(f"alphabet key {dropped!r} is also in drop_chars, "
+                                     f"which are removed before mapping")
         if self.overlong not in ("error", "drop"):
             raise SpecificationError(
                 f"overlong policy must be 'error' or 'drop', got {self.overlong!r}")
@@ -325,6 +346,10 @@ class CorpusSpec:
                     f"got {value!r}")
         if self.horizon is not None and self.horizon < 1:
             raise SpecificationError(f"horizon must be positive, got {self.horizon}")
+        if self.max_word_length is not None and self.min_word_length > self.max_word_length:
+            raise SpecificationError(
+                f"min_word_length {self.min_word_length} is above max_word_length "
+                f"{self.max_word_length}, so no word can be kept")
         object.__setattr__(self, "alphabet",
                            {str(a): str(b) for a, b in self.alphabet.items()})
         object.__setattr__(self, "pad", str(self.pad))
@@ -490,9 +515,21 @@ def relations_to_jsonable(relset):
     }
 
 
+def _json_lines(obj):
+    """The text of dump_json(obj, fh), line by line, without the newlines
+    that end them; the encoder puts at most one newline in a chunk."""
+    parts = []
+    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
+        head, newline, tail = chunk.partition("\n")
+        parts.append(head)
+        if newline:
+            yield "".join(parts)
+            parts = [tail]
+    yield "".join(parts)
+
+
 def write_relations(relset, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_json(relations_to_jsonable(relset), fh)
+    _write_lines(path, _json_lines(relations_to_jsonable(relset)))
 
 
 def read_relations(path, table):
@@ -507,10 +544,7 @@ def read_relations(path, table):
     provenance that is not a string raises ParseError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), filename=path)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, filename=path, line=exc.lineno,
                          column=exc.colno)

@@ -390,7 +390,9 @@ def validate_parameters(spec, params):
     row at every level summing to exactly 1.  An absorbing
     self-transition is forced to 1 by its row sum, since it is the
     row's only allowed entry.  Entry problems come first, in the order
-    of params.values, then row problems in spec.rows() order.
+    of params.values, then row problems in spec.rows() order, then
+    undefined marks on rows the spec does not have (an unknown level,
+    or a history with no successor), sorted by their repr.
     """
     problems = []
     allowed = set(spec.symbols())
@@ -410,7 +412,8 @@ def validate_parameters(spec, params):
             problems.append(f"nonzero value {v} on forbidden transition "
                             f"{sym[2]} -> {sym[3]!r}"
                             + ("" if sym[1] is None else f" at level {sym[1]}"))
-    for row in spec.rows():
+    rows = spec.rows()
+    for row in rows:
         name = "pi"
         if row[0][0] == "a":
             name = f"row (level={row[0][1]}, history={row[0][2]})"
@@ -420,6 +423,9 @@ def validate_parameters(spec, params):
         total = sum((params.values.get(sym, _ZERO) for sym in row), _ZERO)
         if total != 1:
             problems.append(f"{name} sums to {total}, expected 1")
+    stray = params.undefined - {row[0][1:3] for row in rows[1:]}
+    for level, h in sorted(stray, key=repr):
+        problems.append(f"undefined mark on unknown row (level={level}, history={h})")
     return problems
 
 

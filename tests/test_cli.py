@@ -151,18 +151,79 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _path_values(d, "report", "--counts", "0,0,0,0 0\n0,0,1,1 0\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: ~\nn: 3\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn:\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\ndrop_chars: \"'a\"\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\nmin_word_length: 5\n"
+                                "max_word_length: 4\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
         "alphabet-list-label", "collapse-null-label", "collapse-float-label",
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
         "horizon-zero", "count-negative", "probability-negative",
-        "mle-counts-all-zero", "report-counts-all-zero", "k-null", "n-null"])
+        "mle-counts-all-zero", "report-counts-all-zero", "k-null", "n-null",
+        "alphabet-key-dropped", "min-word-length-above-max"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert str(f) in err
+
+
+SAMPLE_CORPUS = str(DATA / "sample_corpus.txt")
+VC_CORPUS = str(DATA / "vc_corpus.yaml")
+VC_COLLAPSE = str(DATA / "vc_collapse.yaml")
+
+
+def _relations_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "relations.json"
+        write_relations(generators_for(parse_model_spec(ILLNESS)), f)
+        return f.read_text()
+
+
+# each input file: its valid text, and the command line that reads it
+INPUTS = {
+    "spec": (lambda: Path(ILLNESS).read_text(), lambda f: ["validate", "--spec", f]),
+    "corpus-config": (lambda: Path(VC_CORPUS).read_text(), lambda f: [
+        "ingest", "--spec", VC_BOX, "--corpus", SAMPLE_CORPUS,
+        "--corpus-config", f, "--collapse", VC_COLLAPSE]),
+    "collapse-map": (lambda: Path(VC_COLLAPSE).read_text(), lambda f: [
+        "ingest", "--spec", VC_BOX, "--corpus", SAMPLE_CORPUS,
+        "--corpus-config", VC_CORPUS, "--collapse", f]),
+    "trajectories": (lambda: "0,0,1,1 3\n",
+                     lambda f: ["mle", "--spec", ILLNESS, "--trajectories", f]),
+    "counts": (lambda: "0,0,1,1 3\n", lambda f: ["mle", "--spec", ILLNESS, "--counts", f]),
+    "probabilities": (lambda: "0,0,0,0 1\n",
+                      lambda f: ["recover", "--spec", ILLNESS, "--probabilities", f]),
+    "relations": (_relations_text, lambda f: [
+        "verify", "--spec", ILLNESS, "--relations", f, "--trials", "1"]),
+    "corpus": (lambda: Path(SAMPLE_CORPUS).read_text(), lambda f: [
+        "ingest", "--spec", VC_BOX, "--corpus", f, "--corpus-config", VC_CORPUS,
+        "--collapse", VC_COLLAPSE]),
+}
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+def test_an_input_that_is_not_utf8_is_a_parse_error_naming_it(capsys, tmp_path, kind):
+    text, argv = INPUTS[kind]
+    f = tmp_path / "input"
+    f.write_text(text())
+    assert run(capsys, *argv(str(f)))[0] == 0
+    # a Latin-1 é at the end of the file
+    f.write_bytes(f.read_bytes() + "# café\n".encode("latin-1"))
+    code, out, err = run(capsys, *argv(str(f)))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte 0xe9 ")
+    assert "Traceback" not in err
+
+
+def test_a_yaml_reader_error_names_the_file(capsys, tmp_path):
+    f = tmp_path / "ctl.yaml"
+    f.write_text("states: [0, 1]\x07\nk: 1\nn: 3\n")
+    code, out, err = run(capsys, "validate", "--spec", str(f))
+    assert (code, out) == (3, "")
+    assert err == (f"error: {f}: unacceptable character #x0007: special characters "
+                   f"are not allowed\n  in \"{f}\", position 14\n")
 
 
 # the flags of each verb; a verb declares only the flags it reads

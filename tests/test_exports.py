@@ -57,6 +57,26 @@ def test_every_public_definition_is_exported_or_used():
     assert not dead, f"public but neither exported nor used: {dead}"
 
 
+def test_files_are_opened_only_at_the_file_boundary():
+    # every input is read by iofiles.read_text and every data file is
+    # written by iofiles._write_lines; cli._emit opens --out
+    opens, private = set(), []
+    for module, stmt in _top_level_statements():
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and "open" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                opens.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("iofiles", "markovtoric.iofiles")):
+                private += [f"{module}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and getattr(node.value, "id", None) == "iofiles"):
+                private.append(f"{module}: iofiles.{node.attr}")
+    assert opens == {"iofiles.read_text", "iofiles._write_lines", "cli._emit"}
+    assert not private, f"private iofiles names used elsewhere: {private}"
+
+
 BENCH = Path(__file__).parent.parent / "bench"
 
 

@@ -179,6 +179,17 @@ class TestParameters:
         params = ParameterPoint({**uniform_parameters(illness_death).values, **edit})
         assert validate_parameters(illness_death, params) == [problem]
 
+    def test_undefined_mark_on_a_row_the_spec_lacks_is_reported(self):
+        # x has no successor, so history x has no row; level 99 is past n
+        spec = ModelSpec(["0", "1", "x"], 1, 3,
+                         forbidden=[("x", "0"), ("x", "1"), ("x", "x")])
+        values = uniform_parameters(spec).values
+        marks = {(99, ("0",)), (2, ("x",)), (2, ("0",))}
+        assert validate_parameters(spec, ParameterPoint(values, marks)) == [
+            "row (level=2, history=('0',)) is undefined",
+            "undefined mark on unknown row (level=2, history=('x',))",
+            "undefined mark on unknown row (level=99, history=('0',))"]
+
     def test_missing_entries_read_as_zero(self, illness_death):
         assert ParameterPoint({}).values == {}
         assert path_probability(illness_death, ParameterPoint({}), ("0",) * 4) == 0
