@@ -74,7 +74,8 @@ def build_parser():
     data = _Parser(add_help=False)
     data.add_argument("--trajectories", help="trajectory file")
     data.add_argument("--counts", help="counts file")
-    data.add_argument("--n", type=int, help="analysis horizon (default: spec n)")
+    data.add_argument("--n", type=int, help="analysis horizon (default: the shorter "
+                      "of the spec's n and the trajectory length)")
     data.add_argument("--window", choices=("prefix", "slide"), default="prefix",
                       help="homogeneous pooling window (default prefix)")
 
@@ -108,7 +109,7 @@ def build_parser():
     p.add_argument("--fine-spec", dest="fine_spec",
                    help="spec of the pre-collapse chain, to validate --collapse; "
                         "requires --collapse")
-    p.add_argument("--n", type=int, help="horizon for --emit counts")
+    p.add_argument("--n", type=int, help="--emit counts horizon (default: as for mle)")
     p.add_argument("--emit", choices=("trajectories", "counts"),
                    default="trajectories", help="output kind (default trajectories)")
     return top
@@ -283,20 +284,25 @@ def _load_trajectories(args, spec):
     return TrajectorySet.from_counts(counts)
 
 
-def _horizon(args, spec, trajs):
-    return args.n if args.n is not None else min(spec.horizon, trajs.length)
+def _check_fit_flags(args, spec):
+    """Usage errors for --n and --window slide where no fit reads them."""
+    if not (args.trajectories or args.counts):
+        if args.n is not None or args.window == "slide":
+            raise SystemExit_("--n and --window slide require --trajectories or --counts")
+    elif args.window == "slide" and not spec.homogeneous:
+        raise SystemExit_("--window slide requires a homogeneous spec")
 
 
 def _fit(args, spec, trajs):
-    n = _horizon(args, spec, trajs)
     if spec.homogeneous:
-        return mle_homogeneous(trajs, spec, n=n, window=args.window)
-    return mle_nonhomogeneous(trajs, spec, n=n)
+        return mle_homogeneous(trajs, spec, n=args.n, window=args.window)
+    return mle_nonhomogeneous(trajs, spec, n=args.n)
 
 
 def cmd_mle(args):
     spec = iofiles.parse_model_spec(args.spec)
     trajs = _load_trajectories(args, spec)
+    _check_fit_flags(args, spec)
     report = _fit(args, spec, trajs)
     n = report.horizon
     lines, estimate = _estimate(report, args.decimals)
@@ -363,6 +369,8 @@ def cmd_ingest(args):
         raise SystemExit_("--fine-spec requires --collapse")
     if args.collapse and args.trajectories and not args.fine_spec:
         raise SystemExit_("--collapse with --trajectories requires --fine-spec")
+    if args.n is not None and args.emit != "counts":
+        raise SystemExit_("--n requires --emit counts")
     if args.corpus and not args.corpus_config:
         raise SystemExit_("--corpus requires --corpus-config")
     if not (args.corpus or args.trajectories):
@@ -383,10 +391,9 @@ def cmd_ingest(args):
         cm = iofiles.read_collapse_map(args.collapse)
         trajs = iofiles.collapse_states(trajs, cm, spec, fine)
     if args.emit == "counts":
-        n = _horizon(args, spec, trajs)
-        counts = counts_from_trajectories(trajs, spec, n=n)
+        counts = counts_from_trajectories(trajs, spec, n=args.n)
         records = tuple(zip(counts.table, counts.counts))
-        jsonable = {"total": counts.total, "horizon": n,
+        jsonable = {"total": counts.total, "horizon": len(counts.table[0]),
                     "counts": [{"path": list(p), "count": c} for p, c in records]}
     else:
         records = trajs.records
@@ -399,6 +406,7 @@ def cmd_ingest(args):
 
 def cmd_report(args):
     spec = iofiles.parse_model_spec(args.spec)
+    _check_fit_flags(args, spec)
     errors, finding_lines, validation = _validation(spec)
     table = enumerate_paths(spec)
     relset = _relations_for(args, spec, table)

@@ -117,7 +117,8 @@ class CountVector:
 
 
 def _resolve_horizon(trajs, spec, n):
-    n = trajs.length if n is None else _as_int(n, "n")
+    """n, by default the shorter of the spec's n and the trajectory length."""
+    n = min(spec.horizon, trajs.length) if n is None else _as_int(n, "n")
     if n < spec.order + 1:
         raise EstimationError(f"n = {n} is shorter than order + 1")
     if n > trajs.length:
@@ -132,7 +133,7 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     prefix window (positions 1..n), not sliding windows.  The result is
     indexed by the path table of the spec at horizon n.
     """
-    n = _resolve_horizon(trajs, spec, spec.horizon if n is None else n)
+    n = _resolve_horizon(trajs, spec, n)
     if table is None:
         table = enumerate_paths(spec.with_horizon(n))
     counts = [0] * len(table)
@@ -220,7 +221,8 @@ def mle_homogeneous(trajs, spec, n=None, window=PREFIX):
     Transition tallies pool every level's windows into one table.  With
     window="prefix" only windows inside the first n positions count;
     window="slide" pools over the full trajectory length regardless of
-    n.  The two agree when n is the trajectory length (the default).
+    n.  The two agree when n is the trajectory length.  n defaults to
+    the shorter of the spec's n and the trajectory length.
     """
     if not spec.homogeneous:
         raise EstimationError("spec is nonhomogeneous; use mle_nonhomogeneous")

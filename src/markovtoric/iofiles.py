@@ -66,10 +66,11 @@ def fraction_string(value):
 
 
 def read_text(path):
-    """The UTF-8 text of a file, newlines universal; a file that cannot be
-    opened or decoded is a ParseError naming it."""
+    """The UTF-8 text of a file, without a leading byte-order mark, newlines
+    universal; a file that cannot be opened or decoded is a ParseError
+    naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), filename=path)

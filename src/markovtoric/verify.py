@@ -226,13 +226,18 @@ def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
     """Run both verification routes over every relation of a set.
 
     The design matrix defaults to the spec's own; pass one explicitly
-    to reuse it across calls.  Entries keep the set's order, and each
-    relation gets its own random stream derived from (seed, index).
-    trials must be at least 1.
+    to reuse it across calls.  A design over another path table, or with
+    rows other than spec.symbols(), is a RelationError.  Entries keep
+    the set's order, and each relation gets its own random stream
+    derived from (seed, index).  trials must be at least 1.
     """
     _check_trials(trials)
     if design is None:
         design = build_design_matrix(spec, relset.table)
+    elif design.table is not relset.table and tuple(design.table) != relset.table.paths:
+        raise RelationError("design matrix and relation set tables differ")
+    elif design.row_symbols != spec.symbols():
+        raise RelationError("design matrix rows are not the spec's parameter symbols")
     layout = _row_layout(spec)
     entries = []
     for idx, (binomial, tag) in enumerate(relset):

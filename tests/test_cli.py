@@ -217,6 +217,18 @@ def test_an_input_that_is_not_utf8_is_a_parse_error_naming_it(capsys, tmp_path, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", INPUTS)
+def test_a_byte_order_mark_is_not_part_of_an_input(capsys, tmp_path, kind):
+    text, argv = INPUTS[kind]
+    f = tmp_path / "input"
+    f.write_text(text(), encoding="utf-8")
+    plain = run(capsys, *argv(str(f)))
+    assert plain[0] == 0
+    f.write_text(text(), encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(capsys, *argv(str(f))) == plain
+
+
 def test_a_yaml_reader_error_names_the_file(capsys, tmp_path):
     f = tmp_path / "ctl.yaml"
     f.write_text("states: [0, 1]\x07\nk: 1\nn: 3\n")
@@ -287,6 +299,31 @@ class TestUsageErrors:
                            "--counts", worked_counts_file,
                            "--trajectories", worked_counts_file)
         assert code == 3
+
+
+    # --n and --window slide where no fit would read them
+    @pytest.mark.parametrize("verb, data, flags, message", [
+        ("mle", True, ["--window", "slide"],
+         "--window slide requires a homogeneous spec"),
+        ("report", True, ["--window", "slide"],
+         "--window slide requires a homogeneous spec"),
+        ("report", False, ["--n", "3"],
+         "--n and --window slide require --trajectories or --counts"),
+        ("report", False, ["--window", "slide"],
+         "--n and --window slide require --trajectories or --counts"),
+    ], ids=["mle-slide", "report-slide", "report-n-no-data", "report-slide-no-data"])
+    def test_a_fit_flag_that_no_fit_reads(self, capsys, worked_counts_file,
+                                          verb, data, flags, message):
+        counts = ["--counts", worked_counts_file] if data else []
+        code, out, err = run(capsys, verb, "--spec", ILLNESS, *counts, *flags)
+        assert (code, out, err) == (3, "", message + "\n")
+
+    def test_ingest_n_requires_emit_counts(self, capsys, tmp_path):
+        t = tmp_path / "t.txt"
+        t.write_text("0,0,1,1 3\n")
+        argv = ["ingest", "--spec", ILLNESS, "--trajectories", str(t), "--n", "3"]
+        assert run(capsys, *argv) == (3, "", "--n requires --emit counts\n")
+        assert run(capsys, *argv, "--emit", "counts")[0] == 0
 
 
 class TestPaths:
@@ -622,6 +659,21 @@ class TestIngest:
         cv = read_counts(dest, table)
         assert cv[table.index(("0", "0", "1", "1"))] == 4
         assert cv.total == 6
+
+    @pytest.mark.parametrize("line, n, horizon", [
+        ("0,0,1 3", [], 3), ("0,0,1,1,2,2 3", [], 4),
+        ("0,0,1,1,2,2 3", ["--n", "2"], 2),
+    ], ids=["shorter", "longer", "given"])
+    def test_emit_counts_reports_the_horizon_it_counted_at(self, capsys, tmp_path,
+                                                           line, n, horizon):
+        # the spec's n = 4 or the trajectory length, whichever is shorter
+        t = tmp_path / "t.txt"
+        t.write_text(line + "\n")
+        code, out, _ = run(capsys, "ingest", "--spec", ILLNESS, "--trajectories",
+                           str(t), "--emit", "counts", "--format", "structured", *n)
+        doc = json.loads(out)
+        assert (code, doc["horizon"], doc["total"]) == (0, horizon, 3)
+        assert {len(c["path"]) for c in doc["counts"]} == {horizon}
 
     def test_corpus_with_collapse(self, capsys, tmp_path):
         dest = tmp_path / "t.txt"

@@ -245,6 +245,40 @@ class TestMleHomogeneous:
                             window="center")
 
 
+class TestDefaultHorizon:
+    # One rule picks the analysis horizon when n is omitted: the spec's n
+    # or the trajectory length, whichever is shorter.
+
+    @pytest.mark.parametrize("length", [6, 3], ids=["longer", "shorter"])
+    def test_fits_and_counts_default_to_the_shorter_horizon(self, length):
+        spec = make_illness_death()
+        hspec = make_illness_death(homogeneous=True)
+        trajs = TrajectorySet.from_sequences(
+            [("0", "0", "1", "1", "2", "2")[:length],
+             ("0", "1", "1", "2", "2", "2")[:length]])
+        n = min(spec.horizon, length)
+        fits = [(mle_nonhomogeneous, spec, {}),
+                (mle_homogeneous, hspec, {}),
+                (mle_homogeneous, hspec, {"window": "slide"})]
+        for call, s, kw in fits:
+            est, want = call(trajs, s, **kw), call(trajs, s, n=n, **kw)
+            assert est.horizon == n
+            assert (est.values, est.undefined) == (want.values, want.undefined)
+        cv, want = (counts_from_trajectories(trajs, spec),
+                    counts_from_trajectories(trajs, spec, n=n))
+        assert (cv.table.paths, cv.counts) == (want.table.paths, want.counts)
+        assert len(cv.table[0]) == n
+
+    def test_fitted_paths_of_trajectories_longer_than_the_spec(self, illness_death):
+        trajs = TrajectorySet.from_sequences([("0", "0", "1", "1", "1"),
+                                              ("0", "0", "0", "2", "2")])
+        table = enumerate_paths(illness_death)
+        fitted = fitted_path_probabilities(
+            mle_nonhomogeneous(trajs, illness_death), illness_death, table)
+        assert fitted[table.index(("0", "0", "1", "1"))] == Fraction(1, 2)
+        assert sum(fitted.values()) == 1
+
+
 def fit(trajs, spec, n, window):
     if spec.homogeneous:
         return mle_homogeneous(trajs, spec, n=n, window=window)
@@ -454,6 +488,16 @@ class TestTablePathsAreChecked:
         u = CountVector(table, (1,) * len(table))
         with pytest.raises(InadmissiblePathError, match="expected horizon 4"):
             mle_paths_hierarchical(u, illness_death, table)
+
+    def test_a_table_of_longer_paths_is_rejected(self, illness_death):
+        # its length-4 prefixes are admissible, so only the path check sees it
+        table = enumerate_paths(illness_death.with_horizon(5))
+        u = CountVector(table, (1,) * len(table))
+        with pytest.raises(InadmissiblePathError, match="expected horizon 4"):
+            mle_paths_hierarchical(u, illness_death, table)
+        p = {j: Fraction(1, len(table)) for j in range(len(table))}
+        with pytest.raises(InadmissiblePathError, match="expected horizon 4"):
+            recover_parameters(p, illness_death, table)
 
     def test_recovery_rejects_an_inadmissible_table(self, illness_death):
         table = unrestricted_three_state_table()

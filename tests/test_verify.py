@@ -236,6 +236,19 @@ class TestVerifyRelationSet:
         assert [(e.vanish.ok, e.kernel.ok) for e in report.entries] == [(True, True)] * 43
         assert report.agreement
 
+    def test_a_design_of_another_spec_is_rejected(self, illness_death,
+                                                  illness_death_hom,
+                                                  reversible_illness_death):
+        relset = generators_for(illness_death)
+        other_table = build_design_matrix(reversible_illness_death)
+        with pytest.raises(RelationError, match="tables differ"):
+            verify_relation_set(relset, illness_death, design=other_table)
+        other_rows = build_design_matrix(illness_death_hom, relset.table)
+        with pytest.raises(RelationError, match="parameter symbols"):
+            verify_relation_set(relset, illness_death, design=other_rows)
+        same = build_design_matrix(illness_death, enumerate_paths(illness_death))
+        assert verify_relation_set(relset, illness_death, design=same).all_pass
+
     def test_report_is_deterministic(self, illness_death):
         rs = generators_for(illness_death)
         r1 = verify_relation_set(rs, illness_death, trials=4, seed=11)
