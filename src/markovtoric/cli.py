@@ -1,11 +1,13 @@
 """Command-line surface.
 
 One verb per capability: validate, paths, relations, verify, mle,
-recover, birch, ingest, report.  Text output is human-readable (and for
-ingest, directly re-readable as data files); --format structured emits a
-single JSON document per run.  Each report is built by one function that
-returns its text lines and its JSON form together; exact values appear as
-rational strings like "469/685", with a rounded decimal alongside.
+recover, birch, ingest, report.  main parses --spec and passes it, with
+the arguments, to the verb's cmd_* function, which returns its exit code,
+text lines and JSON form; _emit, the one writer of reports, writes them.
+Text output is human-readable (and for ingest, directly re-readable as
+data files); --format structured emits a single JSON document per run.
+Exact values appear as rational strings like "469/685", with a rounded
+decimal alongside.
 
 Exit codes: 0 success; 1 validation failure; 2 verification-style
 failure (a relation does not vanish, recovery is inconsistent, a Birch
@@ -213,7 +215,7 @@ def _birch(residual, design, decimals):
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each takes (args, spec) and returns (exit code, lines, JSON form)
 
 
 def _validation(spec):
@@ -226,51 +228,42 @@ def _validation(spec):
     return errors, lines, jsonable
 
 
-def cmd_validate(args):
-    errors, lines, jsonable = _validation(iofiles.parse_model_spec(args.spec))
+def cmd_validate(args, spec):
+    errors, lines, jsonable = _validation(spec)
     lines.append("model is valid" if not errors
                  else f"model is invalid ({errors} error(s))")
-    _emit(args, lines, jsonable)
-    return EXIT_OK if not errors else EXIT_VALIDATION
+    return EXIT_OK if not errors else EXIT_VALIDATION, lines, jsonable
 
 
-def cmd_paths(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_paths(args, spec):
     table = enumerate_paths(spec)
     lines = [f"{len(table)} admissible paths", *(",".join(p) for p in table)]
-    _emit(args, lines, {"count": len(table),
-                        "paths": [list(p) for p in table]})
-    return EXIT_OK
+    return EXIT_OK, lines, {"count": len(table), "paths": [list(p) for p in table]}
 
 
-def _relations_for(args, spec, table):
-    if args.relations:
-        return iofiles.read_relations(args.relations, table)
-    return generators_for(spec, table)
+def _verified_relations(args, spec, table):
+    """The --relations file, else the generated relations, and their verification."""
+    relset = (iofiles.read_relations(args.relations, table) if args.relations
+              else generators_for(spec, table))
+    return relset, verify_relation_set(relset, spec, trials=args.trials,
+                                       seed=_seed(args))
 
 
-def cmd_relations(args):
-    spec = iofiles.parse_model_spec(args.spec)
-    table = enumerate_paths(spec)
-    relset = generators_for(spec, table)
+def cmd_relations(args, spec):
+    relset = generators_for(spec, enumerate_paths(spec))
     lines = [f"{len(relset)} relations, {len(relset.slice_paths)} slice variables"]
     lines += relset.text_lines()
-    _emit(args, lines, iofiles.relations_to_jsonable(relset))
-    return EXIT_OK
+    return EXIT_OK, lines, iofiles.relations_to_jsonable(relset)
 
 
-def cmd_verify(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_verify(args, spec):
     table = enumerate_paths(spec)
-    relset = _relations_for(args, spec, table)
-    report = verify_relation_set(relset, spec, trials=args.trials,
-                                 seed=_seed(args))
+    relset, report = _verified_relations(args, spec, table)
     lines, jsonable = _verification(report, relset)
     lines.append(report.summary())
     if not report.agreement:
         lines.append("warning: sampling and kernel routes disagree")
-    _emit(args, lines, jsonable)
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
+    return EXIT_OK if report.all_pass else EXIT_VERIFICATION, lines, jsonable
 
 
 def _load_trajectories(args, spec):
@@ -299,15 +292,13 @@ def _fit(args, spec, trajs):
     return mle_nonhomogeneous(trajs, spec, n=args.n)
 
 
-def cmd_mle(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_mle(args, spec):
     trajs = _load_trajectories(args, spec)
     _check_fit_flags(args, spec)
     report = _fit(args, spec, trajs)
-    n = report.horizon
     lines, estimate = _estimate(report, args.decimals)
     jsonable = {"estimate": estimate}
-    fit_spec = spec.with_horizon(n)
+    fit_spec = spec.with_horizon(report.horizon)
     table = enumerate_paths(fit_spec)
     try:
         fitted = fitted_path_probabilities(report, fit_spec, table)
@@ -316,7 +307,7 @@ def cmd_mle(args):
         jsonable["fitted"] = None
         jsonable["note"] = str(exc)
     else:
-        u = counts_from_trajectories(trajs, spec, n=n, table=table)
+        u = counts_from_trajectories(trajs, spec, n=report.horizon, table=table)
         ll = loglikelihood(fitted, u)
         lines.append("fitted path probabilities:")
         jsonable["fitted"] = []
@@ -326,12 +317,10 @@ def cmd_mle(args):
             jsonable["fitted"].append({"path": list(p), **pair})
         lines.append(f"log-likelihood: {ll:.6f}")
         jsonable["loglikelihood"] = ll
-    _emit(args, lines, jsonable)
-    return EXIT_OK
+    return EXIT_OK, lines, jsonable
 
 
-def cmd_recover(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_recover(args, spec):
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     rec = recover_parameters(assignment, spec, table)
@@ -348,23 +337,20 @@ def cmd_recover(args):
              "level_a": c.level_a, "ratio_a": ratio_a,
              "level_b": c.level_b, "ratio_b": ratio_b})
     lines.append("consistent" if rec.consistent else "inconsistent")
-    _emit(args, lines, jsonable)
-    return EXIT_OK if rec.consistent else EXIT_VERIFICATION
+    return EXIT_OK if rec.consistent else EXIT_VERIFICATION, lines, jsonable
 
 
-def cmd_birch(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_birch(args, spec):
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
     u = iofiles.read_counts(args.counts, table)
     design = build_design_matrix(spec, table)
     residual = birch_residual(assignment, u, design)
-    _emit(args, *_birch(residual, design, args.decimals))
-    return EXIT_VERIFICATION if any(residual) else EXIT_OK
+    return (EXIT_VERIFICATION if any(residual) else EXIT_OK,
+            *_birch(residual, design, args.decimals))
 
 
-def cmd_ingest(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_ingest(args, spec):
     if args.fine_spec and not args.collapse:
         raise SystemExit_("--fine-spec requires --collapse")
     if args.collapse and args.trajectories and not args.fine_spec:
@@ -400,18 +386,14 @@ def cmd_ingest(args):
         jsonable = {"length": trajs.length, "total": trajs.total,
                     "records": [{"trajectory": list(t), "multiplicity": m}
                                 for t, m in records]}
-    _emit(args, iofiles.record_lines(records), jsonable)
-    return EXIT_OK
+    return EXIT_OK, iofiles.record_lines(records), jsonable
 
 
-def cmd_report(args):
-    spec = iofiles.parse_model_spec(args.spec)
+def cmd_report(args, spec):
     _check_fit_flags(args, spec)
     errors, finding_lines, validation = _validation(spec)
     table = enumerate_paths(spec)
-    relset = _relations_for(args, spec, table)
-    verification = verify_relation_set(relset, spec, trials=args.trials,
-                                       seed=_seed(args))
+    relset, verification = _verified_relations(args, spec, table)
     by_tag = Counter(relset.provenance)
     lines = [f"spec: {args.spec}",
              f"states: {len(spec.states)}  order: {spec.order}"
@@ -436,12 +418,9 @@ def cmd_report(args):
         est_lines, jsonable["estimate"] = _estimate(
             _fit(args, spec, _load_trajectories(args, spec)), args.decimals)
         lines += est_lines
-    _emit(args, lines, jsonable)
     if errors:
-        return EXIT_VALIDATION
-    if not verification.all_pass:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        return EXIT_VALIDATION, lines, jsonable
+    return EXIT_OK if verification.all_pass else EXIT_VERIFICATION, lines, jsonable
 
 
 COMMANDS = {
@@ -461,7 +440,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.verb](args)
+        spec = iofiles.parse_model_spec(args.spec)
+        code, lines, jsonable = COMMANDS[args.verb](args, spec)
+        _emit(args, lines, jsonable)
+        return code
     except SystemExit_ as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO

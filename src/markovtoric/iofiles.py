@@ -16,7 +16,6 @@ import io
 import json
 import sys
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,10 +170,9 @@ def ingest_trajectories(path, spec):
     """Read a trajectory file and validate it against a spec.
 
     Each record is a comma-separated list of state labels, optionally
-    followed by an integer multiplicity.  The multiplicity is preferred
-    as a whitespace-separated final column; a final comma-separated
-    token is also accepted as a multiplicity when it is an integer that
-    is not a state label.
+    followed by a positive integer multiplicity as a second,
+    whitespace-separated column.  Every comma-separated token is a state
+    label, so an unknown one is an error rather than a multiplicity.
     """
     records = []
     for lineno, line in _data_lines(path):
@@ -182,23 +180,18 @@ def ingest_trajectories(path, spec):
         if len(fields) > 2:
             raise ParseError("expected 'path' or 'path count'",
                              filename=path, line=lineno)
-        tokens = [t.strip() for t in fields[0].split(",")]
-        if any(not t for t in tokens):
+        tokens = tuple(fields[0].split(","))
+        if "" in tokens:
             raise ParseError("empty state label", filename=path, line=lineno)
-        mult = 1
-        if len(fields) == 2:
-            try:
-                mult = int(fields[1])
-            except ValueError:
-                raise ParseError(f"multiplicity {fields[1]!r} is not an integer",
-                                 filename=path, line=lineno)
-        elif tokens[-1] not in spec.states:
-            with suppress(ValueError):
-                mult, tokens = int(tokens[-1]), tokens[:-1]
+        try:
+            mult = int(fields[1]) if len(fields) == 2 else 1
+        except ValueError:
+            raise ParseError(f"multiplicity {fields[1]!r} is not an integer",
+                             filename=path, line=lineno)
         if mult < 1:
             raise ParseError(f"multiplicity must be positive, got {mult}",
                              filename=path, line=lineno)
-        records.append((tuple(tokens), mult))
+        records.append((tokens, mult))
     if not records:
         raise ParseError("no trajectory records found", filename=path)
     return TrajectorySet(tuple(records)).check(spec)
@@ -283,10 +276,8 @@ def read_probabilities(path, table):
     return out
 
 
-def write_probabilities(assignment, table, path, decimals=None):
-    text = (fraction_string if decimals is None
-            else lambda value: decimal_string(value, decimals))
-    _write_lines(path, record_lines((p, text(assignment[j]))
+def write_probabilities(assignment, table, path):
+    _write_lines(path, record_lines((p, fraction_string(assignment[j]))
                                     for j, p in enumerate(table)))
 
 

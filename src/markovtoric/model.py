@@ -349,32 +349,25 @@ def validate_model(spec):
     appearing in no admissible path are warnings.
     """
     findings = []
-    # Earliest position (1-based, position of the block's last state) at
-    # which each history block can occur.
-    earliest = {}
-    frontier = {b: spec.order for b in spec.initial_blocks}
-    while frontier:
-        nxt_frontier = {}
-        for block, pos in frontier.items():
-            if block in earliest and earliest[block] <= pos:
-                continue
-            earliest[block] = pos
-            if pos >= spec.horizon:
-                continue
-            succ = spec.successors(block)
-            if not succ:
+    # Breadth-first over positions (1-based, the position of a block's
+    # last state): a layer holds the blocks first reached at its position.
+    layer = spec.initial_blocks
+    seen = set(layer)
+    for pos in range(spec.order, spec.horizon):
+        nxt = []
+        for block in layer:
+            if not spec.successors(block):
                 findings.append((
                     "error",
                     f"history {block} is reachable at position {pos} "
                     f"but has no allowed successor"))
-                continue
-            for s in succ:
+            for s in spec.successors(block):
                 child = block[1:] + (s,)
-                if earliest.get(child, spec.horizon + 1) > pos + 1:
-                    nxt_frontier[child] = min(
-                        nxt_frontier.get(child, spec.horizon + 1), pos + 1)
-        frontier = nxt_frontier
-    seen_states = {s for block in earliest for s in block}
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        layer = nxt
+    seen_states = {s for block in seen for s in block}
     for s in spec.states:
         if s not in seen_states:
             findings.append(("warning", f"state {s!r} appears in no admissible path"))

@@ -81,6 +81,33 @@ def mle_reference(spec, records):
     return values, undefined
 
 
+def validate_model_reference(spec):
+    """validate_model's findings by brute force over every admissible
+    prefix of length k..n: a prefix starts with an initial block and
+    each step is in spec.transition_pairs.
+
+    A history is reachable at the shortest prefix ending in it; one
+    reached before position n whose last state has no allowed step is an
+    error.  A state in no prefix is a warning.  Errors come first, by
+    position (ties in no set order), then warnings in declaration order.
+    """
+    k, n, pairs = spec.order, spec.horizon, spec.transition_pairs
+    earliest, states_seen = {}, set()
+    prefixes = list(spec.initial_blocks)
+    for pos in range(k, n + 1):
+        for p in prefixes:
+            earliest.setdefault(p[-k:], pos)
+            states_seen.update(p)
+        prefixes = [p + (s,) for p in prefixes for s in spec.states
+                    if (p[-1], s) in pairs]
+    findings = [("error", f"history {h} is reachable at position {pos} "
+                          f"but has no allowed successor")
+                for h, pos in sorted(earliest.items(), key=lambda item: item[1])
+                if pos < n and not any((h[-1], s) in pairs for s in spec.states)]
+    return findings + [("warning", f"state {s!r} appears in no admissible path")
+                       for s in spec.states if s not in states_seen]
+
+
 def permutation_classes(spec, table):
     """Path indices grouped by equal block_counts, in table order."""
     classes = {}

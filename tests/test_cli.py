@@ -318,6 +318,10 @@ class TestUsageErrors:
         code, out, err = run(capsys, verb, "--spec", ILLNESS, *counts, *flags)
         assert (code, out, err) == (3, "", message + "\n")
 
+    def test_ingest_needs_an_input(self, capsys):
+        assert run(capsys, "ingest", "--spec", ILLNESS) == (
+            3, "", "ingest needs --trajectories or --corpus\n")
+
     def test_ingest_n_requires_emit_counts(self, capsys, tmp_path):
         t = tmp_path / "t.txt"
         t.write_text("0,0,1,1 3\n")
@@ -352,6 +356,12 @@ class TestRelationsAndVerify:
                            "--relations", str(rel), "--trials", "3")
         assert code == 0
         assert "5/5 relations verified" in out
+
+    def test_relation_file_without_a_relations_list(self, capsys, tmp_path):
+        rel = tmp_path / "rels.json"
+        rel.write_text('{"x": 1}\n')
+        assert run(capsys, "verify", "--spec", ILLNESS, "--relations", str(rel)) == (
+            3, "", f"error: {rel}: relation file must contain a 'relations' list\n")
 
     def test_verify_generates_when_no_file_given(self, capsys):
         code, out, _ = run(capsys, "verify", "--spec", ILLNESS_HOM,
@@ -563,6 +573,32 @@ def _report_argv(tmp_path, spec_file):
                       "--counts", str(counts)],
             "verify": ["verify", *spec_arg, "--relations", str(rels),
                        "--trials", "1"]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("verb", ["validate", "paths", "relations", "verify", "mle",
+                                  "recover", "birch", "ingest", "report"])
+def test_out_file_holds_what_stdout_gets(capsys, tmp_path, verb, fmt):
+    # every verb's report is written by main's one emit step, so --out
+    # gets the bytes of stdout and the exit code does not depend on it
+    argv = _report_argv(tmp_path, ILLNESS)
+    _, dead_end = _spec_file(tmp_path, "states: [0, 1]\nk: 1\nn: 3\n"
+                                       "forbid: [[1, 0], [1, 1]]\ninitial: [0]\n")
+    trajs = tmp_path / "t.txt"
+    trajs.write_text("0,0,1,1 3\n1,1,2,2 2\n")
+    argv.update({
+        "validate": dead_end,
+        "paths": ["paths", "--spec", ILLNESS],
+        "relations": ["relations", "--spec", ILLNESS_HOM],
+        "ingest": ["ingest", "--spec", ILLNESS, "--trajectories", str(trajs)],
+        "report": ["report", "--spec", ILLNESS, "--counts", str(tmp_path / "counts.txt"),
+                   *argv["verify"][3:]],
+    })
+    code, out, err = run(capsys, *argv[verb], "--format", fmt)
+    dest = tmp_path / "out.dat"
+    assert run(capsys, *argv[verb], "--format", fmt, "--out", str(dest)) == (code, "", err)
+    assert dest.read_bytes() == out.encode("utf-8")
+    assert out and not err
 
 
 def _json_values(node):

@@ -9,6 +9,7 @@ from markovtoric import (
     EstimationError,
     InadmissiblePathError,
     ModelSpec,
+    ParameterError,
     ParameterPoint,
     RelationError,
     TrajectorySet,
@@ -697,6 +698,46 @@ class TestLoglikelihood:
         fitted = fitted_path_probabilities(est, illness_death, table)
         uniform = {j: Fraction(1, 14) for j in range(14)}
         assert loglikelihood(fitted, u) > loglikelihood(uniform, u)
+
+
+class TestErrorPaths:
+    def test_hierarchical_mle_rejects_counts_on_another_table(self, illness_death):
+        other = enumerate_paths(make_binary_chain(1, 4))
+        u = CountVector(other, (1,) * len(other))
+        with pytest.raises(EstimationError,
+                           match="^count vector is indexed by a different table$"):
+            mle_paths_hierarchical(u, illness_death)
+
+    def test_hierarchical_mle_rejects_an_empty_count_vector(self, illness_death):
+        table = enumerate_paths(illness_death)
+        u = CountVector(table, (0,) * len(table))
+        with pytest.raises(EstimationError, match="^empty count vector$"):
+            mle_paths_hierarchical(u, illness_death, table)
+
+    def test_recovery_rejects_an_all_zero_assignment(self, illness_death):
+        p = {j: Fraction(0) for j in range(14)}
+        with pytest.raises(ParameterError,
+                           match="^assignment sums to zero; nothing to recover$"):
+            recover_parameters(p, illness_death)
+
+    def test_loglikelihood_rejects_a_negative_probability(self, illness_death):
+        u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
+        p = {j: Fraction(1, 14) for j in range(14)}
+        p[1] = Fraction(-1, 14)
+        with pytest.raises(EstimationError, match="^negative probability -1/14 at index 1$"):
+            loglikelihood(p, u)
+
+    def test_fitted_paths_reject_a_report_of_another_horizon(self, illness_death):
+        report = mle_nonhomogeneous(worked_trajectories(), illness_death, n=3)
+        with pytest.raises(EstimationError,
+                           match="^nonhomogeneous report was tallied at horizon 3, "
+                                 "spec needs 4$"):
+            fitted_path_probabilities(report, illness_death,
+                                      enumerate_paths(illness_death))
+
+    def test_a_horizon_below_order_plus_one_is_rejected(self, illness_death):
+        with pytest.raises(EstimationError, match=r"^n = 1 is shorter than order \+ 1$"):
+            mle_nonhomogeneous(worked_trajectories(), illness_death, n=1)
 
 
 @settings(max_examples=15, deadline=None)

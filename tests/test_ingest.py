@@ -161,16 +161,18 @@ class TestTrajectoryFiles:
         assert trajs.records == ((("0", "0", "1", "1"), 3),
                                  (("0", "0", "0", "0"), 2))
 
-    def test_trailing_token_is_mult_only_if_not_a_state(self, tmp_path,
-                                                        illness_death):
+    def test_every_comma_token_is_a_state_label(self, tmp_path, illness_death):
         f = tmp_path / "t.txt"
-        # 2 is a state, so it stays part of the path; 5 is not, so it
-        # is a multiplicity
-        f.write_text("0,0,1,2\n0,0,1,2,5\n")
-        trajs = ingest_trajectories(f, illness_death)
-        assert trajs.records == ((("0", "0", "1", "2"), 1),
-                                 (("0", "0", "1", "2"), 5))
-        assert trajs.total == 6
+        # a trailing state label stays part of the path
+        f.write_text("0,0,1,2\n")
+        assert ingest_trajectories(f, illness_death).records == (
+            (("0", "0", "1", "2"), 1),)
+        # a trailing integer that is not a state is an unknown label, not
+        # a multiplicity that would shorten every history
+        f.write_text("0,1,3\n0,0,3\n1,1,3\n")
+        with pytest.raises(EstimationError) as err:
+            ingest_trajectories(f, ModelSpec(["0", "1", "2"], 1, 3))
+        assert str(err.value) == "record 1: unknown state label '3' at position 3"
 
     def test_comments_and_blanks_skipped(self, tmp_path, illness_death):
         f = tmp_path / "t.txt"
@@ -317,16 +319,6 @@ class TestProbabilityFiles:
         f = tmp_path / "p.txt"
         write_probabilities(assignment, table, f)
         assert read_probabilities(f, table) == assignment
-
-    def test_decimal_export_is_rounded_view(self, tmp_path, illness_death):
-        table = enumerate_paths(illness_death)
-        assignment = {j: Fraction(0) for j in range(len(table))}
-        assignment[0] = Fraction(469, 685)
-        assignment[1] = Fraction(216, 685)
-        f = tmp_path / "p.txt"
-        write_probabilities(assignment, table, f, decimals=3)
-        out = read_probabilities(f, table)
-        assert out[0] == Fraction("0.685")
 
 
 class TestCorpusPipeline:

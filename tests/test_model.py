@@ -22,7 +22,7 @@ from markovtoric import (
     validate_parameters,
 )
 from conftest import make_binary_chain, make_illness_death, make_survival, make_vc_chain
-from oracles import block_counts
+from oracles import block_counts, validate_model_reference
 
 
 class TestAsFraction:
@@ -56,6 +56,12 @@ class TestModelSpec:
             ModelSpec(["0", "1"], True, 3)
         with pytest.raises(SpecificationError, match="horizon must be an integer"):
             ModelSpec(["0", "1"], 1, True)
+
+    def test_empty_state_set_and_repeated_initial_block_rejected(self):
+        with pytest.raises(SpecificationError, match="^state set is empty$"):
+            ModelSpec([], 1, 2)
+        with pytest.raises(SpecificationError, match="^duplicate initial blocks$"):
+            ModelSpec(["0", "1"], 1, 3, initial=["0", "1", "0"])
 
     def test_unknown_state_in_forbidden_rejected(self):
         with pytest.raises(SpecificationError):
@@ -296,6 +302,31 @@ def test_with_horizon_equals_a_fresh_spec_from_the_same_rules(case):
                for h in itertools.product(states, repeat=k))
     assert shorter.initial_blocks == fresh.initial_blocks
     assert list(enumerate_paths(shorter)) == list(enumerate_paths(fresh))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_rules())
+@example((["0", "1"], 1, 3, 3, {"forbidden": [("1", "0"), ("1", "1")],
+                                "initial": [("0",)]}))
+# dead ends reached at positions 3 and 4, and an unreachable state 3
+@example((["0", "1", "2", "3"], 2, 5, 5, {
+    "forbidden": [("1", "0"), ("1", "1"), ("2", "0"), ("2", "1"), ("2", "2"),
+                  ("2", "3"), ("0", "3"), ("1", "3")],
+    "initial": [("0", "0")]}))
+def test_validate_model_matches_the_prefix_oracle(case):
+    states, k, n, _, rules = case
+    try:
+        spec = ModelSpec(states, k, n, **rules)
+    except SpecificationError:
+        reject()
+    findings, expected = validate_model(spec), validate_model_reference(spec)
+    assert sorted(findings) == sorted(expected)
+
+    def key(finding):  # an error's position, a warning's message
+        severity, message = finding
+        return (int(message.split(" at position ")[1].split()[0])
+                if severity == "error" else message)
+    assert list(map(key, findings)) == list(map(key, expected))
 
 
 @st.composite
