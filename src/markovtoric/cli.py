@@ -4,6 +4,7 @@ One verb per capability: validate, paths, relations, verify, mle,
 recover, birch, ingest, report.  main parses --spec and passes it, with
 the arguments, to the verb's cmd_* function, which returns its exit code,
 text lines and JSON form; _emit, the one writer of reports, writes them.
+_fit, the one fit path, alone reads and checks the data flags of mle and report.
 Text output is human-readable (and for ingest, directly re-readable as
 data files); --format structured emits a single JSON document per run.
 Exact values appear as rational strings like "469/685", with a rounded
@@ -266,52 +267,44 @@ def cmd_verify(args, spec):
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION, lines, jsonable
 
 
-def _load_trajectories(args, spec):
-    if bool(args.trajectories) == bool(args.counts):
+def _fit(args, spec):
+    """(data, MLE at --n with --window) of --trajectories or --counts, or None
+    for a report without data.  The first fault in this order is reported:
+    both data flags, or none to mle; --n or --window slide without data;
+    --window slide on a nonhomogeneous spec; the data file; the fit."""
+    data = args.trajectories or args.counts
+    if (args.trajectories and args.counts) or (args.verb == "mle" and not data):
         raise SystemExit_("exactly one of --trajectories or --counts is required")
-    if args.trajectories:
-        return iofiles.ingest_trajectories(args.trajectories, spec)
-    counts = iofiles.read_counts(args.counts, enumerate_paths(spec))
-    if counts.total == 0:
-        raise ParseError("counts file is all zero", filename=args.counts)
-    return TrajectorySet.from_counts(counts)
-
-
-def _check_fit_flags(args, spec):
-    """Usage errors for --n and --window slide where no fit reads them."""
-    if not (args.trajectories or args.counts):
+    if not data:
         if args.n is not None or args.window == "slide":
             raise SystemExit_("--n and --window slide require --trajectories or --counts")
-    elif args.window == "slide" and not spec.homogeneous:
+        return None
+    if args.window == "slide" and not spec.homogeneous:
         raise SystemExit_("--window slide requires a homogeneous spec")
-
-
-def _fit(args, spec, trajs):
-    if spec.homogeneous:
-        return mle_homogeneous(trajs, spec, n=args.n, window=args.window)
-    return mle_nonhomogeneous(trajs, spec, n=args.n)
+    trajs = (iofiles.ingest_trajectories(args.trajectories, spec) if args.trajectories
+             else TrajectorySet.from_counts(
+                 iofiles.read_counts(args.counts, enumerate_paths(spec))))
+    return trajs, (mle_homogeneous(trajs, spec, n=args.n, window=args.window)
+                   if spec.homogeneous else mle_nonhomogeneous(trajs, spec, n=args.n))
 
 
 def cmd_mle(args, spec):
-    trajs = _load_trajectories(args, spec)
-    _check_fit_flags(args, spec)
-    report = _fit(args, spec, trajs)
+    trajs, report = _fit(args, spec)
     lines, estimate = _estimate(report, args.decimals)
     jsonable = {"estimate": estimate}
-    fit_spec = spec.with_horizon(report.horizon)
-    table = enumerate_paths(fit_spec)
+    u = counts_from_trajectories(trajs, spec, n=report.horizon)
     try:
-        fitted = fitted_path_probabilities(report, fit_spec, table)
+        fitted = fitted_path_probabilities(report, spec.with_horizon(report.horizon),
+                                           u.table)
     except ModelError as exc:
         lines.append(f"fitted path probabilities unavailable: {exc}")
         jsonable["fitted"] = None
         jsonable["note"] = str(exc)
     else:
-        u = counts_from_trajectories(trajs, spec, n=report.horizon, table=table)
         ll = loglikelihood(fitted, u)
         lines.append("fitted path probabilities:")
         jsonable["fitted"] = []
-        for j, p in enumerate(table):
+        for j, p in enumerate(u.table):
             text, pair = _value(fitted[j], args.decimals)
             lines.append(f"  {','.join(p)} = {text}")
             jsonable["fitted"].append({"path": list(p), **pair})
@@ -357,10 +350,13 @@ def cmd_ingest(args, spec):
         raise SystemExit_("--collapse with --trajectories requires --fine-spec")
     if args.n is not None and args.emit != "counts":
         raise SystemExit_("--n requires --emit counts")
-    if args.corpus and not args.corpus_config:
-        raise SystemExit_("--corpus requires --corpus-config")
     if not (args.corpus or args.trajectories):
         raise SystemExit_("ingest needs --trajectories or --corpus")
+    if args.corpus and args.trajectories:
+        raise SystemExit_("exactly one of --trajectories or --corpus is required")
+    if bool(args.corpus) != bool(args.corpus_config):
+        raise SystemExit_("--corpus requires --corpus-config" if args.corpus
+                          else "--corpus-config requires --corpus")
     fine = iofiles.parse_model_spec(args.fine_spec) if args.fine_spec else None
     if args.corpus:
         cs = iofiles.read_corpus_spec(args.corpus_config)
@@ -390,7 +386,7 @@ def cmd_ingest(args, spec):
 
 
 def cmd_report(args, spec):
-    _check_fit_flags(args, spec)
+    fit = _fit(args, spec)
     errors, finding_lines, validation = _validation(spec)
     table = enumerate_paths(spec)
     relset, verification = _verified_relations(args, spec, table)
@@ -414,9 +410,8 @@ def cmd_report(args, spec):
                       "slice": len(relset.slice_paths)},
         "verification": _verification(verification, relset)[1],
     }
-    if args.trajectories or args.counts:
-        est_lines, jsonable["estimate"] = _estimate(
-            _fit(args, spec, _load_trajectories(args, spec)), args.decimals)
+    if fit:
+        est_lines, jsonable["estimate"] = _estimate(fit[1], args.decimals)
         lines += est_lines
     if errors:
         return EXIT_VALIDATION, lines, jsonable

@@ -13,11 +13,12 @@ as errors when a requested quantity actually depends on them.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EstimationError, ParameterError, RelationError
-from .model import ParameterPoint, _join, is_integer, path_probability
+from .model import ParameterPoint, _join, as_fraction, is_integer, path_probability
 from .paths import enumerate_paths
 
 PREFIX = "prefix"
@@ -79,17 +80,12 @@ class TrajectorySet:
     @classmethod
     def from_sequences(cls, sequences):
         """Aggregate an iterable of raw sequences, preserving first-seen order."""
-        tally = {}
-        for seq in sequences:
-            key = tuple(seq)
-            tally[key] = tally.get(key, 0) + 1
-        return cls(tuple(tally.items()))
+        return cls(tuple(Counter(map(tuple, sequences)).items()))
 
     @classmethod
     def from_counts(cls, counts):
         """Logical expansion of a CountVector into full-horizon trajectories."""
-        records = [(path, c) for path, c in zip(counts.table, counts.counts) if c > 0]
-        return cls(tuple(records))
+        return cls(tuple((p, c) for p, c in zip(counts.table, counts.counts) if c > 0))
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,8 @@ def recover_parameters(p, spec, table=None):
     marginal is positive and compare it against every other level
     exactly; disagreement is reported, not averaged, because it means p
     is not in the model.  When p = phi(theta) for valid theta, the
-    recovered point reproduces p under phi exactly.
+    recovered point reproduces p under phi exactly.  Each p_j is read by
+    as_fraction.
     """
     if table is None:
         table = enumerate_paths(spec)
@@ -355,9 +352,9 @@ def recover_parameters(p, spec, table=None):
     if missing:
         raise ParameterError(f"assignment missing {len(missing)} path indices "
                              f"(first: {missing[0]})")
-    if sum(p[j] for j in range(len(table))) == 0:
+    records = [(path, as_fraction(p[j])) for j, path in enumerate(table)]
+    if sum(q for _, q in records) == 0:
         raise ParameterError("assignment sums to zero; nothing to recover")
-    records = [(path, p[j]) for j, path in enumerate(table)]
     if not spec.homogeneous:
         return Recovery(_conditionals(spec, records))
 
@@ -387,10 +384,10 @@ def birch_residual(p, u, design):
 
     Zero at p exactly when the assignment matches the data's sufficient
     statistics (after scaling counts to total mass M).  Each p_j is read
-    as an exact rational; with L the lcm of their denominators, the
-    integer vector M * L * p - L * u goes through one sparse product
-    and each row is divided by L.  One Fraction per design-matrix row,
-    in row order.
+    by as_fraction; with L the lcm of their denominators, the integer
+    vector M * L * p - L * u goes through one sparse product and each
+    row is divided by L.  One Fraction per design-matrix row, in row
+    order.
     """
     table = design.table
     if u.table is not table and tuple(u.table) != table.paths:
@@ -399,7 +396,7 @@ def birch_residual(p, u, design):
     for j in range(len(table)):
         if j not in p:
             raise RelationError(f"assignment is missing path index {j}")
-        q.append(Fraction(p[j]))
+        q.append(as_fraction(p[j]))
     L = math.lcm(*(x.denominator for x in q))
     M = u.total
     v = {j: M * x.numerator * (L // x.denominator) - L * c
@@ -410,9 +407,9 @@ def birch_residual(p, u, design):
 def loglikelihood(p, u):
     """Multinomial log-likelihood sum_i u_i log p_i (natural log, float).
 
-    Paths with zero count contribute nothing even if their fitted
-    probability is zero; a positive count on a zero probability gives
-    -inf.
+    Paths with zero count contribute nothing, and their p_i is not read;
+    every other p_i is read by as_fraction.  A positive count on a zero
+    probability gives -inf.
     """
     total = 0.0
     for j, c in enumerate(u.counts):
@@ -420,7 +417,7 @@ def loglikelihood(p, u):
             continue
         if j not in p:
             raise EstimationError(f"assignment is missing path index {j}")
-        q = Fraction(p[j])
+        q = as_fraction(p[j])
         if q == 0:
             return float("-inf")
         if q < 0:

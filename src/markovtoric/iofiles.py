@@ -23,7 +23,7 @@ import yaml
 
 from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
 from .estimate import CountVector, TrajectorySet
-from .model import ModelSpec, is_integer, is_label
+from .model import ModelSpec, as_fraction, is_integer, is_label
 from .relations import RelationSet, canonicalize
 
 DEFAULT_DECIMALS = 3
@@ -45,7 +45,7 @@ def decimal_string(value, places=DEFAULT_DECIMALS):
     when places is negative or past Python's int-to-str digit limit."""
     if not 0 <= places <= (sys.get_int_max_str_digits() or places):  # 0: no limit
         raise ParameterError(f"cannot write a value to {places} decimal places")
-    q = round(Fraction(value), places)
+    q = round(as_fraction(value), places)
     scaled = q * 10 ** places
     num = int(scaled)
     sign = "-" if num < 0 else ""
@@ -56,7 +56,7 @@ def decimal_string(value, places=DEFAULT_DECIMALS):
 
 
 def fraction_string(value):
-    f = Fraction(value)
+    f = as_fraction(value)
     try:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
@@ -249,13 +249,15 @@ def _path_values(path, table, what, parse, kind):
 def read_counts(path, table):
     """Read a counts file: 'comma,separated,path count' per line.
 
-    Paths absent from the file count zero; a path listed twice or a
-    count that is not a nonnegative integer is an error rather than a
-    silent sum or reinterpretation.
+    Paths absent from the file count zero; a path listed twice, a count
+    that is not a nonnegative integer or counts that are all zero are an
+    error rather than a silent sum, reinterpretation or vacuous verdict.
     """
     counts = [0] * len(table)
     for j, count in _path_values(path, table, "count", int, "an integer"):
         counts[j] = count
+    if not any(counts):
+        raise ParseError("counts file is all zero", filename=path)
     return CountVector(table, tuple(counts))
 
 
@@ -277,8 +279,12 @@ def read_probabilities(path, table):
 
 
 def write_probabilities(assignment, table, path):
-    _write_lines(path, record_lines((p, fraction_string(assignment[j]))
-                                    for j, p in enumerate(table)))
+    """Write each path of the table with its exact value; a missing index or a
+    value as_fraction refuses is a ParameterError, before the file is opened."""
+    if missing := [j for j in range(len(table)) if j not in assignment]:
+        raise ParameterError(f"assignment is missing path index {missing[0]}")
+    values = [fraction_string(assignment[j]) for j in range(len(table))]
+    _write_lines(path, record_lines(zip(table, values)))
 
 
 # ---------------------------------------------------------------------------

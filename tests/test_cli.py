@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -154,6 +157,7 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _corpus_config(d, "alphabet: letters\npad: _\ndrop_chars: \"'a\"\n"),
     lambda d: _corpus_config(d, "alphabet: letters\npad: _\nmin_word_length: 5\n"
                                 "max_word_length: 4\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: 5\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
@@ -161,7 +165,7 @@ def _path_values(tmp_path, verb, flag, text):
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
         "horizon-zero", "count-negative", "probability-negative",
         "mle-counts-all-zero", "report-counts-all-zero", "k-null", "n-null",
-        "alphabet-key-dropped", "min-word-length-above-max"])
+        "alphabet-key-dropped", "min-word-length-above-max", "forbid-not-a-list"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
@@ -299,6 +303,29 @@ class TestUsageErrors:
                            "--counts", worked_counts_file,
                            "--trajectories", worked_counts_file)
         assert code == 3
+        # --n is not the fault when there is no data to fit
+        assert run(capsys, "mle", "--spec", ILLNESS, "--n", "3") == (
+            3, "", "exactly one of --trajectories or --counts is required\n")
+
+    # of two faults, the first in the fit's order is reported: the data
+    # flags, --window slide on a nonhomogeneous spec, then the data file
+    @pytest.mark.parametrize("verb, flags, message", [
+        ("mle", ["--counts", "zero", "--window", "slide"],
+         "--window slide requires a homogeneous spec"),
+        ("mle", ["--trajectories", "bad", "--window", "slide"],
+         "--window slide requires a homogeneous spec"),
+        ("report", ["--counts", "good", "--trajectories", "good", "--window", "slide"],
+         "exactly one of --trajectories or --counts is required"),
+        ("report", ["--counts", "zero", "--window", "slide"],
+         "--window slide requires a homogeneous spec"),
+    ], ids=["mle-zero-counts-slide", "mle-bad-trajectories-slide",
+            "report-both-slide", "report-zero-counts-slide"])
+    def test_fit_checks_run_in_one_order(self, capsys, tmp_path, verb, flags, message):
+        files = {"good": "0,0,1,1 3\n", "zero": "0,0,1,1 0\n", "bad": "0,1,0,0 1\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / f) if f in files else f for f in flags]
+        assert run(capsys, verb, "--spec", ILLNESS, *argv) == (3, "", message + "\n")
 
 
     # --n and --window slide where no fit would read them
@@ -320,6 +347,32 @@ class TestUsageErrors:
 
     def test_ingest_needs_an_input(self, capsys):
         assert run(capsys, "ingest", "--spec", ILLNESS) == (
+            3, "", "ingest needs --trajectories or --corpus\n")
+
+    def _ingest_inputs(self, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text('states: [a, b, "_"]\nk: 1\nn: 3\nabsorbing: ["_"]\n')
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab ba b\n")
+        config = tmp_path / "corpus.yaml"
+        config.write_text("alphabet: {a: a, b: b}\npad: _\nhorizon: 2\n")
+        t = tmp_path / "t.txt"
+        t.write_text("a,a,a 5\n")
+        return (["ingest", "--spec", str(spec)], ["--corpus", str(corpus)],
+                ["--corpus-config", str(config)], ["--trajectories", str(t)])
+
+    def test_ingest_reads_one_input(self, capsys, tmp_path):
+        verb, corpus, config, trajectories = self._ingest_inputs(tmp_path)
+        assert run(capsys, *verb, *corpus, *config)[0] == 0
+        assert run(capsys, *verb, *trajectories)[0] == 0
+        assert run(capsys, *verb, *corpus, *config, *trajectories) == (
+            3, "", "exactly one of --trajectories or --corpus is required\n")
+
+    def test_ingest_corpus_config_requires_corpus(self, capsys, tmp_path):
+        verb, _, config, trajectories = self._ingest_inputs(tmp_path)
+        assert run(capsys, *verb, *trajectories, *config) == (
+            3, "", "--corpus-config requires --corpus\n")
+        assert run(capsys, *verb, *config) == (
             3, "", "ingest needs --trajectories or --corpus\n")
 
     def test_ingest_n_requires_emit_counts(self, capsys, tmp_path):
@@ -356,6 +409,12 @@ class TestRelationsAndVerify:
                            "--relations", str(rel), "--trials", "3")
         assert code == 0
         assert "5/5 relations verified" in out
+
+    def test_relation_file_that_is_not_json(self, capsys, tmp_path):
+        rel = tmp_path / "rels.json"
+        rel.write_text('{"relations": [\n')
+        assert run(capsys, "verify", "--spec", ILLNESS, "--relations", str(rel)) == (
+            3, "", f"error: {rel}:2:1: Expecting value\n")
 
     def test_relation_file_without_a_relations_list(self, capsys, tmp_path):
         rel = tmp_path / "rels.json"
@@ -680,6 +739,15 @@ class TestBirch:
                            "--counts", worked_counts_file)
         assert code == 2
 
+    def test_all_zero_counts_exit_three(self, capsys, tmp_path):
+        # every residual would be zero: a vacuous pass
+        probs, counts = tmp_path / "p.txt", tmp_path / "c.txt"
+        probs.write_text("0,0,0,0 1\n")
+        counts.write_text("0,0,0,0 0\n")
+        assert run(capsys, "birch", "--spec", ILLNESS, "--probabilities", str(probs),
+                   "--counts", str(counts)) == (
+            3, "", f"error: {counts}: counts file is all zero\n")
+
 
 class TestIngest:
     def test_emit_counts_is_re_readable(self, capsys, tmp_path):
@@ -849,6 +917,44 @@ class TestReport:
                            "--relations", str(rel), "--trials", "3")
         assert code == 2
         assert "0/1 relations verified" in out
+
+
+def _exit_case(tmp_path, case):
+    if case == "dead-end":
+        f = tmp_path / "dead.yaml"
+        f.write_text("states: [0, 1]\nk: 1\nn: 3\nforbid: [[1, 0], [1, 1]]\n")
+        return ["validate", "--spec", str(f)]
+    if case == "non-member":
+        f = tmp_path / "bogus.json"
+        f.write_text(json.dumps({"relations": [{
+            "plus": [{"path": ["0", "0", "0", "0"], "power": 1},
+                     {"path": ["1", "1", "1", "1"], "power": 1}],
+            "minus": [{"path": ["0", "0", "0", "1"], "power": 1},
+                      {"path": ["1", "1", "1", "2"], "power": 1}]}]}))
+        return ["verify", "--spec", ILLNESS, "--relations", str(f), "--trials", "3"]
+    return {"valid": ["validate", "--spec", ILLNESS],
+            "usage": ["mle", "--spec", ILLNESS],
+            "help": ["mle", "--help"]}[case]
+
+
+@pytest.mark.parametrize("case, code", [("valid", 0), ("dead-end", 1),
+                                        ("non-member", 2), ("usage", 3), ("help", 0)])
+def test_module_entry_point_exits_with_the_documented_code(capsys, monkeypatch,
+                                                           tmp_path, case, code):
+    argv = _exit_case(tmp_path, case)
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "markovtoric", *argv], env=env,
+                          capture_output=True, encoding="utf-8")
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:  # --help exits from argparse itself
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, in_process) == (code, code)
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
 
 
 class TestSeedHandling:

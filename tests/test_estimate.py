@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from markovtoric import (
     recover_parameters,
     sample_parameters,
     validate_parameters,
+    write_probabilities,
 )
 from conftest import (
     make_binary_chain,
@@ -738,6 +740,52 @@ class TestErrorPaths:
     def test_a_horizon_below_order_plus_one_is_rejected(self, illness_death):
         with pytest.raises(EstimationError, match=r"^n = 1 is shorter than order \+ 1$"):
             mle_nonhomogeneous(worked_trajectories(), illness_death, n=1)
+
+    def test_loglikelihood_rejects_a_missing_index_with_a_count(self, illness_death):
+        u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
+        p = {j: Fraction(1, 14) for j in range(14)}
+        del p[1]
+        with pytest.raises(EstimationError, match="^assignment is missing path index 1$"):
+            loglikelihood(p, u)
+
+
+# every reader of a path-probability assignment, as f(p, spec, counts, file)
+ASSIGNMENT_READERS = {
+    "recover_parameters": lambda p, spec, u, f: recover_parameters(p, spec, u.table),
+    "birch_residual": lambda p, spec, u, f: birch_residual(
+        p, u, build_design_matrix(spec, u.table)),
+    "loglikelihood": lambda p, spec, u, f: loglikelihood(p, u),
+    "write_probabilities": lambda p, spec, u, f: write_probabilities(p, u.table, f),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.5, "refusing float 0.5; pass a string or Fraction for exactness"),
+    (None, "cannot read None as a rational"),
+], ids=["float", "None"])
+@pytest.mark.parametrize("reader", ASSIGNMENT_READERS)
+def test_assignment_values_are_read_exactly(illness_death, tmp_path, reader, value,
+                                            message):
+    u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
+    assert u[0] > 0  # so loglikelihood reads p[0]
+    p = {j: Fraction(1, 14) for j in range(14)}
+    p[0] = value
+    f = tmp_path / "p.txt"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        ASSIGNMENT_READERS[reader](p, illness_death, u, f)
+    assert not f.exists()
+
+
+def test_the_float_image_of_an_exact_fit_is_refused(illness_death):
+    # read at their binary values, these floats gave a nonzero Birch residual
+    table = enumerate_paths(illness_death)
+    u = CountVector(table, tuple(WORKED_COUNTS))
+    est = mle_nonhomogeneous(worked_trajectories(), illness_death)
+    fitted = fitted_path_probabilities(est, illness_death, table)
+    design = build_design_matrix(illness_death, table)
+    assert not any(birch_residual(fitted, u, design))
+    with pytest.raises(ParameterError, match="^refusing float "):
+        birch_residual({j: float(v) for j, v in fitted.items()}, u, design)
 
 
 @settings(max_examples=15, deadline=None)

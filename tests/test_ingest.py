@@ -9,6 +9,7 @@ from markovtoric import (
     CorpusSpec,
     EstimationError,
     ModelSpec,
+    ParameterError,
     ParseError,
     SpecificationError,
     TrajectorySet,
@@ -59,6 +60,13 @@ class TestNumberRendering:
     def test_fraction_string(self):
         assert fraction_string(Fraction(469, 685)) == "469/685"
         assert fraction_string(Fraction(3, 1)) == "3"
+
+    def test_a_rational_too_long_for_decimal_is_a_parameter_error(self):
+        value = Fraction(10 ** 5000, 3)
+        bits = value.numerator.bit_length()
+        with pytest.raises(ParameterError, match=f"^a {bits}-bit rational is too "
+                                                 "long to write out in decimal$"):
+            fraction_string(value)
 
 
 class TestParseModelSpec:
@@ -268,6 +276,15 @@ class TestCountFiles:
         assert err.value.line == 2
         assert str(f) in str(err.value)
 
+    @pytest.mark.parametrize("text", ["", "# none\n", "0,0,0,0 0\n1,1,1,1 0\n"],
+                             ids=["empty", "comment-only", "zeros"])
+    def test_all_zero_counts_rejected(self, tmp_path, illness_death, text):
+        f = tmp_path / "c.txt"
+        f.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_counts(f, enumerate_paths(illness_death))
+        assert str(err.value) == f"{f}: counts file is all zero"
+
     def test_write_read_round_trip(self, tmp_path, illness_death):
         table = enumerate_paths(illness_death)
         trajs = TrajectorySet(((("0", "0", "1", "1"), 3),
@@ -319,6 +336,14 @@ class TestProbabilityFiles:
         f = tmp_path / "p.txt"
         write_probabilities(assignment, table, f)
         assert read_probabilities(f, table) == assignment
+
+    def test_write_rejects_a_missing_index(self, tmp_path, illness_death):
+        table = enumerate_paths(illness_death)
+        f = tmp_path / "p.txt"
+        with pytest.raises(ParameterError,
+                           match="^assignment is missing path index 1$"):
+            write_probabilities({0: Fraction(1)}, table, f)
+        assert not f.exists()
 
 
 class TestCorpusPipeline:

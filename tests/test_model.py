@@ -41,12 +41,20 @@ class TestAsFraction:
     def test_garbage_rejected(self):
         with pytest.raises(ParameterError):
             as_fraction("3/7/2")
+        with pytest.raises(ParameterError, match="^cannot read None as a rational$"):
+            as_fraction(None)
 
 
 class TestModelSpec:
     def test_duplicate_states_rejected(self):
         with pytest.raises(SpecificationError):
             ModelSpec(["0", "0", "1"], 1, 3)
+
+    def test_a_float_state_label_rejected(self):
+        with pytest.raises(SpecificationError,
+                           match="^state label must be a string or an integer, "
+                                 "got 1.5$"):
+            ModelSpec(["a", 1.5], 1, 2)
 
     def test_order_must_leave_room_for_a_transition(self):
         with pytest.raises(SpecificationError):

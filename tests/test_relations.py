@@ -309,6 +309,11 @@ class TestPermutationLinearRelations:
         spec = make_binary_chain(1, 3, homogeneous=True)
         assert len(permutation_linear_relations(spec)) == 0
 
+    def test_nonhomogeneous_spec_rejected(self):
+        with pytest.raises(RelationError, match="^permutation relations exist "
+                                                "only for homogeneous specs$"):
+            permutation_linear_relations(make_binary_chain(1, 5))
+
     def test_all_emitted_pass_kernel(self):
         spec = make_binary_chain(1, 5, homogeneous=True)
         table = enumerate_paths(spec)

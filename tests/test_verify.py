@@ -99,6 +99,13 @@ class TestVanishesOnModel:
         assert check.witness is not None
         assert check.witness.residual != 0
 
+    def test_table_defaults_to_the_spec_paths(self, illness_death):
+        table = enumerate_paths(illness_death)
+        for b in nonhomogeneous_generators(illness_death, table).binomials[:2] + (
+                canonicalize({0: 1, 5: 1}, {1: 1, 4: 1}),):
+            assert (vanishes_on_model(b, illness_death, trials=5, seed=3)
+                    == vanishes_on_model(b, illness_death, table, trials=5, seed=3))
+
     def test_deterministic_witness(self):
         spec = make_binary_chain(1, 4)
         table = enumerate_paths(spec)
