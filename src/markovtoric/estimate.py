@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EstimationError, ParameterError, RelationError
-from .model import ParameterPoint, _join, as_fraction, is_integer, path_probability
+from .model import ParameterPoint, _assignment, _join, is_integer, path_probability
 from .paths import enumerate_paths
 
 PREFIX = "prefix"
@@ -341,18 +341,14 @@ def recover_parameters(p, spec, table=None):
     marginal is positive and compare it against every other level
     exactly; disagreement is reported, not averaged, because it means p
     is not in the model.  When p = phi(theta) for valid theta, the
-    recovered point reproduces p under phi exactly.  Each p_j is read by
-    as_fraction.
+    recovered point reproduces p under phi exactly.  p is read by
+    model._assignment.
     """
     if table is None:
         table = enumerate_paths(spec)
     for path in table:
         spec.check_sequence(path)
-    missing = [j for j in range(len(table)) if j not in p]
-    if missing:
-        raise ParameterError(f"assignment missing {len(missing)} path indices "
-                             f"(first: {missing[0]})")
-    records = [(path, as_fraction(p[j])) for j, path in enumerate(table)]
+    records = list(zip(table, _assignment(p, range(len(table)))))
     if sum(q for _, q in records) == 0:
         raise ParameterError("assignment sums to zero; nothing to recover")
     if not spec.homogeneous:
@@ -383,8 +379,8 @@ def birch_residual(p, u, design):
     """Exact residual of the Birch equations: M * A p - A u.
 
     Zero at p exactly when the assignment matches the data's sufficient
-    statistics (after scaling counts to total mass M).  Each p_j is read
-    by as_fraction; with L the lcm of their denominators, the integer
+    statistics (after scaling counts to total mass M).  Every p_j is read
+    by model._assignment; with L the lcm of their denominators, the integer
     vector M * L * p - L * u goes through one sparse product and each
     row is divided by L.  One Fraction per design-matrix row, in row
     order.
@@ -392,11 +388,7 @@ def birch_residual(p, u, design):
     table = design.table
     if u.table is not table and tuple(u.table) != table.paths:
         raise RelationError("count vector and design matrix tables differ")
-    q = []
-    for j in range(len(table)):
-        if j not in p:
-            raise RelationError(f"assignment is missing path index {j}")
-        q.append(as_fraction(p[j]))
+    q = _assignment(p, range(len(table)))
     L = math.lcm(*(x.denominator for x in q))
     M = u.total
     v = {j: M * x.numerator * (L // x.denominator) - L * c
@@ -408,19 +400,13 @@ def loglikelihood(p, u):
     """Multinomial log-likelihood sum_i u_i log p_i (natural log, float).
 
     Paths with zero count contribute nothing, and their p_i is not read;
-    every other p_i is read by as_fraction.  A positive count on a zero
-    probability gives -inf.
+    every other p_i is read by model._assignment.  A positive count on a
+    zero probability gives -inf.
     """
+    support = [j for j, c in enumerate(u.counts) if c]
     total = 0.0
-    for j, c in enumerate(u.counts):
-        if c == 0:
-            continue
-        if j not in p:
-            raise EstimationError(f"assignment is missing path index {j}")
-        q = as_fraction(p[j])
+    for j, q in zip(support, _assignment(p, support)):
         if q == 0:
             return float("-inf")
-        if q < 0:
-            raise EstimationError(f"negative probability {q} at index {j}")
-        total += c * (math.log(q.numerator) - math.log(q.denominator))
+        total += u.counts[j] * (math.log(q.numerator) - math.log(q.denominator))
     return total

@@ -23,7 +23,7 @@ import yaml
 
 from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
 from .estimate import CountVector, TrajectorySet
-from .model import ModelSpec, as_fraction, is_integer, is_label
+from .model import ModelSpec, _assignment, as_fraction, is_integer, is_label
 from .relations import RelationSet, canonicalize
 
 DEFAULT_DECIMALS = 3
@@ -279,11 +279,9 @@ def read_probabilities(path, table):
 
 
 def write_probabilities(assignment, table, path):
-    """Write each path of the table with its exact value; a missing index or a
-    value as_fraction refuses is a ParameterError, before the file is opened."""
-    if missing := [j for j in range(len(table)) if j not in assignment]:
-        raise ParameterError(f"assignment is missing path index {missing[0]}")
-    values = [fraction_string(assignment[j]) for j in range(len(table))]
+    """Write each path of the table with its exact value, read by
+    model._assignment before the file is opened."""
+    values = [fraction_string(q) for q in _assignment(assignment, range(len(table)))]
     _write_lines(path, record_lines(zip(table, values)))
 
 

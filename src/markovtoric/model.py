@@ -66,11 +66,11 @@ def as_fraction(value):
 
     Accepts int, Fraction, and strings such as "3/7" or "0.55".  Floats
     are rejected because their binary representation silently changes
-    the intended value.
+    the intended value, and bools because True is not the number 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if is_integer(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -81,6 +81,21 @@ def as_fraction(value):
         raise ParameterError(
             f"refusing float {value!r}; pass a string or Fraction for exactness")
     raise ParameterError(f"cannot read {value!r} as a rational")
+
+
+def _assignment(p, indices):
+    """The Fraction of each listed index of the path-probability assignment
+    p, in order: the one reader of an assignment.  The first index that
+    is missing, or whose value as_fraction refuses or is negative, is a
+    ParameterError."""
+    out = []
+    for j in indices:
+        if j not in p:
+            raise ParameterError(f"assignment is missing path index {j}")
+        if (q := as_fraction(p[j])) < 0:
+            raise ParameterError(f"negative probability {q} at index {j}")
+        out.append(q)
+    return out
 
 
 class ModelSpec:

@@ -69,14 +69,13 @@ class DesignMatrix:
 
     Columns are stored sparsely: column j is the sorted tuple of the row
     indices of path j's factors, with repeats, so a homogeneous path
-    that uses a window twice lists that row twice.  Two paths have equal
-    columns exactly when these multisets are equal, so each is its
-    path's degree-1 fiber key.  column(j) is the derived dense view.  A
-    binomial p^u - p^v vanishes on the model exactly when A'(u - v) = 0,
-    where A' keeps the free_rows: the indices of the rows whose
-    simplex row of ModelSpec.rows() has two or more entries.  A forced
-    row is 1 on the whole model.  apply is the one product both that
-    kernel check and the Birch residual go through.
+    that uses a window twice lists that row twice.  column(j) is the
+    derived dense view.  A binomial p^u - p^v vanishes on the model
+    exactly when A'(u - v) = 0, where A' keeps the free_rows: the
+    indices of the rows whose simplex row of ModelSpec.rows() has two
+    or more entries.  A forced row is 1 on the whole model.  apply is
+    the one product both that kernel check and the Birch residual go
+    through.
     """
 
     __slots__ = ("row_symbols", "table", "free_rows", "_columns")
@@ -98,11 +97,12 @@ class DesignMatrix:
         return tuple(col)
 
     def fibers(self):
-        """Path indices grouped by equal column, each group in table
-        order, the groups in order of their first path."""
-        groups = {}
+        """The degree-1 fibers of A': path indices grouped by equal column
+        on the free rows, each group in table order, the groups in order
+        of their first path."""
+        free, groups = set(self.free_rows), {}
         for j, col in enumerate(self._columns):
-            groups.setdefault(col, []).append(j)
+            groups.setdefault(tuple(i for i in col if i in free), []).append(j)
         return list(groups.values())
 
     def apply(self, coeffs):

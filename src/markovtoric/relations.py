@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .errors import RelationError
-from .model import _join
+from .model import _join, is_integer
 from .paths import build_design_matrix, enumerate_paths
 
 PROV_NONHOM = "nonhom-exchange"
@@ -95,6 +95,8 @@ def _as_exponents(side):
     items = side.items() if hasattr(side, "items") else side
     out = {}
     for i, e in items:
+        if not is_integer(e):
+            raise RelationError(f"exponent {e!r} on index {i} is not an integer")
         if e < 0:
             raise RelationError(f"negative exponent {e} on index {i}")
         if e:
@@ -122,9 +124,6 @@ class RelationSet:
 
     def __iter__(self):
         return iter(zip(self.binomials, self.provenance))
-
-    def tagged(self, tag):
-        return tuple(b for b, t in self if t == tag)
 
     def text_lines(self):
         lines = [f"{b.text(self.table)}  [{t}]" for b, t in self]
@@ -306,9 +305,9 @@ def generators_for(spec, table=None):
 def permutation_linear_relations(spec, table=None):
     """Degree-1 relations p_a - p_b between paths with equal pooled stats.
 
-    Homogeneous models cannot tell apart two paths whose initial block
-    and window multiset coincide, so their probabilities are equal on
-    the whole model.  Such paths share a design-matrix fiber; emits one
+    Homogeneous models cannot tell apart two paths with equal A'
+    statistics (free windows), so their probabilities are equal on the
+    whole model.  Such paths share a degree-1 fiber of A'; emits one
     relation per non-representative fiber member, with the fiber's
     first path as representative, in fiber order.
     """

@@ -21,7 +21,7 @@ from math import prod
 from typing import Optional
 
 from .errors import ParameterError, RelationError
-from .model import ParameterPoint
+from .model import ParameterPoint, is_integer
 from .paths import build_design_matrix, enumerate_paths
 
 DEFAULT_TRIALS = 20
@@ -49,6 +49,8 @@ def _row_layout(spec):
 
 
 def _check_trials(trials):
+    if not is_integer(trials):
+        raise ParameterError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
 

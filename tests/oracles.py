@@ -109,10 +109,10 @@ def validate_model_reference(spec):
 
 
 def permutation_classes(spec, table):
-    """Path indices grouped by equal block_counts, in table order."""
+    """Path indices grouped by equal free_block_counts, in table order."""
     classes = {}
     for j, path in enumerate(table):
-        classes.setdefault(frozenset(block_counts(spec, path).items()), []).append(j)
+        classes.setdefault(frozenset(free_block_counts(spec, path).items()), []).append(j)
     return list(classes.values())
 
 

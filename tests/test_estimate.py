@@ -634,7 +634,7 @@ class TestBirchResidual:
         table = enumerate_paths(illness_death)
         u = CountVector(table, tuple(WORKED_COUNTS))
         design = build_design_matrix(illness_death, table)
-        with pytest.raises(RelationError, match="missing path index 1$"):
+        with pytest.raises(ParameterError, match="missing path index 1$"):
             birch_residual({0: Fraction(1)}, u, design)
 
     def test_counts_on_another_table_order_rejected(self, illness_death):
@@ -665,8 +665,9 @@ BIRCH_DESIGNS = [build_design_matrix(spec) for spec in (
 @given(st.sampled_from(BIRCH_DESIGNS), st.data())
 def test_birch_residual_matches_dense_fraction_oracle(design, data):
     m = len(design.table)
-    value = st.one_of(st.integers(-3, 3),
-                      st.fractions(-2, 2, max_denominator=60))
+    # negative values are refused (test_assignment_values_are_read_exactly)
+    value = st.one_of(st.integers(0, 3),
+                      st.fractions(0, 2, max_denominator=60))
     p = dict(enumerate(data.draw(st.lists(value, min_size=m, max_size=m))))
     counts = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
     u = CountVector(design.table, tuple(counts))
@@ -726,7 +727,7 @@ class TestErrorPaths:
         u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
         p = {j: Fraction(1, 14) for j in range(14)}
         p[1] = Fraction(-1, 14)
-        with pytest.raises(EstimationError, match="^negative probability -1/14 at index 1$"):
+        with pytest.raises(ParameterError, match="^negative probability -1/14 at index 1$"):
             loglikelihood(p, u)
 
     def test_fitted_paths_reject_a_report_of_another_horizon(self, illness_death):
@@ -745,7 +746,7 @@ class TestErrorPaths:
         u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
         p = {j: Fraction(1, 14) for j in range(14)}
         del p[1]
-        with pytest.raises(EstimationError, match="^assignment is missing path index 1$"):
+        with pytest.raises(ParameterError, match="^assignment is missing path index 1$"):
             loglikelihood(p, u)
 
 
@@ -759,17 +760,24 @@ ASSIGNMENT_READERS = {
 }
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("value, message", [
     (0.5, "refusing float 0.5; pass a string or Fraction for exactness"),
     (None, "cannot read None as a rational"),
-], ids=["float", "None"])
+    (True, "cannot read True as a rational"),
+    (Fraction(-1, 14), "negative probability -1/14 at index 0"),
+    (MISSING, "assignment is missing path index 0"),
+], ids=["float", "None", "bool", "negative", "missing"])
 @pytest.mark.parametrize("reader", ASSIGNMENT_READERS)
 def test_assignment_values_are_read_exactly(illness_death, tmp_path, reader, value,
                                             message):
     u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
     assert u[0] > 0  # so loglikelihood reads p[0]
-    p = {j: Fraction(1, 14) for j in range(14)}
-    p[0] = value
+    p = {j: Fraction(1, 14) for j in range(1, 14)}
+    if value is not MISSING:
+        p[0] = value
     f = tmp_path / "p.txt"
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         ASSIGNMENT_READERS[reader](p, illness_death, u, f)

@@ -38,6 +38,11 @@ class TestAsFraction:
         with pytest.raises(ParameterError):
             as_fraction(0.1)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, value):
+        with pytest.raises(ParameterError, match=f"^cannot read {value} as a rational$"):
+            as_fraction(value)
+
     def test_garbage_rejected(self):
         with pytest.raises(ParameterError):
             as_fraction("3/7/2")

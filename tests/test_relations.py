@@ -12,10 +12,12 @@ from markovtoric import (
     homogeneous_family,
     kernel_membership,
     nonhomogeneous_generators,
+    parse_model_spec,
     permutation_linear_relations,
     slice_linear_generators,
+    verify_relation_set,
 )
-from conftest import make_binary_chain, make_illness_death, make_vc_chain
+from conftest import DATA, make_binary_chain, make_illness_death, make_vc_chain
 from oracles import (
     brute_force_degree2,
     degree2_diffs,
@@ -58,6 +60,12 @@ class TestCanonicalize:
     def test_negative_exponent_rejected(self):
         with pytest.raises(RelationError):
             canonicalize({0: -1}, {1: 1})
+
+    @pytest.mark.parametrize("exponent", [1.5, True])
+    def test_exponent_that_is_not_an_integer_rejected(self, exponent):
+        with pytest.raises(RelationError, match=f"^exponent {exponent!r} on index 0 "
+                                                "is not an integer$"):
+            canonicalize({0: exponent}, {1: 1})
 
     @given(st.dictionaries(st.integers(0, 5), st.integers(1, 3), min_size=1),
            st.dictionaries(st.integers(0, 5), st.integers(1, 3), min_size=1))
@@ -276,12 +284,13 @@ def test_homogeneous_family_keeps_the_all_pairs_order(spec):
 @given(restricted_specs(homogeneous=True))
 @example(make_binary_chain(1, 4, homogeneous=True))
 @example(make_vc_chain(6))
+@example(parse_model_spec(DATA / "hom_linear.yaml"))
 def test_fibers_index_the_permutation_classes(spec):
     table = enumerate_paths(spec)
     fibers = build_design_matrix(spec, table).fibers()
     assert sorted(j for f in fibers for j in f) == list(range(len(table)))
-    # paths share a fiber exactly when their oracle tallies are equal, and
-    # the groups come in the same (table) order
+    # paths share a fiber exactly when their oracle tallies on the free
+    # rows (A') are equal, and the groups come in the same (table) order
     classes = permutation_classes(spec, table)
     assert fibers == classes
     # the relations as the class scan gives them, ordered by representative
@@ -321,6 +330,18 @@ class TestPermutationLinearRelations:
         for b in permutation_linear_relations(spec, table).binomials:
             assert kernel_membership(b, design).ok
 
+    def test_paths_equal_up_to_forced_windows_are_linked(self):
+        # 01012 and 01210 both use the free windows 10 and 12 once; only
+        # the forced windows 01 and 21 (rows of one entry) tell them apart
+        spec = parse_model_spec(DATA / "hom_linear.yaml")
+        rs = generators_for(spec)
+        assert rs.text_lines()[:2] == [
+            "p_01010*p_01212 - p_01012*p_01210  [hom-exchange]",
+            "p_01012 - p_01210  [hom-linear]"]
+        report = verify_relation_set(rs, spec, trials=20, seed=0)
+        assert report.entries[1].vanish.ok and report.entries[1].kernel.ok
+        assert report.all_pass
+
 
 class TestGeneratorsFor:
     def test_nonhomogeneous_dispatch(self, illness_death):
@@ -348,6 +369,6 @@ class TestRelationSet:
     def test_tagged_filters_by_provenance(self):
         spec = make_binary_chain(1, 5, homogeneous=True)
         rs = generators_for(spec)
-        linear = rs.tagged("hom-linear")
+        linear = [b for b, t in rs if t == "hom-linear"]
         assert linear
         assert all(b.degree() == 1 for b in linear)

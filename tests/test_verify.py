@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -132,6 +133,18 @@ class TestVanishesOnModel:
         rs = RelationSet(table, (bad,), ("file",))
         with pytest.raises(ParameterError, match="trials must be at least 1"):
             verify_relation_set(rs, spec, trials=trials)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3"])
+    def test_trials_that_are_not_integers_rejected(self, trials):
+        spec = make_binary_chain(1, 4)
+        table = enumerate_paths(spec)
+        b = canonicalize({table.index(("0", "0", "1", "0")): 1},
+                         {table.index(("0", "1", "0", "0")): 1})
+        message = f"^trials must be an integer, got {re.escape(repr(trials))}$"
+        with pytest.raises(ParameterError, match=message):
+            vanishes_on_model(b, spec, table, trials=trials)
+        with pytest.raises(ParameterError, match=message):
+            verify_relation_set(RelationSet(table, (b,), ("file",)), spec, trials=trials)
 
     @pytest.mark.parametrize("index", [-1, 99])
     def test_path_index_out_of_range_rejected(self, index):
