@@ -1,8 +1,8 @@
 """Command-line surface.
 
 One verb per capability: validate, paths, relations, verify, mle,
-recover, birch, ingest, report.  main parses --spec and passes it, with
-the arguments, to the verb's cmd_* function, which returns its exit code,
+recover, birch, ingest, report.  The parser dispatches them: main calls
+the cmd_* of the verb's build_parser row, which returns its exit code,
 text lines and JSON form; _emit, the one writer of reports, writes them.
 _fit, the one fit path, alone reads and checks the data flags of mle and report.
 Text output is human-readable (and for ingest, directly re-readable as
@@ -82,20 +82,24 @@ def build_parser():
     data.add_argument("--window", choices=("prefix", "slide"), default="prefix",
                       help="homogeneous pooling window (default prefix)")
 
-    # each verb declares only the flags it reads
+    # each verb declares only the flags it reads, and runs its command
     sub = top.add_subparsers(dest="verb", required=True)
-    verbs = {verb: sub.add_parser(verb, parents=[common, *parents], help=text)
-             for verb, parents, text in (
-        ("validate", [], "check a model spec for structural problems"),
-        ("paths", [], "enumerate admissible paths"),
-        ("relations", [], "generate the relation families for a spec"),
-        ("verify", [checking], "check relations by sampling and kernel membership"),
-        ("mle", [rounding, data], "closed-form maximum likelihood estimate"),
-        ("recover", [rounding], "recover parameters from path probabilities"),
-        ("birch", [rounding], "residual of the moment-matching equations"),
-        ("ingest", [], "normalize trajectories or a text corpus"),
-        ("report", [checking, rounding, data],
-         "combined validation/relations/verification/estimate report"))}
+    verbs = {}
+    for verb, command, parents, text in (
+        ("validate", cmd_validate, [], "check a model spec for structural problems"),
+        ("paths", cmd_paths, [], "enumerate admissible paths"),
+        ("relations", cmd_relations, [], "generate the relation families for a spec"),
+        ("verify", cmd_verify, [checking],
+         "check relations by sampling and kernel membership"),
+        ("mle", cmd_mle, [rounding, data], "closed-form maximum likelihood estimate"),
+        ("recover", cmd_recover, [rounding],
+         "recover parameters from path probabilities"),
+        ("birch", cmd_birch, [rounding], "residual of the moment-matching equations"),
+        ("ingest", cmd_ingest, [], "normalize trajectories or a text corpus"),
+        ("report", cmd_report, [checking, rounding, data],
+         "combined validation/relations/verification/estimate report")):
+        verbs[verb] = sub.add_parser(verb, parents=[common, *parents], help=text)
+        verbs[verb].set_defaults(command=command)
 
     verbs["recover"].add_argument("--probabilities", required=True,
                                   help="path probability file")
@@ -267,13 +271,13 @@ def cmd_verify(args, spec):
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION, lines, jsonable
 
 
-def _fit(args, spec):
+def _fit(args, spec, required):
     """(data, MLE at --n with --window) of --trajectories or --counts, or None
-    for a report without data.  The first fault in this order is reported:
-    both data flags, or none to mle; --n or --window slide without data;
+    without data when not required.  The first fault in this order is reported:
+    both data flags, or none when required; --n or --window slide without data;
     --window slide on a nonhomogeneous spec; the data file; the fit."""
     data = args.trajectories or args.counts
-    if (args.trajectories and args.counts) or (args.verb == "mle" and not data):
+    if (args.trajectories and args.counts) or (required and not data):
         raise SystemExit_("exactly one of --trajectories or --counts is required")
     if not data:
         if args.n is not None or args.window == "slide":
@@ -289,7 +293,7 @@ def _fit(args, spec):
 
 
 def cmd_mle(args, spec):
-    trajs, report = _fit(args, spec)
+    trajs, report = _fit(args, spec, required=True)
     lines, estimate = _estimate(report, args.decimals)
     jsonable = {"estimate": estimate}
     u = counts_from_trajectories(trajs, spec, n=report.horizon)
@@ -386,7 +390,7 @@ def cmd_ingest(args, spec):
 
 
 def cmd_report(args, spec):
-    fit = _fit(args, spec)
+    fit = _fit(args, spec, required=False)
     errors, finding_lines, validation = _validation(spec)
     table = enumerate_paths(spec)
     relset, verification = _verified_relations(args, spec, table)
@@ -418,25 +422,12 @@ def cmd_report(args, spec):
     return EXIT_OK if verification.all_pass else EXIT_VERIFICATION, lines, jsonable
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "paths": cmd_paths,
-    "relations": cmd_relations,
-    "verify": cmd_verify,
-    "mle": cmd_mle,
-    "recover": cmd_recover,
-    "birch": cmd_birch,
-    "ingest": cmd_ingest,
-    "report": cmd_report,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         spec = iofiles.parse_model_spec(args.spec)
-        code, lines, jsonable = COMMANDS[args.verb](args, spec)
+        code, lines, jsonable = args.command(args, spec)
         _emit(args, lines, jsonable)
         return code
     except SystemExit_ as exc:

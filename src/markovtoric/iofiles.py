@@ -16,12 +16,13 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import yaml
 
-from .errors import InadmissiblePathError, ParameterError, ParseError, SpecificationError
+from .errors import (InadmissiblePathError, ParameterError, ParseError, RelationError,
+                     SpecificationError)
 from .estimate import CountVector, TrajectorySet
 from .model import ModelSpec, _assignment, as_fraction, is_integer, is_label
 from .relations import RelationSet, canonicalize
@@ -36,8 +37,6 @@ DEFAULT_DROP_CHARS = "'0123456789"
 MAX_RELATION_DEGREE = 64
 
 MODEL_KEYS = {"states", "k", "n", "homogeneous", "forbid", "absorbing", "initial"}
-CORPUS_KEYS = {"alphabet", "pad", "horizon", "min_word_length",
-               "max_word_length", "overlong", "drop_chars"}
 
 
 def decimal_string(value, places=DEFAULT_DECIMALS):
@@ -173,23 +172,28 @@ def ingest_trajectories(path, spec):
     followed by a positive integer multiplicity as a second,
     whitespace-separated column.  Every comma-separated token is a state
     label, so an unknown one is an error rather than a multiplicity.
+    Every record has the first record's length.
     """
     records = []
     for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) > 2:
+        columns = line.split()
+        if len(columns) > 2:
             raise ParseError("expected 'path' or 'path count'",
                              filename=path, line=lineno)
-        tokens = tuple(fields[0].split(","))
+        tokens = tuple(columns[0].split(","))
         if "" in tokens:
             raise ParseError("empty state label", filename=path, line=lineno)
         try:
-            mult = int(fields[1]) if len(fields) == 2 else 1
+            mult = int(columns[1]) if len(columns) == 2 else 1
         except ValueError:
-            raise ParseError(f"multiplicity {fields[1]!r} is not an integer",
+            raise ParseError(f"multiplicity {columns[1]!r} is not an integer",
                              filename=path, line=lineno)
         if mult < 1:
             raise ParseError(f"multiplicity must be positive, got {mult}",
+                             filename=path, line=lineno)
+        if records and len(tokens) != len(records[0][0]):
+            raise ParseError(f"record has length {len(tokens)}, but the first "
+                             f"record has length {len(records[0][0])}",
                              filename=path, line=lineno)
         records.append((tokens, mult))
     if not records:
@@ -349,6 +353,9 @@ class CorpusSpec:
         object.__setattr__(self, "alphabet",
                            {str(a): str(b) for a, b in self.alphabet.items()})
         object.__setattr__(self, "pad", str(self.pad))
+
+
+CORPUS_KEYS = {f.name for f in fields(CorpusSpec)}
 
 
 def letters_alphabet():
@@ -532,12 +539,13 @@ def read_relations(path, table):
     """Load a relation file back against a path table.
 
     Binomials are re-canonicalized on the way in, so a hand-edited file
-    cannot smuggle in a non-canonical or degenerate relation.  A
-    malformed term, a path that is not a list, a power that is not a
-    positive integer, a side whose total degree (repeated terms merged)
-    is above MAX_RELATION_DEGREE, a path outside the table, a slice
-    entry that is not an inadmissible path of string labels, or a
-    provenance that is not a string raises ParseError.
+    cannot smuggle in a non-canonical or degenerate relation.  An
+    unknown key in the document, a relation or a term, a malformed
+    term, a path that is not a list, a power that is not a positive
+    integer, a side whose total degree (repeated terms merged) is above
+    MAX_RELATION_DEGREE, a path outside the table, a slice entry that is
+    not an inadmissible path of string labels, a provenance that is not
+    a string, or a degenerate relation raises ParseError.
     """
     try:
         doc = json.loads(read_text(path))
@@ -549,6 +557,15 @@ def read_relations(path, table):
     if not isinstance(doc, dict) or "relations" not in doc:
         raise ParseError("relation file must contain a 'relations' list",
                          filename=path)
+
+    def known(value, keys, what):
+        # a value that is not a mapping is left to the reads that follow
+        unknown = set(value) - keys if isinstance(value, dict) else ()
+        if unknown:
+            raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {what}",
+                             filename=path)
+
+    known(doc, {"relations", "slice"}, "relation file")
 
     def path_list(value, what):
         if not isinstance(value, list):
@@ -567,6 +584,7 @@ def read_relations(path, table):
     def side(terms):
         out = {}
         for term in terms:
+            known(term, {"path", "power"}, "a term")
             j = table.index(path_list(term["path"], "a term's path"))
             power = _field(term, "power", path, "a positive integer",
                            lambda v: is_integer(v) and v >= 1, 1)
@@ -577,9 +595,12 @@ def read_relations(path, table):
                              f"limit {MAX_RELATION_DEGREE}", filename=path)
         return out
 
+    def relation(rec):
+        known(rec, {"plus", "minus", "provenance", "text"}, "a relation")
+        return side(rec["plus"]), side(rec["minus"])
+
     try:
-        sides = [(side(rec["plus"]), side(rec["minus"]))
-                 for rec in doc["relations"]]
+        sides = [relation(rec) for rec in doc["relations"]]
         tags = tuple(_field(rec, "provenance", path, "a string",
                             lambda v: isinstance(v, str), "file")
                      for rec in doc["relations"])
@@ -589,8 +610,13 @@ def read_relations(path, table):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed relation file: {exc!r}",
                          filename=path) from None
-    binomials = tuple(canonicalize(plus, minus) for plus, minus in sides)
-    return RelationSet(table, binomials, tags, slice_paths)
+    binomials = []
+    for index, (plus, minus) in enumerate(sides):
+        try:
+            binomials.append(canonicalize(plus, minus))
+        except RelationError as exc:
+            raise ParseError(f"relation {index}: {exc}", filename=path) from None
+    return RelationSet(table, tuple(binomials), tags, slice_paths)
 
 
 def dump_json(obj, fh):

@@ -23,7 +23,7 @@ from markovtoric import (
     sample_parameters,
     write_relations,
 )
-from markovtoric import iofiles
+from markovtoric import cli, iofiles
 from markovtoric.cli import build_parser, main
 from conftest import DATA
 from oracles import assignment_from_parameters
@@ -109,12 +109,12 @@ def _collapse_map(tmp_path, text):
                "--collapse", str(f)]
 
 
-def _relation_file(tmp_path, edit):
+def _relation_file(tmp_path, edit, where=lambda doc: doc["relations"][0]["plus"][0]):
     spec = parse_model_spec(ILLNESS)
     f = tmp_path / "relations.json"
     write_relations(generators_for(spec), f)
     doc = json.loads(f.read_text())
-    edit(doc["relations"][0]["plus"][0])
+    edit(where(doc))
     f.write_text(json.dumps(doc))
     return f, ["verify", "--spec", ILLNESS, "--relations", str(f),
                "--trials", "1"]
@@ -158,6 +158,13 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _corpus_config(d, "alphabet: letters\npad: _\nmin_word_length: 5\n"
                                 "max_word_length: 4\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: 5\n"),
+    lambda d: _path_values(d, "mle", "--trajectories", "0,0,1,1\n0,0,1\n"),
+    lambda d: _relation_file(d, lambda t: t.update(powr=2)),
+    lambda d: _relation_file(d, lambda r: r.update(provenence="x"),
+                             lambda doc: doc["relations"][0]),
+    lambda d: _relation_file(d, lambda doc: doc.update(slices=[]), lambda doc: doc),
+    lambda d: _relation_file(d, lambda r: r.update(minus=r["plus"]),
+                             lambda doc: doc["relations"][0]),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
@@ -165,12 +172,16 @@ def _path_values(tmp_path, verb, flag, text):
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
         "horizon-zero", "count-negative", "probability-negative",
         "mle-counts-all-zero", "report-counts-all-zero", "k-null", "n-null",
-        "alphabet-key-dropped", "min-word-length-above-max", "forbid-not-a-list"])
-def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make):
+        "alphabet-key-dropped", "min-word-length-above-max", "forbid-not-a-list",
+        "trajectories-ragged", "term-unknown-key", "relation-unknown-key",
+        "document-unknown-key", "relation-degenerate"])
+def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make, request):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert str(f) in err
+    if request.node.callspec.id == "trajectories-ragged":
+        assert f"{f}:2: " in err
 
 
 SAMPLE_CORPUS = str(DATA / "sample_corpus.txt")
@@ -274,6 +285,8 @@ def test_each_verb_declares_only_the_flags_it_reads():
     assert sum(map(len, declared.values())) == 55
     assert len(REMOVED_FLAGS) == 20
     assert not any(flag in declared[verb] for verb, flag in REMOVED_FLAGS)
+    assert {verb: p.get_default("command") for verb, p in verbs.items()} == {
+        verb: getattr(cli, f"cmd_{verb}") for verb in VERB_FLAGS}
 
 
 @pytest.mark.parametrize("verb, flag", REMOVED_FLAGS,
