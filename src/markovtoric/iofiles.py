@@ -8,8 +8,9 @@ decimal_string gives a rounded view of one, never a replacement.
 
 Every input file is read as UTF-8 by one reader, read_text; a file that
 cannot be opened or decoded is a ParseError naming the file (exit 3 on
-the command line).  Every data file is written, one line at a time, by
-one writer, _write_lines.
+the command line).  Every data file is written by one writer,
+_write_lines, one item at a time, each item a record line or, for a
+relation file, the whole JSON text, which is the text dump_json writes.
 """
 
 import io
@@ -74,6 +75,16 @@ def read_text(path):
         raise ParseError(str(exc), filename=path)
 
 
+def _known(value, keys, what, path):
+    """ParseError naming the least key of a mapping value that is not in
+    keys, YAML's keys of mixed types (1: and a:) ordered by type name
+    first; a value that is not a mapping is left to the reads that follow."""
+    unknown = set(value) - keys if isinstance(value, dict) else ()
+    if unknown:
+        first = min(unknown, key=lambda k: (type(k).__name__, k))
+        raise ParseError(f"unknown key {first!r} in {what}", filename=path)
+
+
 def _load_yaml(path, what, keys=None, required=()):
     """The YAML mapping in a file, named what in messages; ParseError unless its
     keys are all in keys (any when None) and include every key in required."""
@@ -90,10 +101,8 @@ def _load_yaml(path, what, keys=None, required=()):
         raise ParseError(str(exc), filename=path)
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a mapping", filename=path)
-    unknown = set() if keys is None else set(doc) - keys
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {what}",
-                         filename=path)
+    if keys is not None:
+        _known(doc, keys, what, path)
     for key in required:
         if key not in doc:
             raise ParseError(f"{what} is missing required key {key!r}",
@@ -111,11 +120,11 @@ def _state_labels(value, what, path, length=None):
     return value
 
 
-def _list_field(doc, key, path):
-    value = doc.get(key) or []
-    if not isinstance(value, list):
-        raise ParseError(f"{key} must be a list, got {value!r}", filename=path)
-    return value
+def _list_field(doc, key, path, want="a list"):
+    """doc[key], [] when the key is absent or null; ParseError for any
+    other value that is not a list, saying that key must be want."""
+    value = _field(doc, key, path, want, lambda v: v is None or isinstance(v, list))
+    return [] if value is None else value
 
 
 def _field(doc, key, path, want, ok, default=None):
@@ -143,12 +152,11 @@ def parse_model_spec(path):
     states = _state_labels(doc["states"], "states", path)
     forbid = [_state_labels(pair, "each forbid entry", path, 2)
               for pair in _list_field(doc, "forbid", path)]
-    absorbing = _state_labels(doc.get("absorbing") or [], "absorbing", path)
-    initial = doc.get("initial")
-    if initial is not None:
-        initial = [block if is_label(block)
-                   else _state_labels(block, "each initial block", path)
-                   for block in _list_field(doc, "initial", path)]
+    absorbing = _state_labels(_list_field(doc, "absorbing", path, "a list of state labels"),
+                              "absorbing", path)
+    initial = None if doc.get("initial") is None else [
+        block if is_label(block) else _state_labels(block, "each initial block", path)
+        for block in _list_field(doc, "initial", path)]
     homogeneous = _field(doc, "homogeneous", path, "true or false",
                          lambda v: isinstance(v, bool), False)
     return ModelSpec(states, _field(doc, "k", path, "an integer", is_integer),
@@ -208,7 +216,7 @@ def record_lines(records):
 
 
 def _write_lines(path, lines):
-    """Write each line and a newline to a UTF-8 file, one line at a time."""
+    """Write each item of lines and a newline to a UTF-8 file, one item at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -518,21 +526,12 @@ def relations_to_jsonable(relset):
     }
 
 
-def _json_lines(obj):
-    """The text of dump_json(obj, fh), line by line, without the newlines
-    that end them; the encoder puts at most one newline in a chunk."""
-    parts = []
-    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
-        head, newline, tail = chunk.partition("\n")
-        parts.append(head)
-        if newline:
-            yield "".join(parts)
-            parts = [tail]
-    yield "".join(parts)
+def _json_text(obj):
+    return json.dumps(obj, indent=2)
 
 
 def write_relations(relset, path):
-    _write_lines(path, _json_lines(relations_to_jsonable(relset)))
+    _write_lines(path, [_json_text(relations_to_jsonable(relset))])
 
 
 def read_relations(path, table):
@@ -557,15 +556,7 @@ def read_relations(path, table):
     if not isinstance(doc, dict) or "relations" not in doc:
         raise ParseError("relation file must contain a 'relations' list",
                          filename=path)
-
-    def known(value, keys, what):
-        # a value that is not a mapping is left to the reads that follow
-        unknown = set(value) - keys if isinstance(value, dict) else ()
-        if unknown:
-            raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {what}",
-                             filename=path)
-
-    known(doc, {"relations", "slice"}, "relation file")
+    _known(doc, {"relations", "slice"}, "relation file", path)
 
     def path_list(value, what):
         if not isinstance(value, list):
@@ -584,7 +575,7 @@ def read_relations(path, table):
     def side(terms):
         out = {}
         for term in terms:
-            known(term, {"path", "power"}, "a term")
+            _known(term, {"path", "power"}, "a term", path)
             j = table.index(path_list(term["path"], "a term's path"))
             power = _field(term, "power", path, "a positive integer",
                            lambda v: is_integer(v) and v >= 1, 1)
@@ -596,7 +587,7 @@ def read_relations(path, table):
         return out
 
     def relation(rec):
-        known(rec, {"plus", "minus", "provenance", "text"}, "a relation")
+        _known(rec, {"plus", "minus", "provenance", "text"}, "a relation", path)
         return side(rec["plus"]), side(rec["minus"])
 
     try:
@@ -620,5 +611,4 @@ def read_relations(path, table):
 
 
 def dump_json(obj, fh):
-    json.dump(obj, fh, indent=2)
-    fh.write("\n")
+    fh.write(_json_text(obj) + "\n")

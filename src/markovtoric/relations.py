@@ -131,14 +131,6 @@ class RelationSet:
         return lines
 
 
-def _dedup(raw, tag):
-    seen = {}
-    for b in raw:
-        if b not in seen:
-            seen[b] = tag
-    return tuple(seen), tuple(seen.values())
-
-
 def _exchanges(table, moves, tag):
     """RelationSet of the binomials p_i1 p_i2 - p_j1 p_j2 of moves
     (i1, i2, j1, j2), in move order, each canonical form once.
@@ -147,18 +139,17 @@ def _exchanges(table, moves, tag):
     (j1, j2)}, so a repeated quad is skipped before canonicalizing; a
     move that cancels to zero is skipped too.
     """
-    raw, seen = [], set()
+    binomials, seen = {}, set()  # dict keys: first occurrence wins, in order
     for i1, i2, j1, j2 in moves:
         quad = frozenset({(min(i1, i2), max(i1, i2)), (min(j1, j2), max(j1, j2))})
         if quad in seen:
             continue
         seen.add(quad)
         try:
-            raw.append(canonicalize(_pair(i1, i2), _pair(j1, j2)))
+            binomials[canonicalize(_pair(i1, i2), _pair(j1, j2))] = None
         except RelationError:
             continue
-    binomials, tags = _dedup(raw, tag)
-    return RelationSet(table, binomials, tags)
+    return RelationSet(table, tuple(binomials), (tag,) * len(binomials))
 
 
 def nonhomogeneous_generators(spec, table=None):

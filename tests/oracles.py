@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from markovtoric import TrajectorySet, canonicalize, enumerate_paths, path_probability
 from markovtoric.errors import ParseError, RelationError, SpecificationError
-from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet, _dedup, _pair
+from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet
 
 
 def block_counts(spec, path):
@@ -186,12 +186,11 @@ def homogeneous_family_reference(spec, table=None):
                         continue
                     try:
                         raw.append(canonicalize(
-                            _pair(i1, i2),
-                            _pair(table.index(m1), table.index(m2))))
+                            Counter((i1, i2)),
+                            Counter((table.index(m1), table.index(m2)))))
                     except RelationError:
                         continue  # exchanged pair equals the original pair
-    binomials, tags = _dedup(raw, PROV_HOM)
-    return RelationSet(table, binomials, tags)
+    return _first_occurrences(table, raw, PROV_HOM)
 
 
 def nonhomogeneous_generators_reference(spec, table=None):
@@ -220,8 +219,14 @@ def nonhomogeneous_generators_reference(spec, table=None):
                 raw.append(canonicalize(
                     {table.index(I + J + S): 1, table.index(I2 + J + S2): 1},
                     {table.index(cross1): 1, table.index(cross2): 1}))
-    binomials, tags = _dedup(raw, PROV_NONHOM)
-    return RelationSet(table, binomials, tags)
+    return _first_occurrences(table, raw, PROV_NONHOM)
+
+
+def _first_occurrences(table, raw, tag):
+    """RelationSet of the distinct binomials of raw, each at its first
+    position, all tagged tag."""
+    binomials = tuple(dict.fromkeys(raw))
+    return RelationSet(table, binomials, (tag,) * len(binomials))
 
 
 def corpus_to_trajectories_reference(text, cs, spec=None):

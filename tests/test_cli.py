@@ -165,6 +165,13 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _relation_file(d, lambda doc: doc.update(slices=[]), lambda doc: doc),
     lambda d: _relation_file(d, lambda r: r.update(minus=r["plus"]),
                              lambda doc: doc["relations"][0]),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: 0\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: false\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: {}\n"),
+    lambda d: _spec_file(d, "states: [0, 1]\nk: 1\nn: 3\nabsorbing: 0\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nabsorbing: false\n"),
+    lambda d: _spec_file(d, "states: [0, 1]\nk: 1\nn: 3\ninitial: 0\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\n1: a\nb: c\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "overlong-int", "pad-null",
@@ -174,7 +181,9 @@ def _path_values(tmp_path, verb, flag, text):
         "mle-counts-all-zero", "report-counts-all-zero", "k-null", "n-null",
         "alphabet-key-dropped", "min-word-length-above-max", "forbid-not-a-list",
         "trajectories-ragged", "term-unknown-key", "relation-unknown-key",
-        "document-unknown-key", "relation-degenerate"])
+        "document-unknown-key", "relation-degenerate", "forbid-zero", "forbid-false",
+        "forbid-empty-mapping", "absorbing-zero", "absorbing-false", "initial-zero",
+        "unknown-keys-of-mixed-types"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make, request):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)
@@ -182,6 +191,27 @@ def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make, request)
     assert str(f) in err
     if request.node.callspec.id == "trajectories-ragged":
         assert f"{f}:2: " in err
+
+
+@pytest.mark.parametrize("text", ["forbid:\n", "absorbing: ~\n", "initial: ~\n"])
+def test_empty_list_key_loads(capsys, tmp_path, text):
+    # an empty or null optional list reads as absent
+    f, argv = _spec_file(tmp_path, "states: [0, 1]\nk: 1\nn: 3\n" + text)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "valid" in out
+
+
+@pytest.mark.parametrize("spec", [ILLNESS, ILLNESS_HOM])
+def test_relation_file_is_the_structured_relations_output(capsys, tmp_path, spec):
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    relset = generators_for(parse_model_spec(spec))
+    assert relset.slice_paths
+    write_relations(relset, f)
+    code, _, _ = run(capsys, "relations", "--spec", spec, "--format", "structured",
+                     "--out", str(g))
+    assert code == 0
+    assert f.read_bytes() == g.read_bytes()
 
 
 SAMPLE_CORPUS = str(DATA / "sample_corpus.txt")
