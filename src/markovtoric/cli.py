@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import iofiles
-from .errors import ModelError, ParseError
+from .errors import ModelError, ParseError, SpecificationError
 from .estimate import (
     TrajectorySet,
     birch_residual,
@@ -375,6 +375,9 @@ def cmd_ingest(args, spec):
                                             spec if fine is None else fine)
     if args.collapse:
         cm = iofiles.read_collapse_map(args.collapse)
+        if args.corpus and (image := cm.apply((cs.pad,))[0]) not in spec.absorbing:
+            raise SpecificationError(f"pad symbol {cs.pad!r} maps to {image!r}, which "
+                                     f"is not an absorbing state of the target spec")
         trajs = iofiles.collapse_states(trajs, cm, spec, fine)
     if args.emit == "counts":
         counts = counts_from_trajectories(trajs, spec, n=args.n)

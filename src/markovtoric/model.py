@@ -18,9 +18,10 @@ Parameter symbols are tuples:
     ("pi", block)                   initial-block weight
     ("a", level, history, state)    transition entry, level None if pooled
 
-State labels are opaque strings; every ordering used in the package is
-the declaration order of the states, not the lexicographic order of the
-label text.
+State labels are opaque strings, each one token of every file format:
+nonempty, with no ',', '#' or whitespace.  Every ordering used in the
+package is the declaration order of the states, not the lexicographic
+order of the label text.
 """
 
 from fractions import Fraction
@@ -47,7 +48,11 @@ def _as_label(x):
     if not is_label(x):
         raise SpecificationError(
             f"state label must be a string or an integer, got {x!r}")
-    return str(x)
+    label = str(x)
+    if not label or any(c in ",#" or c.isspace() for c in label):
+        raise SpecificationError(
+            f"state label {label!r} is empty or holds ',', '#' or whitespace")
+    return label
 
 
 def _as_block(x, k):
@@ -117,9 +122,10 @@ class ModelSpec:
         homogeneous: whether one transition table is shared by all steps.
 
     Raises:
-        SpecificationError: on duplicate states, malformed blocks, an
-            absorbing state with its self-loop forbidden, or an initial
-            block containing a forbidden step.
+        SpecificationError: on a label that is not one token, duplicate
+            states, malformed blocks, an absorbing state with its
+            self-loop forbidden, or an initial block containing a
+            forbidden step.
     """
 
     __slots__ = ("states", "order", "horizon", "homogeneous", "absorbing",
@@ -158,11 +164,13 @@ class ModelSpec:
             (a, b) for a in states for b in states
             if (a, b) not in forbidden and (a not in absorbing or b == a))
         self.absorbing = absorbing
-        self._histories = tuple(self._admissible_blocks(pairs))
-        self._succ = {
-            h: tuple(b for b in states if (h[-1], b) in pairs)
-            for h in self._histories
-        }
+        # The one successor rule; histories grow through it in lex order.
+        successors = {a: tuple(b for b in states if (a, b) in pairs) for a in states}
+        histories = [(s,) for s in states]
+        for _ in range(order - 1):
+            histories = [h + (b,) for h in histories for b in successors[h[-1]]]
+        self._histories = tuple(histories)
+        self._succ = {h: successors[h[-1]] for h in self._histories}
 
         if initial is None:
             self._initial = self._histories
@@ -182,15 +190,6 @@ class ModelSpec:
     def _require_state(self, s):
         if s not in self._state_index:
             raise SpecificationError(f"unknown state label {s!r}")
-
-    def _admissible_blocks(self, pairs):
-        # Length-k blocks whose internal steps are all allowed, in
-        # declaration-lexicographic order.
-        blocks = [()]
-        for _ in range(self.order):
-            blocks = [b + (s,) for b in blocks for s in self.states
-                      if not b or (b[-1], s) in pairs]
-        return blocks
 
     @property
     def histories(self):

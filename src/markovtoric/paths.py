@@ -44,23 +44,24 @@ class PathTable:
 def enumerate_paths(spec):
     """All admissible paths of the spec, lexicographically by declaration order.
 
-    Depth-first extension of each allowed initial block.  Initial blocks
-    are visited in declaration-lexicographic order and successors in
-    declaration order, so the output order needs no final sort.
+    The initial blocks grow one position at a time, each prefix by a
+    copy per successor but the last and in place by the last, so the
+    work is linear in the output and no horizon meets a recursion limit.
+    Blocks, successors and prefixes all go in declaration order, so the
+    output order needs no final sort.
     """
-    out = []
-    k, n = spec.order, spec.horizon
-
-    def extend(prefix):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for s in spec.successors(prefix[-k:]):
-            extend(prefix + (s,))
-
-    for block in spec.initial_blocks:
-        extend(block)
-    return PathTable(out)
+    k = spec.order
+    prefixes = [list(block) for block in spec.initial_blocks]
+    for _ in range(spec.horizon - k):
+        grown = []
+        for p in prefixes:
+            if succ := spec.successors(p[-k:]):
+                for s in succ[:-1]:
+                    grown.append(p + [s])
+                p.append(succ[-1])
+                grown.append(p)
+        prefixes = grown
+    return PathTable(prefixes)
 
 
 class DesignMatrix:

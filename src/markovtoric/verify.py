@@ -33,17 +33,11 @@ NONZERO = "nonzero"
 
 def _row_layout(spec):
     """The sampling stream's rows, spec.rows(): their widths, and the
-    place of each symbol as a mapping symbol -> (row, entry).
-    ParameterError when a row has more entries than
-    DEFAULT_DENOMINATOR_BOUND.
+    place of each symbol as a mapping symbol -> (row, entry).  A row
+    may be of any width; its weights may repeat.
     """
     rows = spec.rows()
     widths = [len(row) for row in rows]
-    widest = max(widths)
-    if DEFAULT_DENOMINATOR_BOUND < widest:
-        raise ParameterError(
-            f"denominator bound {DEFAULT_DENOMINATOR_BOUND} is smaller than the "
-            f"widest row ({widest} entries)")
     position = {sym: (r, e) for r, row in enumerate(rows) for e, sym in enumerate(row)}
     return widths, position
 
@@ -69,9 +63,11 @@ def sample_parameters(spec, seed):
 
     Each row draws one integer weight in 1..DEFAULT_DENOMINATOR_BOUND
     (97) per allowed entry and normalizes exactly, so rows sum to 1 by
-    construction and every allowed entry is strictly positive.
-    Deterministic in seed; seeds may be any hashable accepted by
-    random.Random.  ParameterError when a row has more entries than 97.
+    construction and every allowed entry is strictly positive.  A row
+    may be of any width: one point misses a nonzero polynomial of degree
+    D in the weights with chance at most D/97 (Schwartz-Zippel), whatever
+    the width.  Deterministic in seed, which may be any hashable that
+    random.Random accepts.
     """
     widths, position = _row_layout(spec)
     weights = _draw_weights(widths, seed)

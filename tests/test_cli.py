@@ -57,8 +57,10 @@ class TestValidate:
 
     def test_structural_error_exits_one(self, capsys, tmp_path):
         f = tmp_path / "bad.yaml"
-        # a duplicate state label, and an integer order below 1
-        for text in ("states: [0, 0, 1]\nk: 1\nn: 3\n", "states: [a, b]\nk: 0\nn: 3\n"):
+        # a duplicate state label, an integer order below 1, and a label
+        # that is not one token of the file formats
+        for text in ("states: [0, 0, 1]\nk: 1\nn: 3\n", "states: [a, b]\nk: 0\nn: 3\n",
+                     'states: ["a,b", a, b]\nk: 1\nn: 3\n'):
             f.write_text(text)
             code, out, err = run(capsys, "validate", "--spec", str(f))
             assert code == 1
@@ -440,6 +442,26 @@ class TestPaths:
         assert code == 0
         doc = json.loads(out)
         assert [tuple(p) for p in doc["paths"]] == [tuple(p) for p in WORKED_PATHS]
+
+
+def test_survival_spec_past_the_recursion_limit(capsys, tmp_path):
+    # one path per absorption time: 1,100 paths of length 1,100
+    n = 1100
+    spec = tmp_path / "survival.yaml"
+    spec.write_text(f"states: [0, 1]\nk: 1\nn: {n}\nforbid: [[1, 0]]\n"
+                    f"absorbing: [1]\ninitial: [0]\n")
+    t = tmp_path / "t.txt"
+    t.write_text("".join(",".join("0" * d + "1" * (n - d)) + f" {m}\n"
+                         for d, m in ((1, 3), (500, 2), (n, 1))))
+    code, out, _ = run(capsys, "paths", "--spec", str(spec))
+    assert code == 0
+    assert f"{n} admissible paths" in out
+    assert run(capsys, "mle", "--spec", str(spec), "--trajectories", str(t))[0] == 0
+    code, out, _ = run(capsys, "ingest", "--spec", str(spec), "--trajectories", str(t),
+                       "--emit", "counts")
+    assert code == 0
+    counts = [int(line.split()[1]) for line in out.splitlines()]
+    assert (len(counts), sum(counts), sum(c > 0 for c in counts)) == (n, 6, 3)
 
 
 class TestRelationsAndVerify:
@@ -862,6 +884,23 @@ class TestIngest:
                            "--corpus-config", str(config))
         assert code == 0
         assert out == "V,C,_ 2\nC,V,_ 1\n"
+
+    def test_collapsed_corpus_pad_must_map_to_an_absorbing_state(self, capsys,
+                                                                 tmp_path):
+        # without --fine-spec the pad's image is checked against --spec
+        coarse = tmp_path / "coarse.yaml"
+        coarse.write_text('states: [V, C, "_"]\nk: 1\nn: 9\n')
+        common = ["ingest", "--spec", str(coarse),
+                  "--corpus", str(DATA / "sample_corpus.txt"),
+                  "--corpus-config", str(DATA / "vc_corpus.yaml")]
+        code, out, err = run(capsys, *common, "--collapse", str(DATA / "vc_collapse.yaml"))
+        assert (code, out) == (1, "")
+        assert ("pad symbol '_' maps to '_', which is not an absorbing state "
+                "of the target spec") in err
+        # the same spec is refused without --collapse
+        code, out, err = run(capsys, *common)
+        assert (code, out) == (1, "")
+        assert "pad symbol '_' is not an absorbing state of the target spec" in err
 
     @pytest.mark.parametrize("text, horizon, message", [
         ("hello w\u00f6rld\n", "max",

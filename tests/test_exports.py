@@ -57,6 +57,24 @@ def test_every_public_definition_is_exported_or_used():
     assert not dead, f"public but neither exported nor used: {dead}"
 
 
+def test_no_function_calls_itself():
+    # Recursion depth grows with the input (a horizon, a column count)
+    # and the interpreter's limit turns valid input into a traceback.
+    src = Path(markovtoric.__file__).parent
+    recursive = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                f = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if (isinstance(f, ast.Name) and f.id == fn.name
+                        or isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                    recursive.append(f"{path.stem}.{fn.name}")
+    assert not recursive, f"functions that call themselves: {recursive}"
+
+
 def test_files_are_opened_only_at_the_file_boundary():
     # every input is read by iofiles.read_text and every data file is
     # written by iofiles._write_lines; cli._emit opens --out

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -55,11 +56,19 @@ class TestModelSpec:
         with pytest.raises(SpecificationError):
             ModelSpec(["0", "0", "1"], 1, 3)
 
-    def test_a_float_state_label_rejected(self):
-        with pytest.raises(SpecificationError,
-                           match="^state label must be a string or an integer, "
-                                 "got 1.5$"):
-            ModelSpec(["a", 1.5], 1, 2)
+    @pytest.mark.parametrize("label, message", [
+        (1.5, "state label must be a string or an integer, got 1.5"),
+        ("a,b", "state label 'a,b' is empty or holds"),
+        ("x y", "state label 'x y' is empty or holds"),
+        ("p#", "state label 'p#' is empty or holds"),
+        ("", "state label '' is empty or holds"),
+        ("a\nb", "state label 'a\\nb' is empty or holds"),
+    ], ids=["float", "comma", "space", "hash", "empty", "newline"])
+    def test_a_state_label_that_is_not_a_token_rejected(self, label, message):
+        # a label must survive every file format: trajectory and counts
+        # records split on commas, whitespace and '#'
+        with pytest.raises(SpecificationError, match="^" + re.escape(message)):
+            ModelSpec([label, "a", "b"], 1, 2)
 
     def test_order_must_leave_room_for_a_transition(self):
         with pytest.raises(SpecificationError):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from markovtoric import (
     InadmissiblePathError,
@@ -140,6 +140,8 @@ def test_binary_enumeration_count(k, extra):
 
 
 @given(st.integers(min_value=2, max_value=6))
+@example(1_100)  # past the default recursion limit
+@settings(deadline=None)
 def test_survival_path_count_is_linear(n):
     # one path per absorption time, plus the path that never absorbs
     assert len(enumerate_paths(make_survival(n))) == n

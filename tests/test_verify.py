@@ -58,12 +58,14 @@ class TestSampleParameters:
         assert set(params.values) == set(illness_death.symbols())
         assert all(v > 0 for v in params.values.values())
 
-    def test_bound_below_row_width_rejected(self):
-        # 98 initial states: one row wider than the 97 weights; the
-        # spec's 98**3 paths are never enumerated
+    def test_a_row_wider_than_the_weight_range_samples(self):
+        # 98 initial states: one row wider than the 97 weights, so its
+        # weights repeat; the spec's 98**2 paths are never enumerated
         spec = ModelSpec([str(i) for i in range(98)], 1, 2)
-        with pytest.raises(ParameterError, match="widest row"):
-            sample_parameters(spec, seed=0)
+        params = sample_parameters(spec, seed=0)
+        assert validate_parameters(spec, params) == []
+        assert set(params.values) == set(spec.symbols())
+        assert all(v > 0 for v in params.values.values())
 
 
 class TestEvaluateBinomial:
