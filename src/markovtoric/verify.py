@@ -26,6 +26,8 @@ from .paths import build_design_matrix, enumerate_paths
 
 DEFAULT_TRIALS = 20
 DEFAULT_DENOMINATOR_BOUND = 97
+_WEIGHT_BITS = DEFAULT_DENOMINATOR_BOUND.bit_length()
+_SEED_TYPES = (int, float, str, bytes, bytearray)
 
 VANISHES = "vanishes-exactly"
 NONZERO = "nonzero"
@@ -51,11 +53,22 @@ def _check_trials(trials):
 
 def _draw_weights(widths, seed):
     # The one definition of the sampling stream: integer weights in
-    # 1..DEFAULT_DENOMINATOR_BOUND, row by row.  Drawing fewer rows
-    # yields a prefix of the same values.
-    randint = random.Random(seed).randint
-    return [[randint(1, DEFAULT_DENOMINATOR_BOUND) for _ in range(w)]
-            for w in widths]
+    # 1..DEFAULT_DENOMINATOR_BOUND, row by row.  Each weight is one
+    # getrandbits(_WEIGHT_BITS) draw, redrawn while it is at least the
+    # bound, plus one: the values random.Random(seed).randint(1, bound)
+    # gives, with one call per draw.  Drawing fewer rows yields a prefix
+    # of the same values.
+    getrandbits = random.Random(seed).getrandbits
+    rows = []
+    for width in widths:
+        row = []
+        for _ in range(width):
+            r = getrandbits(_WEIGHT_BITS)
+            while r >= DEFAULT_DENOMINATOR_BOUND:
+                r = getrandbits(_WEIGHT_BITS)
+            row.append(r + 1)
+        rows.append(row)
+    return rows
 
 
 def sample_parameters(spec, seed):
@@ -66,9 +79,13 @@ def sample_parameters(spec, seed):
     construction and every allowed entry is strictly positive.  A row
     may be of any width: one point misses a nonzero polynomial of degree
     D in the weights with chance at most D/97 (Schwartz-Zippel), whatever
-    the width.  Deterministic in seed, which may be any hashable that
-    random.Random accepts.
+    the width.  Deterministic in seed, which must be an int, float, str,
+    bytes or bytearray; None (which would draw from OS entropy) and any
+    other type are a ParameterError.
     """
+    if not isinstance(seed, _SEED_TYPES):
+        raise ParameterError("seed must be an int, float, str, bytes or "
+                             f"bytearray, got {seed!r}")
     widths, position = _row_layout(spec)
     weights = _draw_weights(widths, seed)
     totals = [sum(row) for row in weights]
@@ -111,7 +128,7 @@ def _relation_rng_seed(seed, relation_index):
 
 
 def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
-                      seed=0, relation_index=0, *, _layout=None):
+                      seed=0, relation_index=0, *, _shared=None):
     """Evaluate a binomial at sampled model points until one is nonzero.
 
     Returns a RelationCheck whose status is "vanishes-exactly" when all
@@ -127,24 +144,27 @@ def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
     in integers and compared by cross-multiplying; a Fraction is built
     only for a witness's residual.  trials must be at least 1.
     """
-    if _layout is None:  # else verify_relation_set has checked trials
+    if _shared is None:  # else verify_relation_set has checked trials
         _check_trials(trials)
-        _layout = _row_layout(spec)
-    if table is None:
-        table = enumerate_paths(spec)
-    widths, position = _layout
-    factors = {j: _path_factors(spec, position, table, j)
-               for j in binomial.support()}
+        if table is None:
+            table = enumerate_paths(spec)
+        _shared = _row_layout(spec) + ({},)
+    # factors holds each path's (row, entry) list once read, shared by
+    # every relation of a set
+    widths, position, factors = _shared
+    for j in binomial.support():
+        if j not in factors:
+            factors[j] = _path_factors(spec, position, table, j)
     plus_entries, plus_rows = _side_exponents(binomial.plus, factors)
     minus_entries, minus_rows = _side_exponents(binomial.minus, factors)
     drawn = widths[:1 + max((r for r, _ in plus_rows + minus_rows), default=0)]
     rng_seed = _relation_rng_seed(seed, relation_index)
     for t in range(trials):
         w = _draw_weights(drawn, f"{rng_seed}:{t}")
-        pn = prod(w[r][e] ** c for (r, e), c in plus_entries)
-        pd = prod(sum(w[r]) ** c for r, c in plus_rows)
-        mn = prod(w[r][e] ** c for (r, e), c in minus_entries)
-        md = prod(sum(w[r]) ** c for r, c in minus_rows)
+        pn = prod([w[r][e] ** c for (r, e), c in plus_entries])
+        pd = prod([sum(w[r]) ** c for r, c in plus_rows])
+        mn = prod([w[r][e] ** c for (r, e), c in minus_entries])
+        md = prod([sum(w[r]) ** c for r, c in minus_rows])
         if pn * md != mn * pd:
             return RelationCheck(NONZERO, trials, seed, relation_index,
                                  Witness(t, Fraction(pn, pd) - Fraction(mn, md)))
@@ -236,11 +256,11 @@ def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
         raise RelationError("design matrix and relation set tables differ")
     elif design.row_symbols != spec.symbols():
         raise RelationError("design matrix rows are not the spec's parameter symbols")
-    layout = _row_layout(spec)
+    shared = _row_layout(spec) + ({},)
     entries = []
     for idx, (binomial, tag) in enumerate(relset):
         check = vanishes_on_model(binomial, spec, relset.table, trials,
-                                  seed, idx, _layout=layout)
+                                  seed, idx, _shared=shared)
         kc = kernel_membership(binomial, design)
         entries.append(RelationEntry(idx, tag, check, kc))
     return VerificationReport(tuple(entries), trials, seed)

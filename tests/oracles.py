@@ -8,12 +8,14 @@ from the integer routes the package uses.
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 from markovtoric import TrajectorySet, canonicalize, enumerate_paths, path_probability
 from markovtoric.errors import ParseError, RelationError, SpecificationError
 from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet
+from markovtoric.verify import DEFAULT_DENOMINATOR_BOUND
 
 
 def block_counts(spec, path):
@@ -281,6 +283,14 @@ def lex_larger(u, v):
         if du != dv:
             return du > dv
     return False
+
+
+def randint_weights(widths, seed):
+    """The sampling stream drawn through random.Random.randint: one
+    weight in 1..DEFAULT_DENOMINATOR_BOUND per entry, row by row."""
+    randint = random.Random(seed).randint
+    return [[randint(1, DEFAULT_DENOMINATOR_BOUND) for _ in range(w)]
+            for w in widths]
 
 
 def assignment_from_parameters(spec, params, table):

@@ -23,7 +23,7 @@ from markovtoric import (
     verify_relation_set,
 )
 from markovtoric.iofiles import parse_model_spec
-from markovtoric.verify import NONZERO, VANISHES
+from markovtoric.verify import NONZERO, VANISHES, Witness, _draw_weights
 from conftest import DATA, make_binary_chain, make_vc_chain
 from oracles import (
     assignment_from_parameters,
@@ -31,6 +31,7 @@ from oracles import (
     evaluate_binomial,
     free_block_counts,
     free_fiber_pairs,
+    randint_weights,
 )
 from test_model import small_specs
 
@@ -52,6 +53,39 @@ class TestSampleParameters:
 
     def test_string_seeds_accepted(self, illness_death):
         sample_parameters(illness_death, seed="0:3:1")
+
+    def test_pinned_point(self, illness_death):
+        # the sampling stream's values, recorded when each weight was a
+        # random.Random.randint call; a change of stream changes them
+        F = Fraction
+        assert sample_parameters(illness_death, "0:3:1").values == {
+            ("pi", ("0",)): F(2, 7), ("pi", ("1",)): F(5, 7),
+            ("a", 2, ("0",), "0"): F(49, 120), ("a", 2, ("0",), "1"): F(47, 120),
+            ("a", 2, ("0",), "2"): F(1, 5),
+            ("a", 2, ("1",), "1"): F(33, 109), ("a", 2, ("1",), "2"): F(76, 109),
+            ("a", 2, ("2",), "2"): F(1),
+            ("a", 3, ("0",), "0"): F(88, 169), ("a", 3, ("0",), "1"): F(51, 169),
+            ("a", 3, ("0",), "2"): F(30, 169),
+            ("a", 3, ("1",), "1"): F(49, 96), ("a", 3, ("1",), "2"): F(47, 96),
+            ("a", 3, ("2",), "2"): F(1),
+            ("a", 4, ("0",), "0"): F(1, 3), ("a", 4, ("0",), "1"): F(32, 89),
+            ("a", 4, ("0",), "2"): F(82, 267),
+            ("a", 4, ("1",), "1"): F(94, 123), ("a", 4, ("1",), "2"): F(29, 123),
+            ("a", 4, ("2",), "2"): F(1),
+        }
+
+    @pytest.mark.parametrize("seed", [None, (1, 2), [3], frozenset({4}), object()],
+                             ids=["None", "tuple", "list", "frozenset", "object"])
+    def test_a_seed_random_does_not_accept_is_refused(self, illness_death, seed):
+        # None would draw from OS entropy, so it is no seed either
+        with pytest.raises(ParameterError, match="^seed must be an int, float, str, "
+                                                 "bytes or bytearray, got "):
+            sample_parameters(illness_death, seed)
+
+    @pytest.mark.parametrize("seed", [0, True, 2.5, "s:1:2", b"ab", bytearray(b"ab")])
+    def test_every_seed_type_random_accepts_is_deterministic(self, illness_death, seed):
+        assert (sample_parameters(illness_death, seed).values
+                == sample_parameters(illness_death, seed).values)
 
     def test_strictly_positive_on_support(self, illness_death):
         params = sample_parameters(illness_death, seed=5)
@@ -108,6 +142,20 @@ class TestVanishesOnModel:
                 canonicalize({0: 1, 5: 1}, {1: 1, 4: 1}),):
             assert (vanishes_on_model(b, illness_death, trials=5, seed=3)
                     == vanishes_on_model(b, illness_death, table, trials=5, seed=3))
+
+    def test_pinned_witness(self):
+        # recorded when each weight was a random.Random.randint call:
+        # trial 0 vanishes by chance, so the witness is trial 1
+        spec = make_binary_chain(1, 4)
+        table = enumerate_paths(spec)
+        bad = canonicalize(
+            {table.index(("0", "0", "0", "0")): 1,
+             table.index(("1", "1", "1", "1")): 1},
+            {table.index(("0", "0", "0", "1")): 1,
+             table.index(("1", "1", "1", "0")): 1})
+        check = vanishes_on_model(bad, spec, table, trials=20, seed=9,
+                                  relation_index=2416)
+        assert check.witness == Witness(1, Fraction(17790993, 350346904576))
 
     def test_deterministic_witness(self):
         spec = make_binary_chain(1, 4)
@@ -258,6 +306,32 @@ class TestVerifyRelationSet:
         assert [(e.vanish.ok, e.kernel.ok) for e in report.entries] == [(True, True)] * 43
         assert report.agreement
 
+    def test_each_entry_is_the_relation_checked_alone(self):
+        # the set reads each path's factors once; every verdict and
+        # witness is still the one vanishes_on_model gives on its own
+        spec = make_binary_chain(1, 4)
+        table = enumerate_paths(spec)
+        members = nonhomogeneous_generators(spec, table).binomials[:12]
+        bad = [canonicalize(Counter((a, b)), Counter((c, d)))
+               for a, b, c, d in ((0, 15, 1, 14), (0, 1, 2, 4), (3, 3, 5, 6))]
+        binomials = members[:6] + tuple(bad) + members[6:]
+        relset = RelationSet(table, binomials, ("file",) * len(binomials))
+        report = verify_relation_set(relset, spec, trials=6, seed="s")
+        assert [e.vanish.ok for e in report.entries] == [True] * 6 + [False] * 3 + [True] * 6
+        for idx, (b, entry) in enumerate(zip(binomials, report.entries)):
+            assert entry.vanish == vanishes_on_model(b, spec, table, 6, "s", idx)
+
+    @pytest.mark.parametrize("index", [-1, 16, 99])
+    def test_an_index_out_of_range_after_read_paths_rejected(self, index):
+        spec = make_binary_chain(1, 4)
+        table = enumerate_paths(spec)
+        good = nonhomogeneous_generators(spec, table).binomials[0]
+        b = Binomial(((index, 1),), ((good.plus[0][0], 1),))
+        relset = RelationSet(table, (good, b), ("file", "file"))
+        message = rf"^path index {index} out of range 0\.\.15$"
+        with pytest.raises(RelationError, match=message):
+            verify_relation_set(relset, spec, trials=2)
+
     def test_a_design_of_another_spec_is_rejected(self, illness_death,
                                                   illness_death_hom,
                                                   reversible_illness_death):
@@ -292,6 +366,21 @@ def test_assignment_values_are_probabilities(seed):
     assignment = assignment_from_parameters(spec, params, table)
     assert sum(assignment.values()) == 1
     assert all(0 < v < 1 for v in assignment.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(widths=st.lists(st.one_of(st.sampled_from([1, 2, 97, 98, 200]),
+                                 st.integers(min_value=0, max_value=12)),
+                       min_size=1, max_size=6),
+       seed=st.one_of(
+           st.integers(min_value=-10**6, max_value=10**20),
+           st.text(max_size=8),
+           st.builds("{}:{}:{}".format, st.integers(0, 10**6) | st.text(max_size=3),
+                     st.integers(0, 10**4), st.integers(0, 40))))
+@example(widths=[1, 2, 97, 98, 200], seed=0)
+@example(widths=[200, 98, 97, 2, 1], seed="1:0:0")
+def test_weights_are_the_randint_stream(widths, seed):
+    assert _draw_weights(widths, seed) == randint_weights(widths, seed)
 
 
 def _fraction_route(binomial, spec, table, trials, seed, idx):
