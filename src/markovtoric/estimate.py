@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import EstimationError, ParameterError, RelationError
 from .model import ParameterPoint, _assignment, _join, is_integer, path_probability
@@ -64,18 +65,40 @@ class TrajectorySet:
         return sum(m for _, m in self.records)
 
     def check(self, spec):
-        """Validate every record against spec's rules at this set's length,
-        reporting the offender."""
+        """Validate every record against spec's rules at this set's length.
+
+        A record is a path exactly when its initial block and each of
+        its (k+1)-windows are allowed (a window holding an unknown label
+        never is), so the set is checked by its distinct ones.  Only when
+        one fails, or they cannot be collected (an unhashable label), are
+        the records walked through check_sequence, which names the first
+        offender as "record N".
+        """
         if self.length < spec.order + 1:
             raise EstimationError(f"trajectory length {self.length} is shorter "
                                   f"than order + 1 = {spec.order + 1}")
         spec = spec.with_horizon(self.length)
-        for num, (traj, _) in enumerate(self.records, start=1):
-            try:
-                spec.check_sequence(traj)
-            except Exception as exc:
-                raise EstimationError(f"record {num}: {exc}") from exc
+        if not self._windows_allowed(spec):
+            for num, (traj, _) in enumerate(self.records, start=1):
+                try:
+                    spec.check_sequence(traj)
+                except Exception as exc:
+                    raise EstimationError(f"record {num}: {exc}") from exc
         return self
+
+    def _windows_allowed(self, spec):
+        """Whether the set's distinct initial blocks and (k+1)-windows
+        are all allowed by spec; False when they cannot be collected."""
+        k, seqs = spec.order, [traj for traj, _ in self.records]
+        try:
+            blocks = set(map(itemgetter(slice(k)), seqs))
+            windows = set()
+            for i in range(self.length - k):
+                windows.update(map(itemgetter(slice(i, i + k + 1)), seqs))
+            return (blocks <= set(spec.initial_blocks)
+                    and all(w[k] in spec.successors(w[:k]) for w in windows))
+        except Exception:  # the walk in check re-raises it with its record
+            return False
 
     @classmethod
     def from_sequences(cls, sequences):
@@ -122,19 +145,34 @@ def _resolve_horizon(trajs, spec, n):
     return n
 
 
+def _prefix_weights(records, n):
+    """The summed weight of each distinct seq[:n] of (sequence, weight)
+    records, as (prefix, weight) pairs in first-seen order.  Records of
+    length n cannot merge, so they are returned as they are."""
+    if len(records[0][0]) <= n:
+        return records
+    weights = {}
+    for seq, weight in records:
+        prefix = seq[:n]
+        weights[prefix] = weights.get(prefix, 0) + weight
+    return weights.items()
+
+
 def counts_from_trajectories(trajs, spec, n=None, table=None):
     """Count each admissible length-n prefix path of the data.
 
     Length-n analysis of longer trajectories deliberately reads the
     prefix window (positions 1..n), not sliding windows.  The result is
-    indexed by the path table of the spec at horizon n.
+    indexed by the path table of the spec at horizon n; each distinct
+    prefix is looked up once, the first absent one in record order
+    being the error.
     """
     n = _resolve_horizon(trajs, spec, n)
     if table is None:
         table = enumerate_paths(spec.with_horizon(n))
     counts = [0] * len(table)
-    for traj, mult in trajs.records:
-        counts[table.index(traj[:n])] += mult
+    for prefix, mult in _prefix_weights(trajs.records, n):
+        counts[table.index(prefix)] += mult
     return CountVector(table, tuple(counts))
 
 
@@ -164,11 +202,14 @@ class EstimateReport(ParameterPoint):
 def _tally(spec, records):
     """Each parameter symbol's summed weight over (sequence, weight)
     records, keyed as check_sequence keys positions 1..spec.horizon, and
-    each symbol's row total over spec.rows().  A key that is not a
-    design-matrix row symbol sends the records through check_sequence."""
+    each symbol's row total over spec.rows().  The records are read
+    once per distinct analysed prefix.  A key that is not a design-matrix
+    row symbol sends the prefixes, in first-seen order, through
+    check_sequence."""
     k = spec.order
     starts = [(None if spec.homogeneous else level, level - k - 1)
               for level in range(k + 1, spec.horizon + 1)]
+    records = _prefix_weights(records, spec.horizon)
     # windows become symbols once per key: a 4-tuple per window is slower
     weights, windows = {}, {}
     for seq, weight in records:
@@ -180,7 +221,7 @@ def _tally(spec, records):
     weights.update({("a", *key): w for key, w in windows.items()})
     if not weights.keys() <= set(spec.symbols()):
         for seq, _ in records:
-            spec.check_sequence(seq[:spec.horizon])
+            spec.check_sequence(seq)
     totals = {}
     for row in spec.rows():
         totals.update(dict.fromkeys(row, sum(weights.get(sym, 0) for sym in row)))

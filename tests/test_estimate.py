@@ -1,9 +1,10 @@
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from markovtoric import (
     CountVector,
@@ -315,9 +316,11 @@ class TestRecordsAreChecked:
             mle_homogeneous(trajs, illness_death_hom, n=3, window="slide")
 
 
-def random_records(spec, length, rng, count):
+def random_records(spec, length, rng, count, share=0):
     """count random admissible sequences of the given length, each with a
-    weight in 1..5, or None when no admissible sequence is that long."""
+    weight in 1..5, or None when no admissible sequence is that long.
+    With probability share, a record after the first keeps the first
+    spec.horizon positions of an earlier record and redraws the rest."""
     k = spec.order
     # viable[r]: the histories from which r more steps can be taken
     viable = [set(spec.histories)]
@@ -329,8 +332,11 @@ def random_records(spec, length, rng, count):
         return None
     records = []
     for _ in range(count):
-        seq = rng.choice(starts)
-        for r in range(length - k, 0, -1):
+        if share and records and rng.random() < share:
+            seq = rng.choice(records)[0][:spec.horizon]
+        else:
+            seq = rng.choice(starts)
+        for r in range(length - len(seq), 0, -1):
             h = seq[-k:]
             seq += (rng.choice([s for s in spec.successors(h)
                                 if h[1:] + (s,) in viable[r - 1]]),)
@@ -341,9 +347,11 @@ def random_records(spec, length, rng, count):
 @settings(max_examples=80, deadline=None)
 @given(small_specs(), st.integers(0, 2**32))
 def test_mle_equals_the_block_count_oracle(spec, seed):
+    # about half the records share their analysed prefix with an earlier
+    # one and differ, if at all, only after position n
     rng = random.Random(seed)
     n, length = spec.horizon, spec.horizon + 2
-    records = random_records(spec, length, rng, rng.randint(1, 8))
+    records = random_records(spec, length, rng, rng.randint(1, 8), share=0.5)
     if records is None:
         reject()
     trajs = TrajectorySet(tuple(records))
@@ -354,6 +362,12 @@ def test_mle_equals_the_block_count_oracle(spec, seed):
             analysed, [(seq[:analysed.horizon], w) for seq, w in records])
         est = fit(trajs, spec, n, window)
         assert (est.values, est.undefined) == (values, undefined)
+
+    prefix_tally = {}
+    for seq, w in records:
+        prefix_tally[seq[:n]] = prefix_tally.get(seq[:n], 0) + w
+    u = counts_from_trajectories(trajs, spec, n=n)
+    assert u.counts == tuple(prefix_tally.get(path, 0) for path in u.table)
 
     # one forbidden step inside the analysed prefix
     seq, _ = rng.choice(records)
@@ -370,6 +384,72 @@ def test_mle_equals_the_block_count_oracle(spec, seed):
             with pytest.raises(InadmissiblePathError) as err:
                 fit(trajs, spec, n, window)
             assert str(err.value) == str(want.value)
+
+
+def check_oracle(trajs, spec):
+    """The first record that check_sequence refuses at the set's length,
+    as (record number, its exception), or None when every record passes."""
+    spec = spec.with_horizon(trajs.length)
+    for num, (seq, _) in enumerate(trajs.records, start=1):
+        try:
+            spec.check_sequence(seq)
+        except Exception as exc:
+            return num, exc
+    return None
+
+
+def inject_fault(spec, seq, kind, rng):
+    """seq with one fault of the given kind at a random position, or None
+    when the spec leaves no room for that kind of fault."""
+    k = spec.order
+    if kind == "label":
+        p = rng.randrange(len(seq))
+        return seq[:p] + ("x",) + seq[p + 1:]
+    if kind == "initial":
+        blocks = [b for b in itertools.product(spec.states, repeat=k)
+                  if b not in spec.initial_blocks]
+        return rng.choice(blocks) + seq[k:] if blocks else None
+    steps = [(p, t) for p in range(k, len(seq)) for t in spec.states
+             if t not in spec.successors(seq[p - k:p])]
+    if not steps:
+        return None
+    p, t = rng.choice(steps)
+    return seq[:p] + (t,) + seq[p + 1:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 2**32))
+@example(ModelSpec(["0", "1", "2"], 1, 3, initial=["0"]), 0)
+def test_check_agrees_with_the_per_record_oracle(spec, seed):
+    # the set is longer than the spec's horizon, so faults also land on
+    # positions past it
+    rng = random.Random(seed)
+    records = random_records(spec, spec.horizon + 2, rng, rng.randint(1, 8),
+                             share=0.5)
+    if records is None:
+        reject()
+    trajs = TrajectorySet(tuple(records))
+    assert check_oracle(trajs, spec) is None
+    assert trajs.check(spec) is trajs
+
+    for kind in ("label", "initial", "step"):
+        r = rng.randrange(len(records))
+        bad = inject_fault(spec, records[r][0], kind, rng)
+        if bad is None:
+            continue
+        trajs = TrajectorySet((*records[:r], (bad, 1), *records[r + 1:]))
+        num, want = check_oracle(trajs, spec)
+        with pytest.raises(EstimationError) as err:
+            trajs.check(spec)
+        assert str(err.value) == f"record {num}: {want}"
+        assert type(err.value.__cause__) is type(want)
+
+
+def test_check_names_the_record_with_an_unhashable_label(illness_death):
+    trajs = TrajectorySet(((("0", ["1"], "1", "1"), 1), (("0", "0", "1", "1"), 2)))
+    with pytest.raises(EstimationError,
+                       match=r"^record 1: unhashable type: 'list'$"):
+        trajs.check(illness_death)
 
 
 class TestFittedPathProbabilities:
