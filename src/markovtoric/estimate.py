@@ -67,38 +67,24 @@ class TrajectorySet:
     def check(self, spec):
         """Validate every record against spec's rules at this set's length.
 
-        A record is a path exactly when its initial block and each of
-        its (k+1)-windows are allowed (a window holding an unknown label
-        never is), so the set is checked by its distinct ones.  Only when
-        one fails, or they cannot be collected (an unhashable label), are
-        the records walked through check_sequence, which names the first
-        offender as "record N".
+        The set is tallied as a fit at this length tallies it.  Only when
+        _tally raises are the records walked through check_sequence to
+        name the first offender as "record N"; failing that, it re-raises.
         """
         if self.length < spec.order + 1:
             raise EstimationError(f"trajectory length {self.length} is shorter "
                                   f"than order + 1 = {spec.order + 1}")
         spec = spec.with_horizon(self.length)
-        if not self._windows_allowed(spec):
+        try:
+            _tally(spec, self.records)
+        except Exception:
             for num, (traj, _) in enumerate(self.records, start=1):
                 try:
                     spec.check_sequence(traj)
                 except Exception as exc:
                     raise EstimationError(f"record {num}: {exc}") from exc
+            raise
         return self
-
-    def _windows_allowed(self, spec):
-        """Whether the set's distinct initial blocks and (k+1)-windows
-        are all allowed by spec; False when they cannot be collected."""
-        k, seqs = spec.order, [traj for traj, _ in self.records]
-        try:
-            blocks = set(map(itemgetter(slice(k)), seqs))
-            windows = set()
-            for i in range(self.length - k):
-                windows.update(map(itemgetter(slice(i, i + k + 1)), seqs))
-            return (blocks <= set(spec.initial_blocks)
-                    and all(w[k] in spec.successors(w[:k]) for w in windows))
-        except Exception:  # the walk in check re-raises it with its record
-            return False
 
     @classmethod
     def from_sequences(cls, sequences):
@@ -171,8 +157,12 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     if table is None:
         table = enumerate_paths(spec.with_horizon(n))
     counts = [0] * len(table)
-    for prefix, mult in _prefix_weights(trajs.records, n):
-        counts[table.index(prefix)] += mult
+    try:
+        for prefix, mult in _prefix_weights(trajs.records, n):
+            counts[table.index(prefix)] += mult
+    except TypeError:  # an unhashable label, which _tally names
+        _tally(spec.with_horizon(n), trajs.records)
+        raise
     return CountVector(table, tuple(counts))
 
 
@@ -202,26 +192,31 @@ class EstimateReport(ParameterPoint):
 def _tally(spec, records):
     """Each parameter symbol's summed weight over (sequence, weight)
     records, keyed as check_sequence keys positions 1..spec.horizon, and
-    each symbol's row total over spec.rows().  The records are read
-    once per distinct analysed prefix.  A key that is not a design-matrix
-    row symbol sends the prefixes, in first-seen order, through
-    check_sequence."""
-    k = spec.order
-    starts = [(None if spec.homogeneous else level, level - k - 1)
-              for level in range(k + 1, spec.horizon + 1)]
-    records = _prefix_weights(records, spec.horizon)
-    # windows become symbols once per key: a 4-tuple per window is slower
-    weights, windows = {}, {}
-    for seq, weight in records:
-        key = ("pi", seq[:k])
-        weights[key] = weights.get(key, 0) + weight
-        for level, i in starts:
-            key = (level, seq[i:i + k], seq[i + k])
-            windows[key] = windows.get(key, 0) + weight
-    weights.update({("a", *key): w for key, w in windows.items()})
-    if not weights.keys() <= set(spec.symbols()):
+    each symbol's row total over spec.rows().  Level by level, blocks and
+    (k+1)-windows are sliced from the distinct analysed prefixes, summed,
+    and made symbols once each.  A key that is not a row symbol, or an
+    unhashable label, has check_sequence name the first bad record."""
+    k, n = spec.order, spec.horizon
+    weights = {}
+    try:
+        prefixes = _prefix_weights(records, n)
+        seqs = [seq for seq, _ in prefixes]
+        mults = [weight for _, weight in prefixes]
+        for level in range(k, n + 1):
+            sums = {}
+            windows = map(itemgetter(slice(max(level - k - 1, 0), level)), seqs)
+            for window, mult in zip(windows, mults):
+                sums[window] = sums.get(window, 0) + mult
+            pooled = None if spec.homogeneous else level
+            for window, weight in sums.items():
+                key = ("pi", window) if level == k else ("a", pooled, window[:k], window[k])
+                weights[key] = weights.get(key, 0) + weight
+        if not weights.keys() <= set(spec.symbols()):
+            raise EstimationError("tallied a key that is not a parameter symbol")
+    except Exception:  # it stands only when every record passes
         for seq, _ in records:
-            spec.check_sequence(seq)
+            spec.check_sequence(seq[:n])
+        raise
     totals = {}
     for row in spec.rows():
         totals.update(dict.fromkeys(row, sum(weights.get(sym, 0) for sym in row)))

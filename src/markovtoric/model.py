@@ -223,10 +223,14 @@ class ModelSpec:
         is admissible.
         """
         seq = tuple(seq)
-        for pos, s in enumerate(seq, start=1):
-            if s not in self._state_index:
-                raise InadmissiblePathError(
-                    f"unknown state label {s!r} at position {pos}")
+        try:
+            for pos, s in enumerate(seq, start=1):
+                if s not in self._state_index:
+                    raise InadmissiblePathError(
+                        f"unknown state label {s!r} at position {pos}")
+        except TypeError:  # an unhashable label
+            raise InadmissiblePathError(
+                f"unknown state label {s!r} at position {pos}") from None
         if len(seq) != self.horizon:
             raise InadmissiblePathError(
                 f"path has length {len(seq)}, expected horizon {self.horizon}")

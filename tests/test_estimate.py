@@ -30,6 +30,7 @@ from markovtoric import (
     validate_parameters,
     write_probabilities,
 )
+from markovtoric import estimate
 from conftest import (
     make_binary_chain,
     make_illness_death,
@@ -448,8 +449,46 @@ def test_check_agrees_with_the_per_record_oracle(spec, seed):
 def test_check_names_the_record_with_an_unhashable_label(illness_death):
     trajs = TrajectorySet(((("0", ["1"], "1", "1"), 1), (("0", "0", "1", "1"), 2)))
     with pytest.raises(EstimationError,
-                       match=r"^record 1: unhashable type: 'list'$"):
+                       match=r"^record 1: unknown state label \['1'\] at position 2$") as err:
         trajs.check(illness_death)
+    assert type(err.value.__cause__) is InadmissiblePathError
+
+
+def test_check_never_passes_after_the_tally_raises(illness_death, monkeypatch):
+    # every record is admissible, so the walk finds no offender and the
+    # tally's own exception must surface
+    def broken_tally(spec, records):
+        raise RuntimeError("tally failed")
+
+    monkeypatch.setattr(estimate, "_tally", broken_tally)
+    with pytest.raises(RuntimeError, match="^tally failed$"):
+        worked_trajectories().check(illness_death)
+
+
+# the unhashable label sits at position 2, inside every analysed prefix;
+# the longer record also sends the fits through the prefix merge
+UNHASHABLE_RECORDS = [((("0", ["1"], "1", "1"), 1), (("0", "0", "1", "1"), 2)),
+                      ((("0", "0", "1", "1", "1"), 2), (("0", ["1"], "1", "1", "1"), 1))]
+UNHASHABLE_FAULT = r"^unknown state label \['1'\] at position 2$"
+
+
+@pytest.mark.parametrize("records", UNHASHABLE_RECORDS)
+def test_nonhomogeneous_fit_names_an_unhashable_label(illness_death, records):
+    with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
+        mle_nonhomogeneous(TrajectorySet(records), illness_death, n=3)
+
+
+@pytest.mark.parametrize("window", ["prefix", "slide"])
+@pytest.mark.parametrize("records", UNHASHABLE_RECORDS)
+def test_homogeneous_fit_names_an_unhashable_label(illness_death_hom, records, window):
+    with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
+        mle_homogeneous(TrajectorySet(records), illness_death_hom, n=3, window=window)
+
+
+@pytest.mark.parametrize("records", UNHASHABLE_RECORDS)
+def test_counts_name_an_unhashable_label(illness_death, records):
+    with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
+        counts_from_trajectories(TrajectorySet(records), illness_death, n=3)
 
 
 class TestFittedPathProbabilities:

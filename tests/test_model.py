@@ -118,6 +118,11 @@ class TestModelSpec:
             illness_death.check_sequence(("0", "1", "0", "0"))
         assert "position 3" in str(err.value)
 
+    def test_check_sequence_names_an_unhashable_label(self, illness_death):
+        with pytest.raises(InadmissiblePathError,
+                           match=r"^unknown state label \['1'\] at position 2$"):
+            illness_death.check_sequence(("0", ["1"], "2"))
+
     def test_check_sequence_rejects_wrong_horizon(self, illness_death):
         with pytest.raises(InadmissiblePathError):
             illness_death.check_sequence(("0", "1"))
