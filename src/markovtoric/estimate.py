@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import EstimationError, ParameterError, RelationError
+from .errors import EstimationError, InadmissiblePathError, ParameterError, RelationError
 from .model import ParameterPoint, _assignment, _join, is_integer, path_probability
 from .paths import enumerate_paths
 
@@ -151,7 +151,7 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     prefix window (positions 1..n), not sliding windows.  The result is
     indexed by the path table of the spec at horizon n; each distinct
     prefix is looked up once, the first absent one in record order
-    being the error.
+    being the error; _tally names a record the spec forbids, as the fits do.
     """
     n = _resolve_horizon(trajs, spec, n)
     if table is None:
@@ -160,7 +160,7 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     try:
         for prefix, mult in _prefix_weights(trajs.records, n):
             counts[table.index(prefix)] += mult
-    except TypeError:  # an unhashable label, which _tally names
+    except (TypeError, InadmissiblePathError):  # _tally names a bad record
         _tally(spec.with_horizon(n), trajs.records)
         raise
     return CountVector(table, tuple(counts))

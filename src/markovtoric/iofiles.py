@@ -43,7 +43,8 @@ MODEL_KEYS = {"states", "k", "n", "homogeneous", "forbid", "absorbing", "initial
 def decimal_string(value, places=DEFAULT_DECIMALS):
     """Round-half-even decimal rendering of an exact rational.  ParameterError
     when places is negative or past Python's int-to-str digit limit."""
-    if not 0 <= places <= (sys.get_int_max_str_digits() or places):  # 0: no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if not 0 <= places <= (limit or places):  # 0: no limit
         raise ParameterError(f"cannot write a value to {places} decimal places")
     q = round(as_fraction(value), places)
     scaled = q * 10 ** places

@@ -10,7 +10,7 @@ relations of higher degree that no quadratic family reaches.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import RelationError
 from .model import _join, is_integer
@@ -164,12 +164,10 @@ def nonhomogeneous_generators(spec, table=None):
     vanishes on the model.  The two degenerate splits r = 0 and r = n-k
     produce zero binomials and are skipped.  The crossed paths are
     admissible by construction: every length-(k+1) window of I J S'
-    lies in I J or in J S', and its initial block lies in I J.  For
-    restricted specs the paths the restriction forbids come back
-    separately as slice_paths, each pinned to zero.
+    lies in I J or in J S', and its initial block lies in I J.
 
     Returns a RelationSet over the spec's own path table, deduplicated
-    by canonical form.
+    by canonical form, with no slice paths: generators_for adds those.
     """
     if spec.homogeneous:
         raise RelationError("spec is homogeneous; use homogeneous_family")
@@ -187,8 +185,7 @@ def nonhomogeneous_generators(spec, table=None):
                     if I != I2 and S != S2:
                         yield i1, i2, table.index(I + J + S2), table.index(I2 + J + S)
 
-    return replace(_exchanges(table, moves(), PROV_NONHOM),
-                   slice_paths=slice_linear_generators(spec, table))
+    return _exchanges(table, moves(), PROV_NONHOM)
 
 
 def slice_linear_generators(spec, table=None):
@@ -273,23 +270,23 @@ def _pair(i, j):
 
 
 def generators_for(spec, table=None):
-    """The relation families appropriate to a spec, merged into one set.
+    """A spec's generating set: its relation families plus its slice.
 
     Nonhomogeneous specs get the exchange quadrics.  Homogeneous specs
     get the pooled exchange family plus the permutation linear
     relations.  The two can overlap, because the exchange family emits
     some linear relations too: binary k=1 n=4 lists p_0010 - p_0100
-    under both tags.  Such repeats are kept.  Restricted specs of
-    either kind also carry their slice paths.
+    under both tags.  Such repeats are kept.  The families carry only
+    binomials; the slice paths of a restricted spec, of either kind,
+    are attached here and nowhere else.
     """
     if table is None:
         table = enumerate_paths(spec)
-    if not spec.homogeneous:
-        return nonhomogeneous_generators(spec, table)
-    fam = homogeneous_family(spec, table)
-    lin = permutation_linear_relations(spec, table)
-    return RelationSet(table, fam.binomials + lin.binomials,
-                       fam.provenance + lin.provenance,
+    families = ((homogeneous_family, permutation_linear_relations) if spec.homogeneous
+                else (nonhomogeneous_generators,))
+    sets = [family(spec, table) for family in families]
+    return RelationSet(table, sum((s.binomials for s in sets), ()),
+                       sum((s.provenance for s in sets), ()),
                        slice_linear_generators(spec, table))
 
 

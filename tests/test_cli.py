@@ -76,6 +76,13 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--spec", "/nonexistent.yaml")
         assert code == 3
 
+    def test_initial_block_of_the_wrong_length_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "bad.yaml"
+        f.write_text("states: [0, 1]\nk: 1\nn: 3\ninitial: [[0, 1]]\n")
+        code, _, err = run(capsys, "validate", "--spec", str(f))
+        assert code == 1
+        assert "initial block ('0', '1') has length 2, expected 1" in err
+
 
 @pytest.mark.parametrize("value", ['"no"', "1"])
 def test_homogeneous_must_be_boolean(capsys, tmp_path, value):

@@ -13,6 +13,7 @@ from markovtoric import (
     ModelSpec,
     ParameterError,
     ParameterPoint,
+    PathTable,
     RelationError,
     TrajectorySet,
     birch_residual,
@@ -489,6 +490,33 @@ def test_homogeneous_fit_names_an_unhashable_label(illness_death_hom, records, w
 def test_counts_name_an_unhashable_label(illness_death, records):
     with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
         counts_from_trajectories(TrajectorySet(records), illness_death, n=3)
+
+
+# an unknown label, a forbidden step (1 -> 0) and a non-initial block
+BAD_RECORDS = [("0", "x", "1", "1"), ("1", "0", "0", "0"), ("2", "2", "2", "2")]
+
+
+@pytest.mark.parametrize("after_valid", [False, True])
+@pytest.mark.parametrize("bad", BAD_RECORDS)
+def test_counts_name_a_bad_record_as_the_fit_does(illness_death, bad, after_valid):
+    valid = (("0", "0", "1", "1"), 2), (("0", "1", "1", "2"), 1)
+    trajs = TrajectorySet((*valid, (bad, 1)) if after_valid else ((bad, 1), *valid))
+    with pytest.raises(InadmissiblePathError) as fit:
+        mle_nonhomogeneous(trajs, illness_death)
+    with pytest.raises(InadmissiblePathError) as counts:
+        counts_from_trajectories(trajs, illness_death)
+    assert type(counts.value) is type(fit.value)
+    assert str(counts.value) == str(fit.value)
+    assert "not in the table" not in str(counts.value)
+
+
+def test_counts_name_an_admissible_path_missing_from_a_given_table(illness_death):
+    missing = ("0", "0", "0", "0")
+    table = PathTable(p for p in enumerate_paths(illness_death) if p != missing)
+    trajs = TrajectorySet(((("0", "0", "1", "1"), 2), (missing, 1)))
+    with pytest.raises(InadmissiblePathError,
+                       match=r"^path \('0', '0', '0', '0'\) is not in the table$"):
+        counts_from_trajectories(trajs, illness_death, table=table)
 
 
 class TestFittedPathProbabilities:

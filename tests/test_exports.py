@@ -95,6 +95,18 @@ def test_files_are_opened_only_at_the_file_boundary():
     assert not private, f"private iofiles names used elsewhere: {private}"
 
 
+def test_only_generators_for_attaches_the_slice():
+    # a model's generating set is its families plus its slice, assembled
+    # in one place: the families return only their binomials
+    callers = set()
+    for module, stmt in _top_level_statements():
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and "slice_linear_generators" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    assert callers == {"relations.generators_for"}
+
+
 BENCH = Path(__file__).parent.parent / "bench"
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,13 @@ class TestNumberRendering:
 
     def test_fractional_padding(self):
         assert decimal_string(Fraction(1, 100), 3) == "0.010"
+
+    def test_an_interpreter_without_a_digit_limit_has_no_limit(self, monkeypatch):
+        # sys.get_int_max_str_digits is absent before Python 3.10.7
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert decimal_string(Fraction(1, 3)) == "0.333"
+        with pytest.raises(ParameterError, match="^cannot write a value to -1 decimal"):
+            decimal_string(Fraction(1, 3), -1)
 
     def test_fraction_string(self):
         assert fraction_string(Fraction(469, 685)) == "469/685"

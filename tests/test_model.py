@@ -85,6 +85,11 @@ class TestModelSpec:
         with pytest.raises(SpecificationError, match="^duplicate initial blocks$"):
             ModelSpec(["0", "1"], 1, 3, initial=["0", "1", "0"])
 
+    def test_initial_block_of_the_wrong_length_rejected(self):
+        with pytest.raises(SpecificationError, match=re.escape(
+                "initial block ('0', '1') has length 2, expected 1")):
+            ModelSpec(["0", "1"], 1, 3, initial=[("0", "1")])
+
     def test_unknown_state_in_forbidden_rejected(self):
         with pytest.raises(SpecificationError):
             ModelSpec(["0", "1"], 1, 3, forbidden=[("0", "9")])

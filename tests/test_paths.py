@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from markovtoric import (
     InadmissiblePathError,
     ModelSpec,
+    PathTable,
     RelationError,
     build_design_matrix,
     enumerate_paths,
@@ -42,6 +43,10 @@ class TestEnumeratePaths:
     def test_no_duplicates(self, reversible_illness_death):
         table = enumerate_paths(reversible_illness_death)
         assert len(set(table)) == len(table)
+
+    def test_a_table_with_a_repeated_path_rejected(self):
+        with pytest.raises(RelationError, match="^duplicate paths in table$"):
+            PathTable([("0", "1"), ("1", "1"), ("0", "1")])
 
     def test_every_enumerated_path_is_admissible(self, reversible_illness_death):
         for p in enumerate_paths(reversible_illness_death):

@@ -151,7 +151,9 @@ class TestNonhomogeneousGenerators:
         assert nonhomogeneous_generators(spec).slice_paths == ()
 
     def test_restricted_spec_lists_missing_paths(self, illness_death):
-        rs = nonhomogeneous_generators(illness_death)
+        # the family carries only binomials; generators_for adds the slice
+        assert nonhomogeneous_generators(illness_death).slice_paths == ()
+        rs = generators_for(illness_death)
         assert len(rs.slice_paths) == 3 ** 4 - 14
         assert ("1", "0", "0", "0") in rs.slice_paths
 
@@ -171,7 +173,8 @@ class TestSliceLinearGenerators:
         table = enumerate_paths(illness_death)
         assert slice_linear_generators(illness_death, table) == \
             slice_linear_generators(illness_death)
-        assert nonhomogeneous_generators(illness_death, table).slice_paths == \
+        assert nonhomogeneous_generators(illness_death, table).slice_paths == ()
+        assert generators_for(illness_death, table).slice_paths == \
             slice_linear_generators(illness_death)
 
     def test_unrestricted_spec_has_none(self):
@@ -357,6 +360,21 @@ class TestGeneratorsFor:
     def test_restricted_homogeneous_gets_slice(self, illness_death_hom):
         rs = generators_for(illness_death_hom)
         assert len(rs.slice_paths) == 3 ** 4 - 14
+
+    @pytest.mark.parametrize("name", ["competing_risks", "hom_linear", "illness",
+                                      "illness_hom", "vc_box"])
+    def test_families_plus_slice(self, name):
+        # each family returns only its binomials; generators_for joins
+        # them in family order and attaches the slice once
+        spec = parse_model_spec(DATA / f"{name}.yaml")
+        table = enumerate_paths(spec)
+        families = ((homogeneous_family, permutation_linear_relations)
+                    if spec.homogeneous else (nonhomogeneous_generators,))
+        sets = [family(spec, table) for family in families]
+        assert all(rs.slice_paths == () for rs in sets)
+        rs = generators_for(spec, table)
+        assert list(rs) == [pair for fam in sets for pair in fam]
+        assert rs.slice_paths == slice_linear_generators(spec, table)
 
 
 class TestRelationSet:
