@@ -16,6 +16,7 @@ residual is nonzero); 3 I/O or parse failure.
 """
 
 import argparse
+import math
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -147,9 +148,13 @@ def _seed(args):
 
 
 def _value(value, decimals):
-    """An exact value as the text 'exact ~ rounded' and as JSON."""
+    """An exact value as the text 'exact ~ rounded' and as JSON, whose
+    decimal is null when the rounded value is past float range."""
     exact, rounded = fraction_string(value), decimal_string(value, decimals)
-    return f"{exact} ~ {rounded}", {"value": exact, "decimal": float(rounded)}
+    decimal = float(rounded)
+    if not math.isfinite(decimal):
+        decimal = None
+    return f"{exact} ~ {rounded}", {"value": exact, "decimal": decimal}
 
 
 def _parameters(params, decimals, unset):

@@ -5,7 +5,7 @@ of its row, keyed by the symbols check_sequence gives a path (the
 design-matrix row symbols).  These are the exact maximizers of the
 multinomial path likelihood, kept as exact rationals; rounding happens
 only in reporting.  An inadmissible analysed prefix is an
-InadmissiblePathError.
+InadmissiblePathError naming its record.
 
 A row of zero weight has an undefined estimate (0/0).  Undefined is not
 zero: such rows are tracked explicitly and surface either as flags or
@@ -65,25 +65,15 @@ class TrajectorySet:
         return sum(m for _, m in self.records)
 
     def check(self, spec):
-        """Validate every record against spec's rules at this set's length.
-
-        The set is tallied as a fit at this length tallies it.  Only when
-        _tally raises are the records walked through check_sequence to
-        name the first offender as "record N"; failing that, it re-raises.
-        """
+        """Validate every record against spec's rules at this set's length,
+        as a fit tallies it: a bad record is _tally's "record N: ..." text."""
         if self.length < spec.order + 1:
             raise EstimationError(f"trajectory length {self.length} is shorter "
                                   f"than order + 1 = {spec.order + 1}")
-        spec = spec.with_horizon(self.length)
         try:
-            _tally(spec, self.records)
-        except Exception:
-            for num, (traj, _) in enumerate(self.records, start=1):
-                try:
-                    spec.check_sequence(traj)
-                except Exception as exc:
-                    raise EstimationError(f"record {num}: {exc}") from exc
-            raise
+            _tally(spec.with_horizon(self.length), self.records)
+        except InadmissiblePathError as exc:
+            raise EstimationError(str(exc)) from exc
         return self
 
     @classmethod
@@ -149,9 +139,8 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
 
     Length-n analysis of longer trajectories deliberately reads the
     prefix window (positions 1..n), not sliding windows.  The result is
-    indexed by the path table of the spec at horizon n; each distinct
-    prefix is looked up once, the first absent one in record order
-    being the error; _tally names a record the spec forbids, as the fits do.
+    indexed by the spec's path table at horizon n, one lookup per distinct
+    prefix; _tally names a bad record, else a failed lookup's error stands.
     """
     n = _resolve_horizon(trajs, spec, n)
     if table is None:
@@ -194,8 +183,8 @@ def _tally(spec, records):
     records, keyed as check_sequence keys positions 1..spec.horizon, and
     each symbol's row total over spec.rows().  Level by level, blocks and
     (k+1)-windows are sliced from the distinct analysed prefixes, summed,
-    and made symbols once each.  A key that is not a row symbol, or an
-    unhashable label, has check_sequence name the first bad record."""
+    and made symbols once each.  If that fails, the first record that
+    check_sequence refuses is named "record N: ..."; else the error stands."""
     k, n = spec.order, spec.horizon
     weights = {}
     try:
@@ -214,8 +203,11 @@ def _tally(spec, records):
         if not weights.keys() <= set(spec.symbols()):
             raise EstimationError("tallied a key that is not a parameter symbol")
     except Exception:  # it stands only when every record passes
-        for seq, _ in records:
-            spec.check_sequence(seq[:n])
+        for num, (seq, _) in enumerate(records, start=1):
+            try:
+                spec.check_sequence(seq[:n])
+            except InadmissiblePathError as exc:
+                raise InadmissiblePathError(f"record {num}: {exc}") from exc
         raise
     totals = {}
     for row in spec.rows():
@@ -435,14 +427,20 @@ def birch_residual(p, u, design):
 def loglikelihood(p, u):
     """Multinomial log-likelihood sum_i u_i log p_i (natural log, float).
 
-    Paths with zero count contribute nothing, and their p_i is not read;
-    every other p_i is read by model._assignment.  A positive count on a
-    zero probability gives -inf.
+    Zero-count paths add nothing and their p_i is unread; model._assignment
+    reads the rest.  A positive count on p_i = 0 gives -inf; p_i = 1 adds
+    exactly 0, whatever its count; past float range is an EstimationError.
     """
     support = [j for j, c in enumerate(u.counts) if c]
+    if 0 in (qs := _assignment(p, support)):
+        return float("-inf")
     total = 0.0
-    for j, q in zip(support, _assignment(p, support)):
-        if q == 0:
-            return float("-inf")
-        total += u.counts[j] * (math.log(q.numerator) - math.log(q.denominator))
+    try:
+        for j, q in zip(support, qs):
+            if q != 1:
+                total += u.counts[j] * (math.log(q.numerator) - math.log(q.denominator))
+    except OverflowError:  # a count past float range
+        total = math.nan
+    if not math.isfinite(total):
+        raise EstimationError("the log-likelihood is past float range")
     return total

@@ -42,10 +42,11 @@ MODEL_KEYS = {"states", "k", "n", "homogeneous", "forbid", "absorbing", "initial
 
 def decimal_string(value, places=DEFAULT_DECIMALS):
     """Round-half-even decimal rendering of an exact rational.  ParameterError
-    when places is negative or past Python's int-to-str digit limit."""
+    when places is not an int, is negative or is past Python's int-to-str
+    digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
-    if not 0 <= places <= (limit or places):  # 0: no limit
-        raise ParameterError(f"cannot write a value to {places} decimal places")
+    if not (is_integer(places) and 0 <= places <= (limit or places)):  # 0: no limit
+        raise ParameterError(f"cannot write a value to {places!r} decimal places")
     q = round(as_fraction(value), places)
     scaled = q * 10 ** places
     num = int(scaled)

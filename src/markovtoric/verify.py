@@ -51,6 +51,14 @@ def _check_trials(trials):
         raise ParameterError(f"trials must be at least 1, got {trials}")
 
 
+def _check_seed(seed):
+    # None would draw from OS entropy, and str() of any other type would
+    # name a fixed stream no seed rule admits.
+    if not isinstance(seed, _SEED_TYPES):
+        raise ParameterError("seed must be an int, float, str, bytes or "
+                             f"bytearray, got {seed!r}")
+
+
 def _draw_weights(widths, seed):
     # The one definition of the sampling stream: integer weights in
     # 1..DEFAULT_DENOMINATOR_BOUND, row by row.  Each weight is one
@@ -83,9 +91,7 @@ def sample_parameters(spec, seed):
     bytes or bytearray; None (which would draw from OS entropy) and any
     other type are a ParameterError.
     """
-    if not isinstance(seed, _SEED_TYPES):
-        raise ParameterError("seed must be an int, float, str, bytes or "
-                             f"bytearray, got {seed!r}")
+    _check_seed(seed)
     widths, position = _row_layout(spec)
     weights = _draw_weights(widths, seed)
     totals = [sum(row) for row in weights]
@@ -142,10 +148,12 @@ def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
     would return.  Each path probability there is a product of integer
     weights over a product of row totals, so both sides are evaluated
     in integers and compared by cross-multiplying; a Fraction is built
-    only for a witness's residual.  trials must be at least 1.
+    only for a witness's residual.  trials must be at least 1, and seed
+    is refused as sample_parameters refuses it.
     """
-    if _shared is None:  # else verify_relation_set has checked trials
+    if _shared is None:  # else verify_relation_set has checked trials and seed
         _check_trials(trials)
+        _check_seed(seed)
         if table is None:
             table = enumerate_paths(spec)
         _shared = _row_layout(spec) + ({},)
@@ -247,9 +255,11 @@ def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
     to reuse it across calls.  A design over another path table, or with
     rows other than spec.symbols(), is a RelationError.  Entries keep
     the set's order, and each relation gets its own random stream
-    derived from (seed, index).  trials must be at least 1.
+    derived from (seed, index).  trials must be at least 1, and seed is
+    refused as sample_parameters refuses it.
     """
     _check_trials(trials)
+    _check_seed(seed)
     if design is None:
         design = build_design_matrix(spec, relset.table)
     elif design.table is not relset.table and tuple(design.table) != relset.table.paths:

@@ -588,6 +588,20 @@ class TestMle:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_a_loglikelihood_past_float_range_exits_one(self, capsys, tmp_path):
+        counts = tmp_path / "c.txt"
+        counts.write_text(f"0,0,0,0 {10 ** 400}\n0,0,0,1 1\n")
+        assert run(capsys, "mle", "--spec", ILLNESS, "--counts", str(counts)) == (
+            1, "", "error: the log-likelihood is past float range\n")
+
+    def test_a_certain_path_of_any_count_has_loglikelihood_zero(self, capsys, tmp_path):
+        counts = tmp_path / "c.txt"
+        counts.write_text(f"0,0,0,0 {10 ** 400}\n")
+        code, out, _ = run(capsys, "mle", "--spec", ILLNESS, "--counts", str(counts),
+                           "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["loglikelihood"] == 0.0
+
     def test_blocked_fitted_reports_note(self, capsys, tmp_path):
         # state 1 appears only at the last position: pooled row for
         # history 1 is undefined but paths into it keep positive mass
@@ -810,6 +824,23 @@ class TestBirch:
                            "--probabilities", str(probs),
                            "--counts", worked_counts_file)
         assert code == 2
+
+    def test_a_residual_past_float_range_is_a_null_decimal(self, capsys, tmp_path):
+        probs, counts = tmp_path / "p.txt", tmp_path / "c.txt"
+        probs.write_text("0,0,0,0 1/2\n0,0,0,1 1/2\n")
+        counts.write_text(f"0,0,0,0 {10 ** 400}\n0,0,0,1 1\n")
+        code, out, _ = run(capsys, "birch", "--spec", ILLNESS, "--probabilities",
+                           str(probs), "--counts", str(counts), "--format", "structured")
+        assert code == 2
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads(out, parse_constant=refuse)["rows"]
+        huge = [abs(Fraction(row["value"])) > 10 ** 308 for row in rows]
+        assert any(huge) and not all(huge)
+        for row, past_range in zip(rows, huge):
+            assert row["decimal"] == (None if past_range else float(Fraction(row["value"])))
 
     def test_all_zero_counts_exit_three(self, capsys, tmp_path):
         # every residual would be zero: a vacuous pass

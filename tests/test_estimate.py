@@ -308,7 +308,7 @@ class TestRecordsAreChecked:
             spec.with_horizon(3).check_sequence(bad[:3])
         with pytest.raises(InadmissiblePathError) as err:
             fit(trajs, spec, 3, window)
-        assert str(err.value) == str(want.value)
+        assert str(err.value) == f"record 2: {want.value}"
 
     def test_only_the_analysed_prefix_is_checked(self, illness_death_hom):
         trajs = TrajectorySet(((("0", "1", "1", "0"), 1),))
@@ -385,7 +385,7 @@ def test_mle_equals_the_block_count_oracle(spec, seed):
         for window in windows:
             with pytest.raises(InadmissiblePathError) as err:
                 fit(trajs, spec, n, window)
-            assert str(err.value) == str(want.value)
+            assert str(err.value) == f"record {len(records) + 1}: {want.value}"
 
 
 def check_oracle(trajs, spec):
@@ -466,30 +466,72 @@ def test_check_never_passes_after_the_tally_raises(illness_death, monkeypatch):
         worked_trajectories().check(illness_death)
 
 
-# the unhashable label sits at position 2, inside every analysed prefix;
-# the longer record also sends the fits through the prefix merge
-UNHASHABLE_RECORDS = [((("0", ["1"], "1", "1"), 1), (("0", "0", "1", "1"), 2)),
-                      ((("0", "0", "1", "1", "1"), 2), (("0", ["1"], "1", "1", "1"), 1))]
-UNHASHABLE_FAULT = r"^unknown state label \['1'\] at position 2$"
+# the unhashable label sits at position 2, inside every analysed prefix,
+# of the record numbered with the set; the longer record also sends the
+# fits through the prefix merge
+UNHASHABLE_RECORDS = [
+    pytest.param(((("0", ["1"], "1", "1"), 1), (("0", "0", "1", "1"), 2)), 1,
+                 id="records0"),
+    pytest.param(((("0", "0", "1", "1", "1"), 2), (("0", ["1"], "1", "1", "1"), 1)), 2,
+                 id="records1")]
 
 
-@pytest.mark.parametrize("records", UNHASHABLE_RECORDS)
-def test_nonhomogeneous_fit_names_an_unhashable_label(illness_death, records):
-    with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
+def unhashable_fault(num):
+    return rf"^record {num}: unknown state label \['1'\] at position 2$"
+
+
+@pytest.mark.parametrize("records, num", UNHASHABLE_RECORDS)
+def test_nonhomogeneous_fit_names_an_unhashable_label(illness_death, records, num):
+    with pytest.raises(InadmissiblePathError, match=unhashable_fault(num)):
         mle_nonhomogeneous(TrajectorySet(records), illness_death, n=3)
 
 
 @pytest.mark.parametrize("window", ["prefix", "slide"])
-@pytest.mark.parametrize("records", UNHASHABLE_RECORDS)
-def test_homogeneous_fit_names_an_unhashable_label(illness_death_hom, records, window):
-    with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
+@pytest.mark.parametrize("records, num", UNHASHABLE_RECORDS)
+def test_homogeneous_fit_names_an_unhashable_label(illness_death_hom, records, num,
+                                                   window):
+    with pytest.raises(InadmissiblePathError, match=unhashable_fault(num)):
         mle_homogeneous(TrajectorySet(records), illness_death_hom, n=3, window=window)
 
 
-@pytest.mark.parametrize("records", UNHASHABLE_RECORDS)
-def test_counts_name_an_unhashable_label(illness_death, records):
-    with pytest.raises(InadmissiblePathError, match=UNHASHABLE_FAULT):
+@pytest.mark.parametrize("records, num", UNHASHABLE_RECORDS)
+def test_counts_name_an_unhashable_label(illness_death, records, num):
+    with pytest.raises(InadmissiblePathError, match=unhashable_fault(num)):
         counts_from_trajectories(TrajectorySet(records), illness_death, n=3)
+
+
+# the third of four records steps 1 -> 0, which the spec forbids
+# (set, nonhomogeneous spec, homogeneous spec)
+ONE_WALK_CALLS = {
+    "check": lambda trajs, spec, hom: trajs.check(spec),
+    "nonhomogeneous": lambda trajs, spec, hom: mle_nonhomogeneous(trajs, spec),
+    "prefix": lambda trajs, spec, hom: mle_homogeneous(trajs, hom),
+    "slide": lambda trajs, spec, hom: mle_homogeneous(trajs, hom, window="slide"),
+    "counts": lambda trajs, spec, hom: counts_from_trajectories(trajs, spec),
+}
+
+
+@pytest.mark.parametrize("call", ONE_WALK_CALLS)
+def test_a_bad_record_is_named_in_one_walk(illness_death, illness_death_hom, monkeypatch,
+                                           call):
+    trajs = TrajectorySet(((("0", "0", "1", "1"), 2), (("0", "1", "1", "2"), 1),
+                           (("1", "0", "0", "0"), 1), (("0", "0", "0", "0"), 1)))
+    check_sequence, walked = ModelSpec.check_sequence, []
+
+    def counted(self, seq):
+        walked.append(tuple(seq))
+        return check_sequence(self, seq)
+
+    monkeypatch.setattr(ModelSpec, "check_sequence", counted)
+    want = EstimationError if call == "check" else InadmissiblePathError
+    with pytest.raises(want) as err:
+        ONE_WALK_CALLS[call](trajs, illness_death, illness_death_hom)
+    assert type(err.value) is want
+    assert str(err.value) == ("record 3: transition ('1',) -> '0' into position 2 "
+                              "is forbidden")
+    assert walked == [seq for seq, _ in trajs.records[:3]]
+    if call == "check":
+        assert type(err.value.__cause__) is InadmissiblePathError
 
 
 # an unknown label, a forbidden step (1 -> 0) and a non-initial block
@@ -840,6 +882,24 @@ class TestLoglikelihood:
         p = {j: Fraction(0) for j in range(14)}
         p[0] = Fraction(1)
         assert loglikelihood(p, u) == 0.0
+
+    def test_a_certain_path_adds_zero_whatever_its_count(self, illness_death):
+        counts = [0] * 14
+        counts[0] = 10 ** 400
+        u = CountVector(enumerate_paths(illness_death), tuple(counts))
+        assert loglikelihood({0: Fraction(1)}, u) == 0.0
+
+    # a count past float range, and three finite terms whose sum is not
+    @pytest.mark.parametrize("counts, q", [((10 ** 400, 1), Fraction(1, 2)),
+                                           ((10 ** 308,) * 3, Fraction(1, 3))],
+                             ids=["count", "sum"])
+    def test_a_value_past_float_range_is_an_estimation_error(self, illness_death,
+                                                             counts, q):
+        u = CountVector(enumerate_paths(illness_death),
+                        counts + (0,) * (14 - len(counts)))
+        with pytest.raises(EstimationError,
+                           match="^the log-likelihood is past float range$"):
+            loglikelihood({j: q for j in range(len(counts))}, u)
 
     def test_fitted_beats_uniform(self, illness_death):
         table = enumerate_paths(illness_death)

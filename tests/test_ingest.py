@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,13 @@ class TestNumberRendering:
         assert decimal_string(Fraction(1, 3)) == "0.333"
         with pytest.raises(ParameterError, match="^cannot write a value to -1 decimal"):
             decimal_string(Fraction(1, 3), -1)
+
+    @pytest.mark.parametrize("places", [True, False, 2.5, "2", None])
+    def test_places_that_are_not_an_int_are_refused(self, places):
+        with pytest.raises(ParameterError,
+                           match=f"^cannot write a value to {re.escape(repr(places))} "
+                                 "decimal places$"):
+            decimal_string(Fraction(1, 3), places)
 
     def test_fraction_string(self):
         assert fraction_string(Fraction(469, 685)) == "469/685"

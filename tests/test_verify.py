@@ -238,6 +238,22 @@ class TestKernelMembership:
 
 
 class TestVerifyRelationSet:
+    @pytest.mark.parametrize("seed", [None, [1], (1, 2), object()],
+                             ids=["None", "list", "tuple", "object"])
+    @pytest.mark.parametrize("entry", ["verify_relation_set", "vanishes_on_model"])
+    def test_a_seed_sample_parameters_refuses_is_refused(self, illness_death, entry,
+                                                         seed):
+        # str(seed) would otherwise name a fixed stream, as "None:0:0" does
+        rs = generators_for(illness_death)
+        text = re.escape(f"seed must be an int, float, str, bytes or bytearray, "
+                         f"got {seed!r}")
+        with pytest.raises(ParameterError, match=f"^{text}$"):
+            if entry == "verify_relation_set":
+                verify_relation_set(rs, illness_death, trials=1, seed=seed)
+            else:
+                vanishes_on_model(rs.binomials[0], illness_death, rs.table, trials=1,
+                                  seed=seed)
+
     def test_generated_families_verify(self, illness_death):
         rs = generators_for(illness_death)
         report = verify_relation_set(rs, illness_death, trials=5, seed=0)
