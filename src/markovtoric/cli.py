@@ -261,9 +261,13 @@ def _verified_relations(args, spec, table):
 
 def cmd_relations(args, spec):
     relset = generators_for(spec, enumerate_paths(spec))
-    lines = [f"{len(relset)} relations, {len(relset.slice_paths)} slice variables"]
-    lines += relset.text_lines()
-    return EXIT_OK, lines, iofiles.relations_to_jsonable(relset)
+    return EXIT_OK, _relation_lines(relset), iofiles.relations_to_jsonable(relset)
+
+
+def _relation_lines(relset):
+    """The relations' text, built only when it is written."""
+    yield f"{len(relset)} relations, {len(relset.slice_paths)} slice variables"
+    yield from relset.text_lines()
 
 
 def cmd_verify(args, spec):

@@ -16,7 +16,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import EstimationError, InadmissiblePathError, ParameterError, RelationError
 from .model import ParameterPoint, _assignment, _join, is_integer, path_probability
@@ -181,21 +180,26 @@ class EstimateReport(ParameterPoint):
 def _tally(spec, records):
     """Each parameter symbol's summed weight over (sequence, weight)
     records, keyed as check_sequence keys positions 1..spec.horizon, and
-    each symbol's row total over spec.rows().  Level by level, blocks and
-    (k+1)-windows are sliced from the distinct analysed prefixes, summed,
-    and made symbols once each.  If that fails, the first record that
+    each symbol's row total over spec.rows().  Levels run from n down to
+    k over the distinct prefixes of that level's length: each level reads
+    its initial block or (k+1)-window from the end of every distinct
+    length-l prefix, summed by weight, and folds those prefixes into the
+    distinct length-(l-1) prefixes of the next level; each distinct
+    window is made a symbol once.  If that fails, the first record that
     check_sequence refuses is named "record N: ..."; else the error stands."""
     k, n = spec.order, spec.horizon
     weights = {}
     try:
         prefixes = _prefix_weights(records, n)
-        seqs = [seq for seq, _ in prefixes]
-        mults = [weight for _, weight in prefixes]
-        for level in range(k, n + 1):
-            sums = {}
-            windows = map(itemgetter(slice(max(level - k - 1, 0), level)), seqs)
-            for window, mult in zip(windows, mults):
-                sums[window] = sums.get(window, 0) + mult
+        for level in range(n, k - 1, -1):
+            lo = max(level - k - 1, 0)
+            sums, shorter = {}, {}
+            for prefix, weight in prefixes:
+                window = prefix[lo:]
+                sums[window] = sums.get(window, 0) + weight
+                head = prefix[:-1]
+                shorter[head] = shorter.get(head, 0) + weight
+            prefixes = shorter.items()
             pooled = None if spec.homogeneous else level
             for window, weight in sums.items():
                 key = ("pi", window) if level == k else ("a", pooled, window[:k], window[k])
@@ -327,6 +331,13 @@ def mle_paths_hierarchical(u, spec, table=None):
     return out
 
 
+def _scaled(q):
+    """(L, [L * x for x in q]) as ints, L the lcm of the denominators of
+    the Fractions q."""
+    L = math.lcm(*(x.denominator for x in q))
+    return L, [x.numerator * (L // x.denominator) for x in q]
+
+
 @dataclass(frozen=True)
 class Recovery:
     """Parameters recovered from a path-probability assignment.
@@ -370,14 +381,16 @@ def recover_parameters(p, spec, table=None):
     exactly; disagreement is reported, not averaged, because it means p
     is not in the model.  When p = phi(theta) for valid theta, the
     recovered point reproduces p under phi exactly.  p is read by
-    model._assignment.
+    model._assignment and scaled by L, the lcm of its denominators, so
+    the tally sums integer weights; marginal ratios do not change under
+    scaling, so neither does any value or RatioConflict.
     """
     if table is None:
         table = enumerate_paths(spec)
     for path in table:
         spec.check_sequence(path)
-    records = list(zip(table, _assignment(p, range(len(table)))))
-    if sum(q for _, q in records) == 0:
+    records = list(zip(table, _scaled(_assignment(p, range(len(table))))[1]))
+    if not any(weight for _, weight in records):
         raise ParameterError("assignment sums to zero; nothing to recover")
     if not spec.homogeneous:
         return Recovery(_conditionals(spec, records))
@@ -416,11 +429,9 @@ def birch_residual(p, u, design):
     table = design.table
     if u.table is not table and tuple(u.table) != table.paths:
         raise RelationError("count vector and design matrix tables differ")
-    q = _assignment(p, range(len(table)))
-    L = math.lcm(*(x.denominator for x in q))
+    L, weights = _scaled(_assignment(p, range(len(table))))
     M = u.total
-    v = {j: M * x.numerator * (L // x.denominator) - L * c
-         for j, (x, c) in enumerate(zip(q, u.counts))}
+    v = {j: M * w - L * c for j, (w, c) in enumerate(zip(weights, u.counts))}
     return tuple(Fraction(x, L) for x in design.apply(v))
 
 

@@ -444,11 +444,13 @@ def path_probability(spec, params, path):
     """Exact probability of an admissible path under a parameter table:
     the product of params.values over check_sequence's symbols.
 
-    Factors are read left to right, and the product stops at the first
-    zero: later rows are never read, so a zero factor before an
-    undefined row gives 0.  The caller is responsible for parameter
-    validity; no normalization check is performed here, so tables
-    rounded for display can be fed through unchanged.
+    Factors are read left to right, their numerators and denominators
+    multiplied as ints, and one Fraction is made of the two products at
+    the end.  The product stops at the first zero: later rows are never
+    read, so a zero factor before an undefined row gives 0.  The caller
+    is responsible for parameter validity; no normalization check is
+    performed here, so tables rounded for display can be fed through
+    unchanged.
 
     Raises:
         InadmissiblePathError: if the path is not admissible.
@@ -458,11 +460,14 @@ def path_probability(spec, params, path):
     values, undefined = params.values, params.undefined
     first, *factors = spec.check_sequence(path)
     value = values.get(first, _ZERO)
+    num, den = value.numerator, value.denominator
     for sym in factors:
-        if not value:
+        if not num:
             break
         if sym[1:3] in undefined:
             raise EstimationError(f"row (level={sym[1]}, history={sym[2]}) "
                                   f"is undefined (its history has zero weight)")
-        value *= values.get(sym, _ZERO)
-    return value
+        value = values.get(sym, _ZERO)
+        num *= value.numerator
+        den *= value.denominator
+    return Fraction(num, den)

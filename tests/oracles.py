@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from markovtoric import TrajectorySet, canonicalize, enumerate_paths, path_probability
-from markovtoric.errors import ParseError, RelationError, SpecificationError
+from markovtoric.errors import EstimationError, ParseError, RelationError, SpecificationError
 from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet
 from markovtoric.verify import DEFAULT_DENOMINATOR_BOUND
 
@@ -297,6 +297,25 @@ def assignment_from_parameters(spec, params, table):
     """Path-probability assignment {index: Fraction} over a table."""
     return {j: path_probability(spec, params, path)
             for j, path in enumerate(table)}
+
+
+def path_probability_reference(spec, params, path):
+    """A path's probability as a left-to-right Fraction product over its
+    symbols, read from the window convention directly rather than through
+    check_sequence.  The product stops at the first zero; a row still to
+    be read while it is nonzero and marked undefined is the
+    EstimationError path_probability raises."""
+    k = spec.order
+    value = Fraction(params.values.get(("pi", tuple(path[:k])), 0))
+    for end in range(k, len(path)):
+        if value == 0:
+            break
+        level, hist = None if spec.homogeneous else end + 1, tuple(path[end - k:end])
+        if (level, hist) in params.undefined:
+            raise EstimationError(f"row (level={level}, history={hist}) "
+                                  f"is undefined (its history has zero weight)")
+        value *= params.values.get(("a", level, hist, path[end]), 0)
+    return value
 
 
 def evaluate_binomial(binomial, assignment):

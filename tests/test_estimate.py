@@ -1025,3 +1025,29 @@ def test_recovery_round_trip_binary_order_two(seed):
     p = assignment_from_parameters(spec, params, table)
     rec = recover_parameters(p, spec, table)
     assert assignment_from_parameters(spec, rec.params, table) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 2**32))
+@example(make_illness_death(), 0)
+@example(make_illness_death(homogeneous=True), 1)
+def test_recovery_from_any_nonnegative_rational_assignment(spec, seed):
+    # unrelated denominators, some zeros and a total that is not 1
+    rng = random.Random(seed)
+    table = enumerate_paths(spec)
+    q = [0 if rng.random() < 0.25 else Fraction(rng.randint(1, 50), rng.randint(1, 97))
+         for _ in table]
+    if sum(q) in (0, 1):
+        reject()
+    rec = recover_parameters(dict(enumerate(q)), spec, table)
+    if not spec.homogeneous:
+        assert rec.consistent
+        assert (rec.params.values, rec.params.undefined) == mle_reference(
+            spec, list(zip(table, q)))
+    c = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+    scaled = recover_parameters({j: c * x for j, x in enumerate(q)}, spec, table)
+    assert scaled.params.values == rec.params.values
+    assert scaled.params.undefined == rec.params.undefined
+    assert scaled.inconsistencies == rec.inconsistencies
+    with pytest.raises(ParameterError, match="^assignment sums to zero; nothing to recover$"):
+        recover_parameters(dict.fromkeys(range(len(table)), 0), spec, table)

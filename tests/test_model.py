@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from markovtoric import (
+    EstimationError,
     InadmissiblePathError,
     ModelSpec,
     ParameterError,
@@ -23,7 +25,7 @@ from markovtoric import (
     validate_parameters,
 )
 from conftest import make_binary_chain, make_illness_death, make_survival, make_vc_chain
-from oracles import block_counts, validate_model_reference
+from oracles import block_counts, path_probability_reference, validate_model_reference
 
 
 class TestAsFraction:
@@ -403,3 +405,29 @@ def test_check_sequence_and_rows_agree_with_the_oracle_and_symbols(spec, seed):
     assert build_design_matrix(spec).row_symbols == spec.symbols()
     for point in (uniform_parameters(spec), sample_parameters(spec, seed)):
         assert validate_parameters(spec, point) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 2**32))
+@example(make_illness_death(), 0)
+@example(make_vc_chain(5, homogeneous=False), 1)
+def test_path_probability_matches_the_fraction_product(spec, seed):
+    # unrelated denominators, about a quarter of the entries zero and about
+    # a quarter of the rows undefined: zeros before and after undefined rows
+    rng = random.Random(seed)
+    values = {sym: 0 if rng.random() < 0.25 else Fraction(rng.randint(1, 30),
+                                                         rng.randint(1, 97))
+              for sym in spec.symbols()}
+    undefined = {row[0][1:3] for row in spec.rows()[1:] if rng.random() < 0.25}
+    params = ParameterPoint(values, undefined)
+    for path in enumerate_paths(spec):
+        try:
+            want = path_probability_reference(spec, params, path)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as err:
+                path_probability(spec, params, path)
+            assert str(err.value) == str(exc)
+        else:
+            got = path_probability(spec, params, path)
+            assert type(got) is Fraction
+            assert got == want
