@@ -1,9 +1,10 @@
 """Command-line surface.
 
 One verb per capability: validate, paths, relations, verify, mle,
-recover, birch, ingest, report.  The parser dispatches them: main calls
-the cmd_* of the verb's build_parser row, which returns its exit code,
-text lines and JSON form; _emit, the one writer of reports, writes them.
+recover, birch, ingest, report.  build_parser builds the parser once
+per process; main looks the verb up in COMMANDS at call time and runs
+its cmd_*, which returns its exit code, text lines and JSON form; _emit,
+the one writer of reports, writes them.
 _fit, the one fit path, alone reads and checks the data flags of mle and report.
 Text output is human-readable (and for ingest, directly re-readable as
 data files); --format structured emits a single JSON document per run.
@@ -16,6 +17,7 @@ residual is nonzero); 3 I/O or parse failure.
 """
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -57,7 +59,9 @@ class SystemExit_(Exception):
     """A usage error: main prints the message and exits 3."""
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every call."""
     top = _Parser(prog="markovtoric",
                   description="Multistate Markov chains as toric models: "
                               "paths, relations, verification, estimation.")
@@ -83,24 +87,21 @@ def build_parser():
     data.add_argument("--window", choices=("prefix", "slide"), default="prefix",
                       help="homogeneous pooling window (default prefix)")
 
-    # each verb declares only the flags it reads, and runs its command
+    # each verb declares only the flags it reads; the parser holds no command
     sub = top.add_subparsers(dest="verb", required=True)
     verbs = {}
-    for verb, command, parents, text in (
-        ("validate", cmd_validate, [], "check a model spec for structural problems"),
-        ("paths", cmd_paths, [], "enumerate admissible paths"),
-        ("relations", cmd_relations, [], "generate the relation families for a spec"),
-        ("verify", cmd_verify, [checking],
-         "check relations by sampling and kernel membership"),
-        ("mle", cmd_mle, [rounding, data], "closed-form maximum likelihood estimate"),
-        ("recover", cmd_recover, [rounding],
-         "recover parameters from path probabilities"),
-        ("birch", cmd_birch, [rounding], "residual of the moment-matching equations"),
-        ("ingest", cmd_ingest, [], "normalize trajectories or a text corpus"),
-        ("report", cmd_report, [checking, rounding, data],
+    for verb, parents, text in (
+        ("validate", [], "check a model spec for structural problems"),
+        ("paths", [], "enumerate admissible paths"),
+        ("relations", [], "generate the relation families for a spec"),
+        ("verify", [checking], "check relations by sampling and kernel membership"),
+        ("mle", [rounding, data], "closed-form maximum likelihood estimate"),
+        ("recover", [rounding], "recover parameters from path probabilities"),
+        ("birch", [rounding], "residual of the moment-matching equations"),
+        ("ingest", [], "normalize trajectories or a text corpus"),
+        ("report", [checking, rounding, data],
          "combined validation/relations/verification/estimate report")):
         verbs[verb] = sub.add_parser(verb, parents=[common, *parents], help=text)
-        verbs[verb].set_defaults(command=command)
 
     verbs["recover"].add_argument("--probabilities", required=True,
                                   help="path probability file")
@@ -434,12 +435,17 @@ def cmd_report(args, spec):
     return EXIT_OK if verification.all_pass else EXIT_VERIFICATION, lines, jsonable
 
 
+# read by main at call time, so a rebound entry takes effect on the next call
+COMMANDS = {"validate": cmd_validate, "paths": cmd_paths, "relations": cmd_relations,
+            "verify": cmd_verify, "mle": cmd_mle, "recover": cmd_recover,
+            "birch": cmd_birch, "ingest": cmd_ingest, "report": cmd_report}
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         spec = iofiles.parse_model_spec(args.spec)
-        code, lines, jsonable = args.command(args, spec)
+        code, lines, jsonable = COMMANDS[args.verb](args, spec)
         _emit(args, lines, jsonable)
         return code
     except SystemExit_ as exc:

@@ -45,14 +45,17 @@ class TrajectorySet:
     records: tuple
 
     def __post_init__(self):
-        records = tuple((tuple(t), _as_int(m, "multiplicity")) for t, m in self.records)
+        records = tuple((tuple(t), m) for t, m in self.records)
+        mults = [m for _, m in records]
+        if not all(map(is_integer, mults)):
+            _as_int(next(m for m in mults if not is_integer(m)), "multiplicity")
         object.__setattr__(self, "records", records)
         if not records:
             raise EstimationError("empty trajectory set")
         lengths = {len(t) for t, _ in records}
         if len(lengths) != 1:
             raise EstimationError(f"ragged trajectory lengths {sorted(lengths)}")
-        if any(m < 1 for _, m in records):
+        if min(mults) < 1:
             raise EstimationError("multiplicities must be positive")
 
     @property

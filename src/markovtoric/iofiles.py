@@ -379,16 +379,18 @@ def tokenize_corpus(text, cs):
     empty is skipped, and Don't and dont share one entry.  A remaining
     unmapped character is a ParseError naming it and the first word of
     the text holding one, so nothing is silently reinterpreted."""
+    raw_counts = Counter(text.lower().split())
     drop = str.maketrans("", "", cs.drop_chars)
+    words = [raw.translate(drop) for raw in raw_counts]
     mapped = cs.alphabet.keys()
+    # one check over every character; the walk runs only to name the fault
+    if not set("".join(words)) <= mapped:
+        raw, word = next((raw, word) for raw, word in zip(raw_counts, words)
+                         if not set(word) <= mapped)
+        ch = next(ch for ch in word if ch not in mapped)
+        raise ParseError(f"character {ch!r} in word {raw!r} is neither mapped nor dropped")
     tally = Counter()
-    for raw, count in Counter(text.lower().split()).items():
-        word = raw.translate(drop)
-        unmapped = set(word) - mapped
-        if unmapped:
-            ch = next(ch for ch in word if ch in unmapped)
-            raise ParseError(
-                f"character {ch!r} in word {raw!r} is neither mapped nor dropped")
+    for word, count in zip(words, raw_counts.values()):
         if word:
             tally[word] += count
     return tally
@@ -418,9 +420,10 @@ def corpus_to_trajectories(text, cs, spec=None):
             words = {w: m for w, m in words.items() if len(w) <= L}
     if not words:
         raise ParseError("corpus contains no usable words")
+    state = cs.alphabet.__getitem__
+    pads = [(cs.pad,) * (L + 1 - i) for i in range(L + 1)]  # by word length
     trajs = TrajectorySet(tuple(
-        (tuple(map(cs.alphabet.__getitem__, w)) + (cs.pad,) * (L + 1 - len(w)), m)
-        for w, m in words.items()))
+        (tuple(map(state, w)) + pads[len(w)], m) for w, m in words.items()))
     if spec is not None:
         if cs.pad not in spec.absorbing:
             raise SpecificationError(
@@ -437,7 +440,7 @@ class CollapseMap:
 
     def apply(self, seq):
         try:
-            return tuple(self.mapping[s] for s in seq)
+            return tuple(map(self.mapping.__getitem__, seq))
         except KeyError as exc:
             raise SpecificationError(f"collapse map has no image for state {exc}")
 
@@ -447,7 +450,8 @@ class CollapseMap:
         Every fine state needs an image, the image set must cover the
         coarse states, absorbing fine states must land on absorbing
         coarse states, and no allowed fine transition may map onto a
-        forbidden coarse one.
+        forbidden coarse one.  The first fault in state declaration order
+        is named.
         """
         for s in fine_spec.states:
             if s not in self.mapping:
@@ -463,7 +467,7 @@ class CollapseMap:
                 raise SpecificationError(
                     f"absorbing fine state {s!r} maps to non-absorbing "
                     f"{self.mapping[s]!r}")
-        for a, b in sorted(fine_spec.transition_pairs):
+        for a, b in sorted(fine_spec.transition_pairs, key=fine_spec.block_key):
             if (self.mapping[a], self.mapping[b]) not in coarse_spec.transition_pairs:
                 raise SpecificationError(
                     f"allowed fine transition {a!r} -> {b!r} maps onto forbidden "

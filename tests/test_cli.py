@@ -324,8 +324,19 @@ def test_each_verb_declares_only_the_flags_it_reads():
     assert sum(map(len, declared.values())) == 55
     assert len(REMOVED_FLAGS) == 20
     assert not any(flag in declared[verb] for verb, flag in REMOVED_FLAGS)
-    assert {verb: p.get_default("command") for verb, p in verbs.items()} == {
-        verb: getattr(cli, f"cmd_{verb}") for verb in VERB_FLAGS}
+    # the parser holds no command: main dispatches through COMMANDS
+    assert list(cli.COMMANDS) == list(verbs)
+    assert cli.COMMANDS == {verb: getattr(cli, f"cmd_{verb}") for verb in VERB_FLAGS}
+
+
+def test_the_parser_is_built_once_and_a_rebound_command_runs_next_call(capsys,
+                                                                       monkeypatch):
+    assert run(capsys, "paths", "--spec", ILLNESS)[0] == 0
+    monkeypatch.setitem(cli.COMMANDS, "paths",
+                        lambda args, spec: (2, ["rebound"], {"rebound": True}))
+    assert run(capsys, "paths", "--spec", ILLNESS) == (2, "rebound\n", "")
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("verb, flag", REMOVED_FLAGS,

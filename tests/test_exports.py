@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -114,9 +115,8 @@ def _bench_tree(name):
     return ast.parse((BENCH / name).read_text(encoding="utf-8"))
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  BENCH / "workloads.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -126,7 +126,7 @@ def _load_workloads():
 def test_one_tiny_bench_pass_has_no_failed_operation(name, tmp_path):
     # each workload reads attributes of what the package returns, such
     # as an estimate's views, which no static check of its names sees
-    workloads = _load_workloads()
+    workloads = _load_bench("workloads")
     workload = workloads.WORKLOADS[name](markovtoric, "tiny", str(tmp_path))
     chk = workloads.Checks()
     state = workload.setup(2)
@@ -134,6 +134,28 @@ def test_one_tiny_bench_pass_has_no_failed_operation(name, tmp_path):
     workload.run(state, chk)
     assert chk.attempted > 0
     assert chk.failed == 0, chk.problems
+
+
+def test_a_traced_cli_pass_records_every_verb_it_runs(tmp_path):
+    # the parser is built once per process, before the tracer rebinds the
+    # commands, so main must find each verb's command at call time; after
+    # uninstall nothing is recorded
+    spans, workloads = _load_bench("spans"), _load_bench("workloads")
+    workload = workloads.WORKLOADS["cli"](markovtoric, "tiny", str(tmp_path))
+    state = workload.setup(2)
+    markovtoric.cli.build_parser()
+    verbs = Counter(argv[0] for argv, _ in workload.session(state) if not callable(argv))
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer, markovtoric)
+    try:
+        workload.run(state, workloads.Checks())
+    finally:
+        uninstall()
+    assert {verb: tracer.call_count(f"cli.cmd_{verb}") for verb in verbs} == verbs
+    assert sum(verbs.values()) == 12 and len(verbs) == 9
+    tracer.begin_pass()
+    workload.run(state, workloads.Checks())
+    assert len(tracer.span_id) == 0
 
 
 def _dotted(node):

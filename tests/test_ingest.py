@@ -520,15 +520,19 @@ def _outcome(pipeline, text, cs, spec):
 
 
 # words of mapped letters in mixed case, digits and apostrophes; in half
-# the texts an unmapped x too
-_word_lists = st.sampled_from(["aabbccnotABCNOT''019", "aabbccnotABCNOT''019x"]).flatmap(
+# the texts the unmapped letters x, z and ï, and İ, which lowercases to
+# two characters, so that one text can hold two different offending words
+_word_lists = st.sampled_from(["aabbccnotABCNOT''019",
+                               "aabbccnotABCNOT''019xz\u00ef\u0130"]).flatmap(
     lambda chars: st.lists(st.text(chars, min_size=1, max_size=6), min_size=1,
                            max_size=14))
 
 
+# gaps include whitespace that str.split breaks on besides space, tab and newline
 @settings(max_examples=200, deadline=None)
 @given(words=_word_lists,
-       gaps=st.lists(st.sampled_from([" ", "  ", "\n", "\t "]), min_size=14, max_size=14),
+       gaps=st.lists(st.sampled_from([" ", "  ", "\n", "\t ", "\x0c", "\x1c", "\x85",
+                                      "\u2028"]), min_size=14, max_size=14),
        drop_chars=st.sampled_from(["'023456789", "'0234", "x'023456789", "'"]),
        pad=st.sampled_from(["_", "a"]),
        horizon=st.none() | st.integers(1, 6),
@@ -542,6 +546,10 @@ _word_lists = st.sampled_from(["aabbccnotABCNOT''019", "aabbccnotABCNOT''019x"])
 @example(words=["ab", "Bx0", "0", "x"], gaps=[" "] * 14, drop_chars="'", pad="_",
          horizon=2, min_word_length=1, max_word_length=None, overlong="error",
          target=None)
+# the first offending word in text order is the last in sorted order
+@example(words=["Zb", "ab", "xA", "\u0130t"], gaps=["\x1c", "\u2028", "\x85", "\x0c"]
+         + [" "] * 10, drop_chars="'", pad="_", horizon=None, min_word_length=1,
+         max_word_length=None, overlong="error", target=None)
 def test_tally_pipeline_matches_the_occurrence_list(
         words, gaps, drop_chars, pad, horizon, min_word_length, max_word_length,
         overlong, target):
@@ -610,6 +618,15 @@ class TestCollapse:
         with pytest.raises(SpecificationError) as err:
             cm.validate(fine, coarse)
         assert "forbidden" in str(err.value)
+
+    def test_validate_names_the_first_fault_in_declaration_order(self):
+        # label-text order would name 'a' -> 'z' first
+        fine = ModelSpec(["z", "a"], 1, 2)
+        coarse = ModelSpec(["X", "Y"], 1, 2, forbidden=[("X", "Y"), ("Y", "X")])
+        with pytest.raises(SpecificationError) as err:
+            CollapseMap({"z": "X", "a": "Y"}).validate(fine, coarse)
+        assert str(err.value) == ("allowed fine transition 'z' -> 'a' maps onto "
+                                  "forbidden coarse transition 'X' -> 'Y'")
 
     def test_collapse_commutes_with_counting(self, data_dir):
         # pooling words first and relabeling after gives the same counts
