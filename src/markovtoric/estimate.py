@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import EstimationError, InadmissiblePathError, ParameterError, RelationError
 from .model import ParameterPoint, _assignment, _join, is_integer, path_probability
-from .paths import enumerate_paths
+from .paths import _spec_table
 
 PREFIX = "prefix"
 SLIDE = "slide"
@@ -145,8 +145,7 @@ def counts_from_trajectories(trajs, spec, n=None, table=None):
     prefix; _tally names a bad record, else a failed lookup's error stands.
     """
     n = _resolve_horizon(trajs, spec, n)
-    if table is None:
-        table = enumerate_paths(spec.with_horizon(n))
+    table = _spec_table(spec.with_horizon(n), table)
     counts = [0] * len(table)
     try:
         for prefix, mult in _prefix_weights(trajs.records, n):
@@ -309,19 +308,17 @@ def mle_paths_hierarchical(u, spec, table=None):
 
     with numerators over the n-k windows of levels k+1..n and
     denominators over the n-k-1 histories of levels k+2..n.  Marginals
-    are summed over the admissible path table.  A path whose
+    are summed over the spec's own path table.  A path whose
     denominator vanishes gets None (undefined), never zero.
     """
     if spec.homogeneous:
         raise EstimationError(
             "hierarchical path formula applies to nonhomogeneous specs; "
             "pool with mle_homogeneous instead")
-    if table is None:
-        table = enumerate_paths(spec)
-    if u.table is not table and tuple(u.table.paths) != tuple(table.paths):
+    table = _spec_table(spec, table)
+    if u.table != table:
         raise EstimationError("count vector is indexed by a different table")
-    M = u.total
-    if M == 0:
+    if not (M := u.total):
         raise EstimationError("empty count vector")
     factors_of = [spec.check_sequence(path)[1:] for path in table]
     weights, totals = _tally(
@@ -388,10 +385,7 @@ def recover_parameters(p, spec, table=None):
     the tally sums integer weights; marginal ratios do not change under
     scaling, so neither does any value or RatioConflict.
     """
-    if table is None:
-        table = enumerate_paths(spec)
-    for path in table:
-        spec.check_sequence(path)
+    table = _spec_table(spec, table)
     records = list(zip(table, _scaled(_assignment(p, range(len(table))))[1]))
     if not any(weight for _, weight in records):
         raise ParameterError("assignment sums to zero; nothing to recover")
@@ -427,13 +421,14 @@ def birch_residual(p, u, design):
     by model._assignment; with L the lcm of their denominators, the integer
     vector M * L * p - L * u goes through one sparse product and each
     row is divided by L.  One Fraction per design-matrix row, in row
-    order.
+    order.  An all-zero count vector is an EstimationError.
     """
     table = design.table
-    if u.table is not table and tuple(u.table) != table.paths:
+    if u.table != table:
         raise RelationError("count vector and design matrix tables differ")
+    if not (M := u.total):
+        raise EstimationError("empty count vector")
     L, weights = _scaled(_assignment(p, range(len(table))))
-    M = u.total
     v = {j: M * w - L * c for j, (w, c) in enumerate(zip(weights, u.counts))}
     return tuple(Fraction(x, L) for x in design.apply(v))
 

@@ -1,22 +1,23 @@
-"""Path enumeration, sufficient statistics, and the design matrix."""
+"""Path enumeration, sufficient statistics, and the design matrix.
+
+Whole-set readers take only the spec's own table (_spec_table)."""
 
 from .errors import InadmissiblePathError, RelationError
 
 
-class PathTable:
-    """Immutable indexed list of admissible paths.
+class PathTable(tuple):
+    """Immutable indexed tuple of admissible paths, equal by value.
 
     Paths appear in declaration-lexicographic order and are addressed
     either by position or by the path tuple itself.
     """
 
-    __slots__ = ("paths", "_index")
-
-    def __init__(self, paths):
-        self.paths = tuple(tuple(p) for p in paths)
-        self._index = {p: i for i, p in enumerate(self.paths)}
-        if len(self._index) != len(self.paths):
+    def __new__(cls, paths):
+        self = super().__new__(cls, map(tuple, paths))
+        self._index = {p: i for i, p in enumerate(self)}
+        if len(self._index) != len(self):
             raise RelationError("duplicate paths in table")
+        return self
 
     def index(self, path):
         try:
@@ -28,17 +29,8 @@ class PathTable:
     def __contains__(self, path):
         return tuple(path) in self._index
 
-    def __getitem__(self, i):
-        return self.paths[i]
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
     def __repr__(self):
-        return f"PathTable({len(self.paths)} paths)"
+        return f"PathTable({len(self)} paths)"
 
 
 def enumerate_paths(spec):
@@ -62,6 +54,25 @@ def enumerate_paths(spec):
                 grown.append(p)
         prefixes = grown
     return PathTable(prefixes)
+
+
+def _spec_table(spec, table=None):
+    """The spec's own path table for a reader of its whole path set: a
+    fresh enumeration, or table itself if it is a PathTable equal to it.
+    Any other table is an InadmissiblePathError naming its first fault: a
+    path the spec refuses, else the first of its paths it lacks, else order."""
+    own = enumerate_paths(spec)
+    if table is None:
+        return own
+    if isinstance(table, PathTable) and table == own:
+        return table
+    for path in table:
+        spec.check_sequence(path)
+    given = set(map(tuple, table))
+    for path in own:
+        if path not in given:
+            raise InadmissiblePathError(f"path {path} is not in the table")
+    raise InadmissiblePathError("the table is not the spec's PathTable in declaration order")
 
 
 class DesignMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import RelationError
 from .model import _join, is_integer
-from .paths import build_design_matrix, enumerate_paths
+from .paths import _spec_table, build_design_matrix
 
 PROV_NONHOM = "nonhom-exchange"
 PROV_HOM = "hom-exchange"
@@ -171,8 +171,7 @@ def nonhomogeneous_generators(spec, table=None):
     """
     if spec.homogeneous:
         raise RelationError("spec is homogeneous; use homogeneous_family")
-    if table is None:
-        table = enumerate_paths(spec)
+    table = _spec_table(spec, table)
     k, n = spec.order, spec.horizon
 
     def moves():
@@ -198,8 +197,7 @@ def slice_linear_generators(spec, table=None):
     list has |S|^n minus (admissible count) entries, so call this only
     at small sizes.
     """
-    if table is None:
-        table = enumerate_paths(spec)
+    table = _spec_table(spec, table)
     if len(table) == len(spec.states) ** spec.horizon:
         return ()
     return tuple(path for path in itertools.product(spec.states, repeat=spec.horizon)
@@ -238,13 +236,11 @@ def homogeneous_family(spec, table=None):
     """
     if not spec.homogeneous:
         raise RelationError("spec is nonhomogeneous; use nonhomogeneous_generators")
-    if table is None:
-        table = enumerate_paths(spec)
+    table = _spec_table(spec, table)
     k, n = spec.order, spec.horizon
-    paths = table.paths
     # clipped context (G, D) -> {letter: [(path index, position), ...]}
     contexts = {}
-    for i, p in enumerate(paths):
+    for i, p in enumerate(table):
         for r in range(n):
             letters = contexts.setdefault((p[max(r - k, 0):r], p[r + 1:r + 1 + k]), {})
             letters.setdefault(p[r], []).append((i, r))
@@ -252,9 +248,9 @@ def homogeneous_family(spec, table=None):
     for letters in contexts.values():
         for (x, xs), (y, ys) in itertools.combinations(letters.items(), 2):
             # (path index, position, exchanged path index) per slot
-            to_y = [(i, r, table.index(paths[i][:r] + (y,) + paths[i][r + 1:]))
+            to_y = [(i, r, table.index(table[i][:r] + (y,) + table[i][r + 1:]))
                     for i, r in xs]
-            to_x = [(i, r, table.index(paths[i][:r] + (x,) + paths[i][r + 1:]))
+            to_x = [(i, r, table.index(table[i][:r] + (x,) + table[i][r + 1:]))
                     for i, r in ys]
             for a in to_y:
                 for b in to_x:
@@ -280,8 +276,7 @@ def generators_for(spec, table=None):
     binomials; the slice paths of a restricted spec, of either kind,
     are attached here and nowhere else.
     """
-    if table is None:
-        table = enumerate_paths(spec)
+    table = _spec_table(spec, table)
     families = ((homogeneous_family, permutation_linear_relations) if spec.homogeneous
                 else (nonhomogeneous_generators,))
     sets = [family(spec, table) for family in families]
@@ -301,7 +296,7 @@ def permutation_linear_relations(spec, table=None):
     """
     if not spec.homogeneous:
         raise RelationError("permutation relations exist only for homogeneous specs")
-    design = build_design_matrix(spec, table)
+    design = build_design_matrix(spec, _spec_table(spec, table))
     binomials = tuple(canonicalize({rep: 1}, {other: 1})
                       for rep, *others in design.fibers() for other in others)
     return RelationSet(design.table, binomials, (PROV_LINEAR,) * len(binomials))

@@ -111,8 +111,6 @@ class RelationCheck:
     """Outcome of the numeric route for one binomial."""
     status: str
     trials: int
-    seed: object
-    relation_index: int = 0
     witness: Optional[Witness] = None
 
     @property
@@ -174,9 +172,9 @@ def vanishes_on_model(binomial, spec, table=None, trials=DEFAULT_TRIALS,
         mn = prod([w[r][e] ** c for (r, e), c in minus_entries])
         md = prod([sum(w[r]) ** c for r, c in minus_rows])
         if pn * md != mn * pd:
-            return RelationCheck(NONZERO, trials, seed, relation_index,
+            return RelationCheck(NONZERO, trials,
                                  Witness(t, Fraction(pn, pd) - Fraction(mn, md)))
-    return RelationCheck(VANISHES, trials, seed, relation_index)
+    return RelationCheck(VANISHES, trials)
 
 
 def _path_factors(spec, position, table, j):
@@ -262,7 +260,7 @@ def verify_relation_set(relset, spec, trials=DEFAULT_TRIALS, seed=0,
     _check_seed(seed)
     if design is None:
         design = build_design_matrix(spec, relset.table)
-    elif design.table is not relset.table and tuple(design.table) != relset.table.paths:
+    elif design.table != relset.table:
         raise RelationError("design matrix and relation set tables differ")
     elif design.row_symbols != spec.symbols():
         raise RelationError("design matrix rows are not the spec's parameter symbols")

@@ -162,7 +162,7 @@ def homogeneous_family_reference(spec, table=None):
     k, n = spec.order, spec.horizon
     interior = range(k, n - k)  # 0-based positions with full context
     raw = []
-    paths = table.paths
+    paths = table
     for i1, p1 in enumerate(paths):
         for i2 in range(i1, len(paths)):
             p2 = paths[i2]

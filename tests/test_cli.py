@@ -23,7 +23,7 @@ from markovtoric import (
     sample_parameters,
     write_relations,
 )
-from markovtoric import cli, iofiles
+from markovtoric import cli, iofiles, verify
 from markovtoric.cli import build_parser, main
 from conftest import DATA
 from oracles import assignment_from_parameters
@@ -523,6 +523,22 @@ class TestRelationsAndVerify:
                            "--relations", str(rel), "--trials", "3")
         assert code == 2
 
+    def test_routes_that_disagree_are_a_warning_and_exit_two(self, capsys, monkeypatch):
+        real, flipped = verify.kernel_membership, []
+
+        def flip_first(binomial, design):
+            check = real(binomial, design)
+            if flipped:
+                return check
+            flipped.append(binomial)
+            return verify.KernelCheck(not check.ok, check.residual)
+
+        monkeypatch.setattr(verify, "kernel_membership", flip_first)
+        code, out, _ = run(capsys, "verify", "--spec", ILLNESS, "--trials", "2")
+        assert code == 2
+        assert "4/5 relations verified" in out
+        assert out.splitlines()[-1] == "warning: sampling and kernel routes disagree"
+
     def test_relation_above_the_degree_limit_exits_three(self, capsys, tmp_path):
         rel = tmp_path / "high.json"
         rel.write_text(json.dumps({"relations": [{
@@ -853,6 +869,20 @@ class TestBirch:
         for row, past_range in zip(rows, huge):
             assert row["decimal"] == (None if past_range else float(Fraction(row["value"])))
 
+    @pytest.mark.parametrize("bad_file, what", [("p.txt", "value"), ("c.txt", "count")])
+    @pytest.mark.parametrize("line", ["0,0,0,1", "0,0,0,1 1 1"])
+    def test_a_line_without_two_fields_names_its_file_and_line(self, capsys, tmp_path,
+                                                               bad_file, what, line):
+        files = {"p.txt": "0,0,0,0 1\n", "c.txt": "0,0,0,0 3\n"}
+        files[bad_file] += line + "\n"
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "birch", "--spec", ILLNESS,
+                             "--probabilities", str(tmp_path / "p.txt"),
+                             "--counts", str(tmp_path / "c.txt"))
+        assert (code, out) == (3, "")
+        assert f"{tmp_path / bad_file}:2: expected 'path {what}'" in err
+
     def test_all_zero_counts_exit_three(self, capsys, tmp_path):
         # every residual would be zero: a vacuous pass
         probs, counts = tmp_path / "p.txt", tmp_path / "c.txt"
@@ -1065,11 +1095,13 @@ def _exit_case(tmp_path, case):
         return ["verify", "--spec", ILLNESS, "--relations", str(f), "--trials", "3"]
     return {"valid": ["validate", "--spec", ILLNESS],
             "usage": ["mle", "--spec", ILLNESS],
+            "unknown-flag": ["validate", "--spec", ILLNESS, "--no-such-flag"],
             "help": ["mle", "--help"]}[case]
 
 
 @pytest.mark.parametrize("case, code", [("valid", 0), ("dead-end", 1),
-                                        ("non-member", 2), ("usage", 3), ("help", 0)])
+                                        ("non-member", 2), ("usage", 3),
+                                        ("unknown-flag", 3), ("help", 0)])
 def test_module_entry_point_exits_with_the_documented_code(capsys, monkeypatch,
                                                            tmp_path, case, code):
     argv = _exit_case(tmp_path, case)

@@ -272,7 +272,7 @@ class TestDefaultHorizon:
             assert (est.values, est.undefined) == (want.values, want.undefined)
         cv, want = (counts_from_trajectories(trajs, spec),
                     counts_from_trajectories(trajs, spec, n=n))
-        assert (cv.table.paths, cv.counts) == (want.table.paths, want.counts)
+        assert (cv.table, cv.counts) == (want.table, want.counts)
         assert len(cv.table[0]) == n
 
     def test_fitted_paths_of_trajectories_longer_than_the_spec(self, illness_death):
@@ -860,6 +860,10 @@ def test_birch_residual_matches_dense_fraction_oracle(design, data):
     p = dict(enumerate(data.draw(st.lists(value, min_size=m, max_size=m))))
     counts = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
     u = CountVector(design.table, tuple(counts))
+    if not any(counts):  # every p would pass on an empty vector
+        with pytest.raises(EstimationError, match="^empty count vector$"):
+            birch_residual(p, u, design)
+        return
     got = birch_residual(p, u, design)
     want = birch_residual_reference(p, u, design)
     assert got == want
@@ -923,6 +927,24 @@ class TestErrorPaths:
         u = CountVector(table, (0,) * len(table))
         with pytest.raises(EstimationError, match="^empty count vector$"):
             mle_paths_hierarchical(u, illness_death, table)
+
+    def test_birch_residual_rejects_an_empty_count_vector(self, illness_death):
+        # a point mass on path 0 would get all-zero rows, as would any p
+        design = build_design_matrix(illness_death)
+        u = CountVector(design.table, (0,) * len(design.table))
+        with pytest.raises(EstimationError, match="^empty count vector$"):
+            birch_residual({0: Fraction(1)}, u, design)
+
+    def test_a_count_vector_over_a_list_is_another_table(self, illness_death):
+        design = build_design_matrix(illness_death)
+        u = CountVector(list(design.table), tuple(WORKED_COUNTS))
+        with pytest.raises(EstimationError,
+                           match="^count vector is indexed by a different table$"):
+            mle_paths_hierarchical(u, illness_death)
+        p = {j: Fraction(1, 14) for j in range(14)}
+        with pytest.raises(RelationError,
+                           match="^count vector and design matrix tables differ$"):
+            birch_residual(p, u, design)
 
     def test_recovery_rejects_an_all_zero_assignment(self, illness_death):
         p = {j: Fraction(0) for j in range(14)}

@@ -1,20 +1,34 @@
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from markovtoric import (
+    CountVector,
     InadmissiblePathError,
     ModelSpec,
     PathTable,
     RelationError,
+    TrajectorySet,
     build_design_matrix,
+    counts_from_trajectories,
     enumerate_paths,
     format_symbol,
+    generators_for,
+    homogeneous_family,
+    mle_paths_hierarchical,
+    nonhomogeneous_generators,
+    permutation_linear_relations,
+    recover_parameters,
+    slice_linear_generators,
+    verify_relation_set,
 )
 from conftest import (
     make_binary_chain,
     make_illness_death,
+    make_reversible_illness_death,
     make_survival,
     make_vc_chain,
 )
@@ -79,6 +93,111 @@ class TestPathTable:
         table = enumerate_paths(illness_death)
         with pytest.raises(InadmissiblePathError):
             table.index(("1", "0", "0", "0"))
+
+
+def _counts(spec, table):
+    trajs = TrajectorySet.from_sequences([("0", "0", "1", "2"), ("1", "1", "2", "2")])
+    return counts_from_trajectories(trajs, spec, table=table)
+
+
+def _hierarchical(spec, table):
+    return mle_paths_hierarchical(CountVector(table, (1,) * len(table)), spec, table)
+
+
+def _recover(spec, table):
+    return recover_parameters({j: Fraction(1, len(table)) for j in range(len(table))},
+                              spec, table)
+
+
+# every function that reads a spec's whole path set, with whether it
+# takes the homogeneous illness-death spec
+WHOLE_SET_READERS = {
+    "nonhomogeneous_generators": (nonhomogeneous_generators, False),
+    "homogeneous_family": (homogeneous_family, True),
+    "permutation_linear_relations": (permutation_linear_relations, True),
+    "slice_linear_generators": (slice_linear_generators, False),
+    "generators_for": (generators_for, False),
+    "counts_from_trajectories": (_counts, False),
+    "mle_paths_hierarchical": (_hierarchical, False),
+    "recover_parameters": (_recover, False),
+}
+TABLE_KEEPERS = ["nonhomogeneous_generators", "homogeneous_family",
+                 "permutation_linear_relations", "generators_for",
+                 "counts_from_trajectories"]
+
+
+class TestTheTableRule:
+    # a whole-set reader takes only the spec's own table: equal to its
+    # enumeration, in declaration order
+
+    @pytest.mark.parametrize("name", WHOLE_SET_READERS)
+    def test_a_table_of_another_spec_names_the_path_it_refuses(self, name):
+        call, hom = WHOLE_SET_READERS[name]
+        table = enumerate_paths(make_reversible_illness_death(hom))
+        with pytest.raises(InadmissiblePathError, match=(
+                r"^transition \('1',\) -> '0' into position 4 is forbidden$")):
+            call(make_illness_death(hom), table)
+
+    @pytest.mark.parametrize("name", WHOLE_SET_READERS)
+    def test_a_table_missing_a_path_names_it(self, name):
+        call, hom = WHOLE_SET_READERS[name]
+        spec = make_illness_death(hom)
+        own = enumerate_paths(spec)
+        table = PathTable(p for p in own if p not in own[5:7])
+        with pytest.raises(InadmissiblePathError,
+                           match=f"^{re.escape(f'path {own[5]} is not in the table')}$"):
+            call(spec, table)
+
+    @pytest.mark.parametrize("name", WHOLE_SET_READERS)
+    def test_a_reordered_table_is_refused(self, name):
+        call, hom = WHOLE_SET_READERS[name]
+        reordered = ModelSpec(["2", "1", "0"], 1, 4, forbidden=[("1", "0")],
+                              absorbing=["2"], initial=["0", "1"], homogeneous=hom)
+        table = enumerate_paths(reordered)
+        assert set(table) == set(enumerate_paths(make_illness_death(hom)))
+        with pytest.raises(InadmissiblePathError, match=(
+                "^the table is not the spec's PathTable in declaration order$")):
+            call(make_illness_death(hom), table)
+
+    @pytest.mark.parametrize("name", WHOLE_SET_READERS)
+    def test_a_plain_tuple_of_the_paths_is_refused(self, name):
+        call, hom = WHOLE_SET_READERS[name]
+        spec = make_illness_death(hom)
+        with pytest.raises(InadmissiblePathError, match="not the spec's PathTable"):
+            call(spec, tuple(enumerate_paths(spec)))
+
+    @pytest.mark.parametrize("name", TABLE_KEEPERS)
+    def test_results_keep_the_callers_equal_table(self, name):
+        call, hom = WHOLE_SET_READERS[name]
+        spec = make_illness_death(hom)
+        table = enumerate_paths(spec)
+        assert call(spec, table).table is table
+        assert call(spec, None).table == table
+
+    def test_tables_and_what_holds_them_compare_by_value(self, illness_death):
+        a, b = enumerate_paths(illness_death), enumerate_paths(illness_death)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != enumerate_paths(make_reversible_illness_death())
+        assert generators_for(illness_death) == generators_for(illness_death)
+        assert _counts(illness_death, a) == _counts(illness_death, b)
+
+    def test_generators_of_an_unrestricted_spec_refuse_a_restricted_table(self):
+        # the slice of b is not a relation of a: p_0010 is not 0 on a
+        a = make_binary_chain(1, 4)
+        b = ModelSpec(["0", "1"], 1, 4, forbidden=[("1", "0")])
+        with pytest.raises(InadmissiblePathError,
+                           match=r"^path \('0', '0', '1', '0'\) is not in the table$"):
+            generators_for(a, enumerate_paths(b))
+        relset = generators_for(a)
+        assert verify_relation_set(relset, a).all_pass and len(relset) > 0
+
+    def test_counts_refuse_a_table_wider_than_the_spec(self):
+        a = make_binary_chain(1, 4)
+        b = ModelSpec(["0", "1"], 1, 4, forbidden=[("1", "0")])
+        trajs = TrajectorySet(((("0", "1", "0", "1"), 1),))
+        with pytest.raises(InadmissiblePathError, match=(
+                r"^transition \('1',\) -> '0' into position 4 is forbidden$")):
+            counts_from_trajectories(trajs, b, table=enumerate_paths(a))
 
 
 class TestBlockCounts:
