@@ -71,7 +71,7 @@ def build_parser():
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output format (default text)")
     checking = _Parser(add_help=False)
-    checking.add_argument("--seed", default="0", help="random seed (default 0)")
+    checking.add_argument("--seed", default="0", type=_seed, help="random seed (default 0)")
     checking.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                           help=f"sampled points per relation (default {DEFAULT_TRIALS})")
     checking.add_argument("--relations", help="relation file (default: generate)")
@@ -136,12 +136,12 @@ def _emit(args, lines, jsonable):
                 fh.write(line + "\n")
 
 
-def _seed(args):
-    # accept plain integers but keep arbitrary strings usable as seeds
+def _seed(text):
+    # only an integer's canonical text is that int; 010 or 1_0 is a str seed
     try:
-        return int(args.seed)
+        return int(text) if str(int(text)) == text else text
     except ValueError:
-        return args.seed
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +252,15 @@ def cmd_paths(args, spec):
     return EXIT_OK, lines, {"count": len(table), "paths": [list(p) for p in table]}
 
 
-def _verified_relations(args, spec, table):
+def _verified_relations(args, spec):
     """The --relations file, else the generated relations, and their verification."""
-    relset = (iofiles.read_relations(args.relations, table) if args.relations
-              else generators_for(spec, table))
-    return relset, verify_relation_set(relset, spec, trials=args.trials,
-                                       seed=_seed(args))
+    relset = (iofiles.read_relations(args.relations, enumerate_paths(spec))
+              if args.relations else generators_for(spec))
+    return relset, verify_relation_set(relset, spec, trials=args.trials, seed=args.seed)
 
 
 def cmd_relations(args, spec):
-    relset = generators_for(spec, enumerate_paths(spec))
+    relset = generators_for(spec)
     return EXIT_OK, _relation_lines(relset), iofiles.relations_to_jsonable(relset)
 
 
@@ -272,8 +271,7 @@ def _relation_lines(relset):
 
 
 def cmd_verify(args, spec):
-    table = enumerate_paths(spec)
-    relset, report = _verified_relations(args, spec, table)
+    relset, report = _verified_relations(args, spec)
     lines, jsonable = _verification(report, relset)
     lines.append(report.summary())
     if not report.agreement:
@@ -330,7 +328,7 @@ def cmd_mle(args, spec):
 def cmd_recover(args, spec):
     table = enumerate_paths(spec)
     assignment = iofiles.read_probabilities(args.probabilities, table)
-    rec = recover_parameters(assignment, spec, table)
+    rec = recover_parameters(assignment, spec)
     lines, jsonable = _parameters(rec.params, args.decimals, "undetermined")
     jsonable["consistent"] = rec.consistent
     jsonable["inconsistencies"] = []
@@ -405,15 +403,14 @@ def cmd_ingest(args, spec):
 def cmd_report(args, spec):
     fit = _fit(args, spec, required=False)
     errors, finding_lines, validation = _validation(spec)
-    table = enumerate_paths(spec)
-    relset, verification = _verified_relations(args, spec, table)
+    relset, verification = _verified_relations(args, spec)
     by_tag = Counter(relset.provenance)
     lines = [f"spec: {args.spec}",
              f"states: {len(spec.states)}  order: {spec.order}"
              f"  horizon: {spec.horizon}"
              f"  {'homogeneous' if spec.homogeneous else 'nonhomogeneous'}"]
     lines += finding_lines
-    lines.append(f"paths: {len(table)}")
+    lines.append(f"paths: {len(relset.table)}")
     lines.append("relations: " + (", ".join(
         f"{v} {k}" for k, v in sorted(by_tag.items())) or "none"))
     if relset.slice_paths:
@@ -422,7 +419,7 @@ def cmd_report(args, spec):
     jsonable = {
         "spec": args.spec,
         "validation": validation,
-        "paths": {"count": len(table)},
+        "paths": {"count": len(relset.table)},
         "relations": {"by_provenance": by_tag,
                       "slice": len(relset.slice_paths)},
         "verification": _verification(verification, relset)[1],

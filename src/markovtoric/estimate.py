@@ -386,7 +386,7 @@ def recover_parameters(p, spec, table=None):
     scaling, so neither does any value or RatioConflict.
     """
     table = _spec_table(spec, table)
-    records = list(zip(table, _scaled(_assignment(p, range(len(table))))[1]))
+    records = list(zip(table, _scaled(_assignment(p, len(table)))[1]))
     if not any(weight for _, weight in records):
         raise ParameterError("assignment sums to zero; nothing to recover")
     if not spec.homogeneous:
@@ -428,7 +428,7 @@ def birch_residual(p, u, design):
         raise RelationError("count vector and design matrix tables differ")
     if not (M := u.total):
         raise EstimationError("empty count vector")
-    L, weights = _scaled(_assignment(p, range(len(table))))
+    L, weights = _scaled(_assignment(p, len(table)))
     v = {j: M * w - L * c for j, (w, c) in enumerate(zip(weights, u.counts))}
     return tuple(Fraction(x, L) for x in design.apply(v))
 
@@ -441,7 +441,7 @@ def loglikelihood(p, u):
     exactly 0, whatever its count; past float range is an EstimationError.
     """
     support = [j for j, c in enumerate(u.counts) if c]
-    if 0 in (qs := _assignment(p, support)):
+    if 0 in (qs := _assignment(p, len(u.counts), support)):
         return float("-inf")
     total = 0.0
     try:

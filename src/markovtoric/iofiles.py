@@ -295,7 +295,7 @@ def read_probabilities(path, table):
 def write_probabilities(assignment, table, path):
     """Write each path of the table with its exact value, read by
     model._assignment before the file is opened."""
-    values = [fraction_string(q) for q in _assignment(assignment, range(len(table)))]
+    values = [fraction_string(q) for q in _assignment(assignment, len(table))]
     _write_lines(path, record_lines(zip(table, values)))
 
 
@@ -548,9 +548,9 @@ def read_relations(path, table):
     unknown key in the document, a relation or a term, a malformed
     term, a path that is not a list, a power that is not a positive
     integer, a side whose total degree (repeated terms merged) is above
-    MAX_RELATION_DEGREE, a path outside the table, a slice entry that is
-    not an inadmissible path of string labels, a provenance that is not
-    a string, or a degenerate relation raises ParseError.
+    MAX_RELATION_DEGREE, a path outside the table, a repeated slice entry
+    or one not an inadmissible path of string labels, a provenance that
+    is not a string, or a degenerate relation raises ParseError.
     """
     try:
         doc = json.loads(read_text(path))
@@ -563,6 +563,7 @@ def read_relations(path, table):
         raise ParseError("relation file must contain a 'relations' list",
                          filename=path)
     _known(doc, {"relations", "slice"}, "relation file", path)
+    seen = set()  # slice entries read so far
 
     def path_list(value, what):
         if not isinstance(value, list):
@@ -573,9 +574,10 @@ def read_relations(path, table):
     def slice_entry(value):
         entry = path_list(value, "a slice entry")
         if (not all(isinstance(x, str) for x in entry) or entry in table
-                or any(len(p) != len(entry) for p in table[:1])):
+                or entry in seen or any(len(p) != len(entry) for p in table[:1])):
             raise ParseError(f"a slice entry must be an inadmissible path of string "
-                             f"labels, got {value!r}", filename=path)
+                             f"labels, listed once, got {value!r}", filename=path)
+        seen.add(entry)
         return entry
 
     def side(terms):

@@ -88,13 +88,15 @@ def as_fraction(value):
     raise ParameterError(f"cannot read {value!r} as a rational")
 
 
-def _assignment(p, indices):
-    """The Fraction of each listed index of the path-probability assignment
-    p, in order: the one reader of an assignment.  The first index that
-    is missing, or whose value as_fraction refuses or is negative, is a
-    ParameterError."""
+def _assignment(p, size, indices=None):
+    """The Fractions of the listed indices (default all) of the assignment p
+    over size paths: the one reader of an assignment.  ParameterError on a key
+    not an int in 0..size-1, then on a listed index missing, refused or negative."""
+    for key in p:
+        if not (is_integer(key) and 0 <= key < size):
+            raise ParameterError(f"assignment key {key!r} is not a path index")
     out = []
-    for j in indices:
+    for j in range(size) if indices is None else indices:
         if j not in p:
             raise ParameterError(f"assignment is missing path index {j}")
         if (q := as_fraction(p[j])) < 0:

@@ -1,6 +1,5 @@
-"""Path enumeration, sufficient statistics, and the design matrix.
-
-Whole-set readers take only the spec's own table (_spec_table)."""
+"""Path enumeration, sufficient statistics, the design matrix, and
+_spec_table, the one check of a caller's table of a spec's whole path set."""
 
 from .errors import InadmissiblePathError, RelationError
 

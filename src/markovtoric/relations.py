@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import RelationError
 from .model import _join, is_integer
-from .paths import _spec_table, build_design_matrix
+from .paths import _spec_table, build_design_matrix, enumerate_paths
 
 PROV_NONHOM = "nonhom-exchange"
 PROV_HOM = "hom-exchange"
@@ -152,7 +152,7 @@ def _exchanges(table, moves, tag):
     return RelationSet(table, tuple(binomials), (tag,) * len(binomials))
 
 
-def nonhomogeneous_generators(spec, table=None):
+def nonhomogeneous_generators(spec):
     """Exchange binomials generating the nonhomogeneous vanishing ideal.
 
     For every split position r in {1, ..., n-k-1}, every separator block
@@ -171,7 +171,7 @@ def nonhomogeneous_generators(spec, table=None):
     """
     if spec.homogeneous:
         raise RelationError("spec is homogeneous; use homogeneous_family")
-    table = _spec_table(spec, table)
+    table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
 
     def moves():
@@ -187,7 +187,7 @@ def nonhomogeneous_generators(spec, table=None):
     return _exchanges(table, moves(), PROV_NONHOM)
 
 
-def slice_linear_generators(spec, table=None):
+def slice_linear_generators(spec):
     """Paths of the unrestricted companion model that spec forbids.
 
     Each returned path is a variable pinned to zero on the restricted
@@ -197,14 +197,14 @@ def slice_linear_generators(spec, table=None):
     list has |S|^n minus (admissible count) entries, so call this only
     at small sizes.
     """
-    table = _spec_table(spec, table)
+    table = enumerate_paths(spec)
     if len(table) == len(spec.states) ** spec.horizon:
         return ()
     return tuple(path for path in itertools.product(spec.states, repeat=spec.horizon)
                  if path not in table)
 
 
-def homogeneous_family(spec, table=None):
+def homogeneous_family(spec):
     """Exchange relations for pooled (homogeneous) models.
 
     Two paths that share a context window around positions r1 and r2,
@@ -236,7 +236,7 @@ def homogeneous_family(spec, table=None):
     """
     if not spec.homogeneous:
         raise RelationError("spec is nonhomogeneous; use nonhomogeneous_generators")
-    table = _spec_table(spec, table)
+    table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
     # clipped context (G, D) -> {letter: [(path index, position), ...]}
     contexts = {}
@@ -272,20 +272,20 @@ def generators_for(spec, table=None):
     get the pooled exchange family plus the permutation linear
     relations.  The two can overlap, because the exchange family emits
     some linear relations too: binary k=1 n=4 lists p_0010 - p_0100
-    under both tags.  Such repeats are kept.  The families carry only
-    binomials; the slice paths of a restricted spec, of either kind,
-    are attached here and nowhere else.
+    under both tags.  Such repeats are kept.  The families take only the
+    spec and carry only binomials; the slice of a restricted spec, of
+    either kind, and the one check of a caller's table are here alone.
     """
     table = _spec_table(spec, table)
     families = ((homogeneous_family, permutation_linear_relations) if spec.homogeneous
                 else (nonhomogeneous_generators,))
-    sets = [family(spec, table) for family in families]
+    sets = [family(spec) for family in families]
     return RelationSet(table, sum((s.binomials for s in sets), ()),
                        sum((s.provenance for s in sets), ()),
-                       slice_linear_generators(spec, table))
+                       slice_linear_generators(spec))
 
 
-def permutation_linear_relations(spec, table=None):
+def permutation_linear_relations(spec):
     """Degree-1 relations p_a - p_b between paths with equal pooled stats.
 
     Homogeneous models cannot tell apart two paths with equal A'
@@ -296,7 +296,7 @@ def permutation_linear_relations(spec, table=None):
     """
     if not spec.homogeneous:
         raise RelationError("permutation relations exist only for homogeneous specs")
-    design = build_design_matrix(spec, _spec_table(spec, table))
+    design = build_design_matrix(spec)
     binomials = tuple(canonicalize({rep: 1}, {other: 1})
                       for rep, *others in design.fibers() for other in others)
     return RelationSet(design.table, binomials, (PROV_LINEAR,) * len(binomials))

@@ -1135,6 +1135,18 @@ class TestSeedHandling:
                          "--format", "structured")
         assert out1 == out2
 
+    @pytest.mark.parametrize("text, seed", [
+        ("10", 10), ("-3", -3), ("0", 0),
+        ("1_0", "1_0"), ("010", "010"), (" 10", " 10"), ("+10", "+10"), ("-0", "-0"),
+    ])
+    def test_only_an_integers_canonical_text_is_an_int_seed(self, capsys, text, seed):
+        # other text int() reads is a str seed, its own stream, as
+        # verify_relation_set takes it: 010 used to run seed 10's stream
+        _, out, _ = run(capsys, "verify", "--spec", ILLNESS, "--trials", "2",
+                        "--seed", text, "--format", "structured")
+        doc = json.loads(out)
+        assert doc["seed"] == seed and type(doc["seed"]) is type(seed)
+
 
 # ---------------------------------------------------------------------------
 # main never raises, whatever a data file holds

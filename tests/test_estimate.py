@@ -1013,6 +1013,26 @@ def test_assignment_values_are_read_exactly(illness_death, tmp_path, reader, val
     assert not f.exists()
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda p: p.update({14: Fraction(0), "x": Fraction(0)}), "14"),
+    (lambda p: p.update({"x": Fraction(0)}), "'x'"),
+    (lambda p: p.update({-1: Fraction(0)}), "-1"),
+    (lambda p: p.update({True: p.pop(1)}), "True"),
+    (lambda p: p.update({1.0: p.pop(1)}), "1.0"),
+], ids=["past-the-end", "string", "negative", "bool", "float"])
+@pytest.mark.parametrize("reader", ASSIGNMENT_READERS)
+def test_assignment_keys_are_path_indices(illness_death, tmp_path, reader, edit, key):
+    # a stray key was ignored, and the key True was read as index 1
+    u = CountVector(enumerate_paths(illness_death), tuple(WORKED_COUNTS))
+    p = {j: Fraction(1, 14) for j in range(14)}
+    edit(p)
+    f = tmp_path / "p.txt"
+    message = f"assignment key {key} is not a path index"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        ASSIGNMENT_READERS[reader](p, illness_death, u, f)
+    assert not f.exists()
+
+
 def test_the_float_image_of_an_exact_fit_is_refused(illness_death):
     # read at their binary values, these floats gave a nonzero Birch residual
     table = enumerate_paths(illness_death)

@@ -727,10 +727,11 @@ class TestRelationFiles:
         lambda doc: doc["slice"].__setitem__(0, ["0", "0", "0", "0"]),
         lambda doc: doc["relations"][0].update(provenance=5),
         lambda doc: doc["relations"][0].update(provenance=None),
+        lambda doc: doc["slice"].append(doc["slice"][0]),
     ], ids=["path-string", "slice-string", "power-1.5", "power-string",
             "power-true", "power-0", "power-negative", "slice-short",
             "slice-int-labels-short", "slice-int-labels", "slice-admissible-path",
-            "provenance-int", "provenance-null"])
+            "provenance-int", "provenance-null", "slice-repeated"])
     def test_reinterpreted_value_rejected(self, tmp_path, illness_death, edit):
         # each edit used to read back as some relation instead of failing
         relset = generators_for(illness_death)

@@ -17,12 +17,8 @@ from markovtoric import (
     enumerate_paths,
     format_symbol,
     generators_for,
-    homogeneous_family,
     mle_paths_hierarchical,
-    nonhomogeneous_generators,
-    permutation_linear_relations,
     recover_parameters,
-    slice_linear_generators,
     verify_relation_set,
 )
 from conftest import (
@@ -109,21 +105,16 @@ def _recover(spec, table):
                               spec, table)
 
 
-# every function that reads a spec's whole path set, with whether it
-# takes the homogeneous illness-death spec
+# every function that takes a caller's table of a spec's whole path set,
+# with whether it takes the homogeneous illness-death spec; the relation
+# families and the slice take only the spec
 WHOLE_SET_READERS = {
-    "nonhomogeneous_generators": (nonhomogeneous_generators, False),
-    "homogeneous_family": (homogeneous_family, True),
-    "permutation_linear_relations": (permutation_linear_relations, True),
-    "slice_linear_generators": (slice_linear_generators, False),
     "generators_for": (generators_for, False),
     "counts_from_trajectories": (_counts, False),
     "mle_paths_hierarchical": (_hierarchical, False),
     "recover_parameters": (_recover, False),
 }
-TABLE_KEEPERS = ["nonhomogeneous_generators", "homogeneous_family",
-                 "permutation_linear_relations", "generators_for",
-                 "counts_from_trajectories"]
+TABLE_KEEPERS = ["generators_for", "counts_from_trajectories"]
 
 
 class TestTheTableRule:

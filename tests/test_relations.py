@@ -123,7 +123,7 @@ class TestBinomial:
 class TestNonhomogeneousGenerators:
     def test_illness_death_matches_frozen_relations(self, illness_death):
         table = enumerate_paths(illness_death)
-        emitted = set(nonhomogeneous_generators(illness_death, table).binomials)
+        emitted = set(nonhomogeneous_generators(illness_death).binomials)
         frozen = {as_binomial(table, fx) for fx in ILLNESS_DEATH_RELATIONS}
         assert emitted == frozen
 
@@ -134,7 +134,7 @@ class TestNonhomogeneousGenerators:
     def test_all_emitted_pass_kernel(self, reversible_illness_death):
         table = enumerate_paths(reversible_illness_death)
         design = build_design_matrix(reversible_illness_death, table)
-        rs = nonhomogeneous_generators(reversible_illness_death, table)
+        rs = nonhomogeneous_generators(reversible_illness_death)
         assert len(rs) > 0
         for b in rs.binomials:
             assert kernel_membership(b, design).ok
@@ -143,7 +143,7 @@ class TestNonhomogeneousGenerators:
         spec = make_binary_chain(1, 3)
         table = enumerate_paths(spec)
         design = build_design_matrix(spec, table)
-        emitted = set(nonhomogeneous_generators(spec, table).binomials)
+        emitted = set(nonhomogeneous_generators(spec).binomials)
         assert degree2_diffs(emitted) == degree2_diffs(brute_force_degree2(design))
 
     def test_unrestricted_spec_has_no_slice(self):
@@ -171,16 +171,13 @@ class TestSliceLinearGenerators:
 
     def test_given_table_gives_the_same_paths(self, illness_death):
         table = enumerate_paths(illness_death)
-        assert slice_linear_generators(illness_death, table) == \
-            slice_linear_generators(illness_death)
-        assert nonhomogeneous_generators(illness_death, table).slice_paths == ()
+        assert nonhomogeneous_generators(illness_death).slice_paths == ()
         assert generators_for(illness_death, table).slice_paths == \
             slice_linear_generators(illness_death)
 
     def test_unrestricted_spec_has_none(self):
         spec = make_binary_chain(1, 4)
         assert slice_linear_generators(spec) == ()
-        assert slice_linear_generators(spec, enumerate_paths(spec)) == ()
 
 
 class TestHomogeneousFamily:
@@ -191,7 +188,7 @@ class TestHomogeneousFamily:
     def test_all_emitted_pass_kernel(self, illness_death_hom):
         table = enumerate_paths(illness_death_hom)
         design = build_design_matrix(illness_death_hom, table)
-        rs = homogeneous_family(illness_death_hom, table)
+        rs = homogeneous_family(illness_death_hom)
         assert len(rs) > 0
         for b in rs.binomials:
             assert kernel_membership(b, design).ok
@@ -206,7 +203,7 @@ class TestHomogeneousFamily:
             {table.index(("0", "0", "1")): 1, table.index(("1", "1", "0")): 1},
             {table.index(("1", "0", "1")): 1, table.index(("1", "0", "0")): 1})
         assert not kernel_membership(bad, design).ok
-        assert bad not in set(homogeneous_family(spec, table).binomials)
+        assert bad not in set(homogeneous_family(spec).binomials)
 
     def test_same_position_boundary_swap_emitted(self):
         # swapping the last symbol of two paths with a shared final window
@@ -216,7 +213,7 @@ class TestHomogeneousFamily:
         b = canonicalize(
             {table.index(("0", "0", "1")): 1, table.index(("1", "0", "0")): 1},
             {table.index(("0", "0", "0")): 1, table.index(("1", "0", "1")): 1})
-        assert b in set(homogeneous_family(spec, table).binomials)
+        assert b in set(homogeneous_family(spec).binomials)
 
     def test_squares_can_appear(self):
         # p_010^2 - p_011 p_110-type relations use one path twice
@@ -262,7 +259,7 @@ def restricted_specs(draw, homogeneous):
 def test_nonhomogeneous_generators_keep_the_split_loop_order(spec):
     # ordered tuples, not sets: relation indices are part of the output
     table = enumerate_paths(spec)
-    got = nonhomogeneous_generators(spec, table)
+    got = nonhomogeneous_generators(spec)
     want = nonhomogeneous_generators_reference(spec, table)
     assert got.binomials == want.binomials
     assert got.provenance == want.provenance
@@ -277,7 +274,7 @@ def test_nonhomogeneous_generators_keep_the_split_loop_order(spec):
 def test_homogeneous_family_keeps_the_all_pairs_order(spec):
     # ordered tuples, not sets: relation indices are part of the output
     table = enumerate_paths(spec)
-    got = homogeneous_family(spec, table)
+    got = homogeneous_family(spec)
     want = homogeneous_family_reference(spec, table)
     assert got.binomials == want.binomials
     assert got.provenance == want.provenance
@@ -300,7 +297,7 @@ def test_fibers_index_the_permutation_classes(spec):
     want = tuple(sorted((canonicalize({rep: 1}, {other: 1})
                          for rep, *others in classes for other in others),
                         key=lambda b: b.plus))
-    got = permutation_linear_relations(spec, table)
+    got = permutation_linear_relations(spec)
     assert got.binomials == want
     assert got.provenance == ("hom-linear",) * len(want)
 
@@ -309,7 +306,7 @@ class TestPermutationLinearRelations:
     def test_equal_statistics_paths_are_linked(self):
         spec = make_binary_chain(1, 5, homogeneous=True)
         table = enumerate_paths(spec)
-        rs = permutation_linear_relations(spec, table)
+        rs = permutation_linear_relations(spec)
         expected = canonicalize(
             {table.index(("0", "0", "1", "1", "0")): 1},
             {table.index(("0", "1", "1", "0", "0")): 1})
@@ -330,7 +327,7 @@ class TestPermutationLinearRelations:
         spec = make_binary_chain(1, 5, homogeneous=True)
         table = enumerate_paths(spec)
         design = build_design_matrix(spec, table)
-        for b in permutation_linear_relations(spec, table).binomials:
+        for b in permutation_linear_relations(spec).binomials:
             assert kernel_membership(b, design).ok
 
     def test_paths_equal_up_to_forced_windows_are_linked(self):
@@ -370,11 +367,11 @@ class TestGeneratorsFor:
         table = enumerate_paths(spec)
         families = ((homogeneous_family, permutation_linear_relations)
                     if spec.homogeneous else (nonhomogeneous_generators,))
-        sets = [family(spec, table) for family in families]
+        sets = [family(spec) for family in families]
         assert all(rs.slice_paths == () for rs in sets)
         rs = generators_for(spec, table)
         assert list(rs) == [pair for fam in sets for pair in fam]
-        assert rs.slice_paths == slice_linear_generators(spec, table)
+        assert rs.slice_paths == slice_linear_generators(spec)
 
 
 class TestRelationSet:

@@ -117,7 +117,7 @@ class TestEvaluateBinomial:
 class TestVanishesOnModel:
     def test_member_vanishes(self, illness_death):
         table = enumerate_paths(illness_death)
-        rs = nonhomogeneous_generators(illness_death, table)
+        rs = nonhomogeneous_generators(illness_death)
         check = vanishes_on_model(rs.binomials[0], illness_death, table,
                                   trials=20, seed=0)
         assert check.ok and check.witness is None
@@ -138,7 +138,7 @@ class TestVanishesOnModel:
 
     def test_table_defaults_to_the_spec_paths(self, illness_death):
         table = enumerate_paths(illness_death)
-        for b in nonhomogeneous_generators(illness_death, table).binomials[:2] + (
+        for b in nonhomogeneous_generators(illness_death).binomials[:2] + (
                 canonicalize({0: 1, 5: 1}, {1: 1, 4: 1}),):
             assert (vanishes_on_model(b, illness_death, trials=5, seed=3)
                     == vanishes_on_model(b, illness_death, table, trials=5, seed=3))
@@ -218,7 +218,7 @@ class TestKernelMembership:
     def test_member(self, illness_death):
         table = enumerate_paths(illness_death)
         design = build_design_matrix(illness_death, table)
-        rs = nonhomogeneous_generators(illness_death, table)
+        rs = nonhomogeneous_generators(illness_death)
         kc = kernel_membership(rs.binomials[0], design)
         assert kc.ok
         assert all(r == 0 for r in kc.residual)
@@ -264,7 +264,7 @@ class TestVerifyRelationSet:
     def test_routes_agree_even_on_failures(self):
         spec = make_binary_chain(1, 4)
         table = enumerate_paths(spec)
-        good = nonhomogeneous_generators(spec, table).binomials[0]
+        good = nonhomogeneous_generators(spec).binomials[0]
         bad = canonicalize(
             {table.index(("0", "0", "0", "0")): 1,
              table.index(("1", "1", "1", "1")): 1},
@@ -327,7 +327,7 @@ class TestVerifyRelationSet:
         # witness is still the one vanishes_on_model gives on its own
         spec = make_binary_chain(1, 4)
         table = enumerate_paths(spec)
-        members = nonhomogeneous_generators(spec, table).binomials[:12]
+        members = nonhomogeneous_generators(spec).binomials[:12]
         bad = [canonicalize(Counter((a, b)), Counter((c, d)))
                for a, b, c, d in ((0, 15, 1, 14), (0, 1, 2, 4), (3, 3, 5, 6))]
         binomials = members[:6] + tuple(bad) + members[6:]
@@ -341,7 +341,7 @@ class TestVerifyRelationSet:
     def test_an_index_out_of_range_after_read_paths_rejected(self, index):
         spec = make_binary_chain(1, 4)
         table = enumerate_paths(spec)
-        good = nonhomogeneous_generators(spec, table).binomials[0]
+        good = nonhomogeneous_generators(spec).binomials[0]
         b = Binomial(((index, 1),), ((good.plus[0][0], 1),))
         relset = RelationSet(table, (good, b), ("file", "file"))
         message = rf"^path index {index} out of range 0\.\.15$"
