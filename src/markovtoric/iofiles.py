@@ -15,6 +15,7 @@ relation file, the whole JSON text, which is the text dump_json writes.
 
 import io
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -87,13 +88,44 @@ def _known(value, keys, what, path):
         raise ParseError(f"unknown key {first!r} in {what}", filename=path)
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key given twice in one mapping and reads
+    a plain scalar as an int only when it is canonical decimal text, so 010,
+    1_0, 0x1 and 1:20 stay the strings they are written as."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # an unhashable key, refused by the constructor
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key {key!r} is given twice", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+_INT_TAG = "tag:yaml.org,2002:int"
+_StrictLoader.yaml_implicit_resolvers = {
+    first: [r for r in resolvers if r[0] != _INT_TAG]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+_StrictLoader.add_implicit_resolver(_INT_TAG, re.compile(r"^(?:0|-?[1-9][0-9]*)$"),
+                                    list("-0123456789"))
+
+
 def _load_yaml(path, what, keys=None, required=()):
-    """The YAML mapping in a file, named what in messages; ParseError unless its
-    keys are all in keys (any when None) and include every key in required."""
+    """The YAML mapping in a file, named what in messages, read by
+    _StrictLoader; ParseError unless its keys are all in keys (any when
+    None) and include every key in required."""
     stream = io.StringIO(read_text(path))
     stream.name = path  # a ReaderError names the file, not "<unicode string>"
     try:
-        doc = yaml.safe_load(stream)
+        doc = yaml.load(stream, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -143,10 +175,10 @@ def parse_model_spec(path):
 
     Keys: states (list of labels), k, n, and optionally homogeneous,
     forbid (list of [from, to] pairs), absorbing (list of states),
-    initial (list of states for k = 1, or of blocks).  Unknown keys,
-    values of the wrong type (k or n not an integer, ...) and a
-    homogeneous flag that is not a YAML boolean raise ParseError naming
-    the file.  Structural violations (k < 1, duplicate states, an
+    initial (list of states for k = 1, or of blocks).  Unknown keys, a
+    key given twice, values of the wrong type (k or n not an integer,
+    ...) and a homogeneous flag that is not a YAML boolean raise
+    ParseError naming the file.  Structural violations (k < 1, duplicate states, an
     absorbing state with a forbidden self-loop, ...) surface as
     SpecificationError from the ModelSpec constructor.
     """
@@ -544,16 +576,25 @@ def read_relations(path, table):
     """Load a relation file back against a path table.
 
     Binomials are re-canonicalized on the way in, so a hand-edited file
-    cannot smuggle in a non-canonical or degenerate relation.  An
-    unknown key in the document, a relation or a term, a malformed
-    term, a path that is not a list, a power that is not a positive
-    integer, a side whose total degree (repeated terms merged) is above
-    MAX_RELATION_DEGREE, a path outside the table, a repeated slice entry
-    or one not an inadmissible path of string labels, a provenance that
-    is not a string, or a degenerate relation raises ParseError.
+    cannot smuggle in a non-canonical or degenerate relation.  A key
+    given twice in one object, an unknown key in the document, a
+    relation or a term, a malformed term, a path that is not a list, a
+    power that is not a positive integer, a side whose total degree
+    (repeated terms merged) is above MAX_RELATION_DEGREE, a path outside
+    the table, a repeated slice entry or one not an inadmissible path of
+    string labels, a provenance that is not a string, or a degenerate
+    relation raises ParseError.
     """
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ParseError(f"key {key!r} is given twice", filename=path)
+        return obj
+
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, filename=path, line=exc.lineno,
                          column=exc.colno)

@@ -193,13 +193,17 @@ def slice_linear_generators(spec):
     Each returned path is a variable pinned to zero on the restricted
     model: together with the companion's binomials these cut out the
     restricted model's ideal.  Output is lexicographic by declaration
-    order, and empty for an unrestricted spec.  A restricted spec's
-    list has |S|^n minus (admissible count) entries, so call this only
-    at small sizes.
+    order, and empty, without enumerating, for an unrestricted spec: one
+    that allows every ordered pair of states and every initial block, so
+    admits all |S|^n sequences (with n >= k + 1, any forbidden pair or
+    missing block rules some out).  A restricted spec's list has |S|^n
+    minus (admissible count) entries, so call this only at small sizes.
     """
-    table = enumerate_paths(spec)
-    if len(table) == len(spec.states) ** spec.horizon:
+    size = len(spec.states)
+    if (len(spec.transition_pairs) == size ** 2
+            and len(spec.initial_blocks) == size ** spec.order):
         return ()
+    table = enumerate_paths(spec)
     return tuple(path for path in itertools.product(spec.states, repeat=spec.horizon)
                  if path not in table)
 

@@ -96,6 +96,25 @@ def test_files_are_opened_only_at_the_file_boundary():
     assert not private, f"private iofiles names used elsewhere: {private}"
 
 
+def test_yaml_and_json_are_decoded_only_by_the_strict_readers():
+    # _StrictLoader refuses a repeated key and reads only canonical decimal
+    # text as an int; read_relations' hook refuses a repeated key
+    decodes = []
+    for module, stmt in _top_level_statements():
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.module in ("yaml", "json"):
+                decodes.append(f"{module}: from {node.module} import ...")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) in ("yaml", "json")
+                    and not node.func.attr.startswith("dump")):
+                settings = ", ".join(f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords)
+                decodes.append(f"{module}.{getattr(stmt, 'name', '<module>')}: "
+                               f"{node.func.value.id}.{node.func.attr}({settings})")
+    assert sorted(decodes) == [
+        "iofiles._load_yaml: yaml.load(Loader=_StrictLoader)",
+        "iofiles.read_relations: json.loads(object_pairs_hook=unique_keys)"]
+
+
 def test_only_generators_for_attaches_the_slice():
     # a model's generating set is its families plus its slice, assembled
     # in one place: the families return only their binomials

@@ -105,14 +105,13 @@ def _recover(spec, table):
                               spec, table)
 
 
-# every function that takes a caller's table of a spec's whole path set,
-# with whether it takes the homogeneous illness-death spec; the relation
-# families and the slice take only the spec
+# every function that takes a caller's table of a spec's whole path set;
+# the relation families and the slice take only the spec
 WHOLE_SET_READERS = {
-    "generators_for": (generators_for, False),
-    "counts_from_trajectories": (_counts, False),
-    "mle_paths_hierarchical": (_hierarchical, False),
-    "recover_parameters": (_recover, False),
+    "generators_for": generators_for,
+    "counts_from_trajectories": _counts,
+    "mle_paths_hierarchical": _hierarchical,
+    "recover_parameters": _recover,
 }
 TABLE_KEEPERS = ["generators_for", "counts_from_trajectories"]
 
@@ -123,16 +122,25 @@ class TestTheTableRule:
 
     @pytest.mark.parametrize("name", WHOLE_SET_READERS)
     def test_a_table_of_another_spec_names_the_path_it_refuses(self, name):
-        call, hom = WHOLE_SET_READERS[name]
-        table = enumerate_paths(make_reversible_illness_death(hom))
+        call = WHOLE_SET_READERS[name]
+        table = enumerate_paths(make_reversible_illness_death())
         with pytest.raises(InadmissiblePathError, match=(
                 r"^transition \('1',\) -> '0' into position 4 is forbidden$")):
-            call(make_illness_death(hom), table)
+            call(make_illness_death(), table)
+
+    @pytest.mark.parametrize("horizon", [3, 5])
+    @pytest.mark.parametrize("name", WHOLE_SET_READERS)
+    def test_a_table_of_another_horizon_is_refused(self, name, horizon):
+        # a horizon-5 table's length-4 prefixes are all admissible
+        spec = make_illness_death()
+        with pytest.raises(InadmissiblePathError, match=(
+                f"^path has length {horizon}, expected horizon 4$")):
+            WHOLE_SET_READERS[name](spec, enumerate_paths(spec.with_horizon(horizon)))
 
     @pytest.mark.parametrize("name", WHOLE_SET_READERS)
     def test_a_table_missing_a_path_names_it(self, name):
-        call, hom = WHOLE_SET_READERS[name]
-        spec = make_illness_death(hom)
+        call = WHOLE_SET_READERS[name]
+        spec = make_illness_death()
         own = enumerate_paths(spec)
         table = PathTable(p for p in own if p not in own[5:7])
         with pytest.raises(InadmissiblePathError,
@@ -141,26 +149,26 @@ class TestTheTableRule:
 
     @pytest.mark.parametrize("name", WHOLE_SET_READERS)
     def test_a_reordered_table_is_refused(self, name):
-        call, hom = WHOLE_SET_READERS[name]
+        call = WHOLE_SET_READERS[name]
         reordered = ModelSpec(["2", "1", "0"], 1, 4, forbidden=[("1", "0")],
-                              absorbing=["2"], initial=["0", "1"], homogeneous=hom)
+                              absorbing=["2"], initial=["0", "1"])
         table = enumerate_paths(reordered)
-        assert set(table) == set(enumerate_paths(make_illness_death(hom)))
+        assert set(table) == set(enumerate_paths(make_illness_death()))
         with pytest.raises(InadmissiblePathError, match=(
                 "^the table is not the spec's PathTable in declaration order$")):
-            call(make_illness_death(hom), table)
+            call(make_illness_death(), table)
 
     @pytest.mark.parametrize("name", WHOLE_SET_READERS)
     def test_a_plain_tuple_of_the_paths_is_refused(self, name):
-        call, hom = WHOLE_SET_READERS[name]
-        spec = make_illness_death(hom)
+        call = WHOLE_SET_READERS[name]
+        spec = make_illness_death()
         with pytest.raises(InadmissiblePathError, match="not the spec's PathTable"):
             call(spec, tuple(enumerate_paths(spec)))
 
     @pytest.mark.parametrize("name", TABLE_KEEPERS)
     def test_results_keep_the_callers_equal_table(self, name):
-        call, hom = WHOLE_SET_READERS[name]
-        spec = make_illness_death(hom)
+        call = WHOLE_SET_READERS[name]
+        spec = make_illness_death()
         table = enumerate_paths(spec)
         assert call(spec, table).table is table
         assert call(spec, None).table == table

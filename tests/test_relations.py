@@ -17,7 +17,8 @@ from markovtoric import (
     slice_linear_generators,
     verify_relation_set,
 )
-from conftest import DATA, make_binary_chain, make_illness_death, make_vc_chain
+from conftest import (DATA, make_binary_chain, make_illness_death, make_survival,
+                      make_vc_chain)
 from oracles import (
     brute_force_degree2,
     degree2_diffs,
@@ -27,6 +28,8 @@ from oracles import (
     permutation_classes,
 )
 from reference_data import ILLNESS_DEATH_RELATIONS
+
+BUNDLED_SPECS = ["competing_risks", "hom_linear", "illness", "illness_hom", "vc_box"]
 
 
 def as_binomial(table, fixture):
@@ -178,6 +181,22 @@ class TestSliceLinearGenerators:
     def test_unrestricted_spec_has_none(self):
         spec = make_binary_chain(1, 4)
         assert slice_linear_generators(spec) == ()
+
+    def test_empty_exactly_when_every_sequence_is_admissible(self):
+        # the slice decides this from the spec's rules, without enumerating:
+        # criterion 04's grid, the bundled specs, and one restriction each
+        specs = [ModelSpec(("0", "1", "2")[:size], k, n, homogeneous=hom)
+                 for size in (2, 3) for k in (1, 2) for n in range(k + 1, 6)
+                 for hom in (False, True)]
+        specs += [make_illness_death(), make_illness_death(homogeneous=True),
+                  make_survival(), make_vc_chain(5), ModelSpec(["0"], 1, 2, absorbing=["0"]),
+                  ModelSpec(["0", "1"], 1, 3, absorbing=["1"]),
+                  ModelSpec(["0", "1"], 1, 3, forbidden=[("0", "0")]),
+                  ModelSpec(["0", "1"], 2, 3, initial=[["0", "0"], ["1", "1"]])]
+        specs += [parse_model_spec(DATA / f"{name}.yaml") for name in BUNDLED_SPECS]
+        for spec in specs:
+            every = len(enumerate_paths(spec)) == len(spec.states) ** spec.horizon
+            assert (slice_linear_generators(spec) == ()) == every, repr(spec)
 
 
 class TestHomogeneousFamily:
@@ -358,8 +377,7 @@ class TestGeneratorsFor:
         rs = generators_for(illness_death_hom)
         assert len(rs.slice_paths) == 3 ** 4 - 14
 
-    @pytest.mark.parametrize("name", ["competing_risks", "hom_linear", "illness",
-                                      "illness_hom", "vc_box"])
+    @pytest.mark.parametrize("name", BUNDLED_SPECS)
     def test_families_plus_slice(self, name):
         # each family returns only its binomials; generators_for joins
         # them in family order and attaches the slice once
