@@ -90,8 +90,10 @@ def _known(value, keys, what, path):
 
 class _StrictLoader(yaml.SafeLoader):
     """yaml.SafeLoader that refuses a key given twice in one mapping and reads
-    a plain scalar as an int only when it is canonical decimal text, so 010,
-    1_0, 0x1 and 1:20 stay the strings they are written as."""
+    a plain scalar as an int only when it is canonical decimal text, and as
+    a bool only when it is true or false (or True, TRUE, False, FALSE), so
+    010, 1_0, 0x1, 1:20, yes, no, on and off stay the strings they are
+    written as."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -111,11 +113,14 @@ class _StrictLoader(yaml.SafeLoader):
 
 
 _INT_TAG = "tag:yaml.org,2002:int"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
 _StrictLoader.yaml_implicit_resolvers = {
-    first: [r for r in resolvers if r[0] != _INT_TAG]
+    first: [r for r in resolvers if r[0] not in (_INT_TAG, _BOOL_TAG)]
     for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
 _StrictLoader.add_implicit_resolver(_INT_TAG, re.compile(r"^(?:0|-?[1-9][0-9]*)$"),
                                     list("-0123456789"))
+_StrictLoader.add_implicit_resolver(
+    _BOOL_TAG, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF"))
 
 
 def _load_yaml(path, what, keys=None, required=()):
@@ -177,8 +182,9 @@ def parse_model_spec(path):
     forbid (list of [from, to] pairs), absorbing (list of states),
     initial (list of states for k = 1, or of blocks).  Unknown keys, a
     key given twice, values of the wrong type (k or n not an integer,
-    ...) and a homogeneous flag that is not a YAML boolean raise
-    ParseError naming the file.  Structural violations (k < 1, duplicate states, an
+    ...) and a homogeneous flag other than true or false (yes, on and
+    the other YAML 1.1 spellings are text) raise ParseError naming the
+    file.  Structural violations (k < 1, duplicate states, an
     absorbing state with a forbidden self-loop, ...) surface as
     SpecificationError from the ModelSpec constructor.
     """

@@ -29,7 +29,8 @@ class Binomial:
     plus and minus are index-sorted ((index, exponent), ...) tuples with
     positive exponents, disjoint after common-factor removal, and plus
     is the lexicographically larger dense exponent vector.  Build
-    instances through canonicalize().
+    instances through canonicalize(), unless, as for the nonhomogeneous
+    quadrics, the two sides are canonical as written.
     """
 
     plus: tuple
@@ -133,7 +134,8 @@ class RelationSet:
 
 def _exchanges(table, moves, tag):
     """RelationSet of the binomials p_i1 p_i2 - p_j1 p_j2 of moves
-    (i1, i2, j1, j2), in move order, each canonical form once.
+    (i1, i2, j1, j2), in move order, each canonical form once: the
+    homogeneous family's moves, which can share an index.
 
     The canonical form depends only on the unordered quad {(i1, i2),
     (j1, j2)}, so a repeated quad is skipped before canonicalizing; a
@@ -168,23 +170,43 @@ def nonhomogeneous_generators(spec):
 
     Returns a RelationSet over the spec's own path table, deduplicated
     by canonical form, with no slice paths: generators_for adds those.
+    The quadrics come out in the order of a scan over splits, separator
+    blocks in first-seen order and member pairs in table order, each
+    at its first occurrence.
     """
     if spec.homogeneous:
         raise RelationError("spec is homogeneous; use homogeneous_family")
     table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
 
-    def moves():
+    def quadrics():
+        # The paths with J at positions r..r+k-1 are every admissible
+        # prefix I times every admissible suffix S, so in table order a
+        # group is a grid: rows by prefix, columns by suffix.  Rows a < c
+        # and columns b < d give the quadric m[a,b] m[c,d] - m[a,d] m[c,b]
+        # once, where a scan over member pairs in table order first meets
+        # it, and m[a,b] < m[a,d] < m[c,b] < m[c,d] makes it canonical as
+        # written.
         for r in range(1, n - k):
             groups = {}
             for i, path in enumerate(table):
-                groups.setdefault(path[r:r + k], []).append((i, path[:r], path[r + k:]))
-            for J, members in groups.items():
-                for (i1, I, S), (i2, I2, S2) in itertools.combinations(members, 2):
-                    if I != I2 and S != S2:
-                        yield i1, i2, table.index(I + J + S2), table.index(I2 + J + S)
+                groups.setdefault(path[r:r + k], []).append(i)
+            for members in groups.values():
+                first = table[members[0]][:r]
+                w = next((x for x, i in enumerate(members) if table[i][:r] != first),
+                         len(members))
+                grid = [members[x:x + w] for x in range(0, len(members), w)]
+                for a, row in enumerate(grid):
+                    for b, i1 in enumerate(row):
+                        for below in grid[a + 1:]:
+                            j2 = below[b]
+                            for i2, j1 in zip(below[b + 1:], row[b + 1:]):
+                                yield i1, i2, j1, j2
 
-    return _exchanges(table, moves(), PROV_NONHOM)
+    # dict keys: a quadric repeated at another split keeps its first place
+    binomials = tuple(Binomial(((i1, 1), (i2, 1)), ((j1, 1), (j2, 1)))
+                      for i1, i2, j1, j2 in dict.fromkeys(quadrics()))
+    return RelationSet(table, binomials, (PROV_NONHOM,) * len(binomials))
 
 
 def slice_linear_generators(spec):

@@ -27,6 +27,11 @@ from .paths import build_design_matrix, enumerate_paths
 DEFAULT_TRIALS = 20
 DEFAULT_DENOMINATOR_BOUND = 97
 _WEIGHT_BITS = DEFAULT_DENOMINATOR_BOUND.bit_length()
+# A 32-bit word's top byte b holds the draw b >> _DROP_BITS: each byte's
+# weight, and the bytes whose draw is at least the bound, to redraw.
+_DROP_BITS = 8 - _WEIGHT_BITS
+_TOP_BYTE_WEIGHT = bytes((b >> _DROP_BITS) + 1 for b in range(256))
+_TOP_BYTE_REJECTED = bytes(range(DEFAULT_DENOMINATOR_BOUND << _DROP_BITS, 256))
 _SEED_TYPES = (int, float, str, bytes, bytearray)
 
 VANISHES = "vanishes-exactly"
@@ -61,21 +66,26 @@ def _check_seed(seed):
 
 def _draw_weights(widths, seed):
     # The one definition of the sampling stream: integer weights in
-    # 1..DEFAULT_DENOMINATOR_BOUND, row by row.  Each weight is one
-    # getrandbits(_WEIGHT_BITS) draw, redrawn while it is at least the
-    # bound, plus one: the values random.Random(seed).randint(1, bound)
-    # gives, with one call per draw.  Drawing fewer rows yields a prefix
-    # of the same values.
+    # 1..DEFAULT_DENOMINATOR_BOUND, row by row, each row a bytes object.
+    # Each weight is one getrandbits(_WEIGHT_BITS) draw, redrawn while it
+    # is at least the bound, plus one: the values
+    # random.Random(seed).randint(1, bound) gives, with one call per
+    # draw.  Such a draw is the top bits of one 32-bit Mersenne word, and
+    # getrandbits(32 * m) is m successive words, the first in the low
+    # bytes, so the words' top bytes, mapped to weights with the rejected
+    # ones deleted, are the same stream drawn in bulk.  Drawing fewer
+    # rows yields a prefix of the same values.
     getrandbits = random.Random(seed).getrandbits
-    rows = []
+    need = sum(widths)
+    stream = b""
+    while len(stream) < need:
+        m = (need - len(stream)) * 4 // 3 + 8
+        stream += getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
+            _TOP_BYTE_WEIGHT, _TOP_BYTE_REJECTED)
+    rows, start = [], 0
     for width in widths:
-        row = []
-        for _ in range(width):
-            r = getrandbits(_WEIGHT_BITS)
-            while r >= DEFAULT_DENOMINATOR_BOUND:
-                r = getrandbits(_WEIGHT_BITS)
-            row.append(r + 1)
-        rows.append(row)
+        rows.append(stream[start:start + width])
+        start += width
     return rows
 
 

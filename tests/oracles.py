@@ -196,32 +196,35 @@ def homogeneous_family_reference(spec, table=None):
 
 
 def nonhomogeneous_generators_reference(spec, table=None):
-    """The nonhomogeneous exchange quadrics by the plain split loop.
+    """The nonhomogeneous exchange quadrics by the plain split scan.
 
-    Visits splits r, separator blocks J in first-seen order and member
-    pairs in table order, and drops any relation whose crossed paths
-    leave the table, so the output order is the one
-    relations.nonhomogeneous_generators must reproduce.
+    Visits splits r, separator blocks J in first-seen order and every
+    pair of members in table order, looks both crossed paths up in the
+    table, skips a move whose unordered quad of index pairs was seen
+    before, and canonicalizes the rest, so the output, in order, is the
+    one relations.nonhomogeneous_generators must reproduce.
     """
     if table is None:
         table = enumerate_paths(spec)
     k, n = spec.order, spec.horizon
-    raw = []
-    for r in range(1, n - k):
-        groups = {}
-        for path in table:
-            groups.setdefault(path[r:r + k], []).append((path[:r], path[r + k:]))
-        for J, members in groups.items():
-            for (I, S), (I2, S2) in itertools.combinations(members, 2):
-                if I == I2 or S == S2:
-                    continue
-                cross1, cross2 = I + J + S2, I2 + J + S
-                if cross1 not in table or cross2 not in table:
-                    continue
-                raw.append(canonicalize(
-                    {table.index(I + J + S): 1, table.index(I2 + J + S2): 1},
-                    {table.index(cross1): 1, table.index(cross2): 1}))
-    return _first_occurrences(table, raw, PROV_NONHOM)
+
+    def moves():
+        for r in range(1, n - k):
+            groups = {}
+            for i, path in enumerate(table):
+                groups.setdefault(path[r:r + k], []).append((i, path[:r], path[r + k:]))
+            for J, members in groups.items():
+                for (i1, I, S), (i2, I2, S2) in itertools.combinations(members, 2):
+                    if I != I2 and S != S2:
+                        yield i1, i2, table.index(I + J + S2), table.index(I2 + J + S)
+
+    binomials, seen = {}, set()
+    for i1, i2, j1, j2 in moves():
+        quad = frozenset({(min(i1, i2), max(i1, i2)), (min(j1, j2), max(j1, j2))})
+        if quad not in seen:
+            seen.add(quad)
+            binomials[canonicalize({i1: 1, i2: 1}, {j1: 1, j2: 1})] = None
+    return RelationSet(table, tuple(binomials), (PROV_NONHOM,) * len(binomials))
 
 
 def _first_occurrences(table, raw, tag):

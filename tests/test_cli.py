@@ -151,10 +151,10 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _corpus_config(d, "alphabet: {a: V, b: [C]}\npad: _\n"),
     lambda d: _collapse_map(d, "b: ~\n"),
     lambda d: _collapse_map(d, "c: 1.5\n"),
-    lambda d: _spec_file(d, "states: [yes, no]\nk: 1\nn: 3\n"),
-    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: [[on, off]]\n"),
-    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\ninitial: [yes]\n"),
-    lambda d: _collapse_map(d, "yes: C\n"),
+    lambda d: _spec_file(d, "states: [true, false]\nk: 1\nn: 3\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nforbid: [[true, false]]\n"),
+    lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\ninitial: [true]\n"),
+    lambda d: _collapse_map(d, "true: C\n"),
     lambda d: _corpus_config(d, "alphabet: letters\npad: _\nhorizon: 0\n"),
     lambda d: _path_values(d, "mle", "--counts", "0,0,0,0 5\n0,0,1,1 -3\n"),
     lambda d: _path_values(d, "recover", "--probabilities",

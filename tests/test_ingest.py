@@ -107,6 +107,15 @@ class TestParseModelSpec:
         spec = parse_model_spec(f)
         assert spec.states == ("0", "1", "010")
 
+    def test_yaml_1_1_booleans_become_labels(self, tmp_path):
+        f = tmp_path / "m.yaml"
+        f.write_text("states: [on, off, yes, no]\nk: 1\nn: 3\nforbid: [[on, no]]\n"
+                     "homogeneous: TRUE\n")
+        spec = parse_model_spec(f)
+        assert spec.states == ("on", "off", "yes", "no")
+        assert ("on", "no") not in spec.transition_pairs
+        assert spec.homogeneous
+
     def test_a_merge_key_is_not_a_key_given_twice(self, tmp_path):
         f = tmp_path / "m.yaml"
         f.write_text("states: [0, 1]\n<<: {k: 1, n: 3}\n")
@@ -147,7 +156,8 @@ SPEC = "states: [0, 1]\nk: 1\nn: 3\n"
 # (reader, file text, error, message after the file's place, line, column);
 # the trajectory, count and probability readers read survival's paths 000,
 # 001 and 011.  A key given twice, or a YAML 1.1 numeral (010, 0x1, 1_0,
-# 1:20), is refused rather than read as some other value.
+# 1:20) or boolean (on, yes, off), is refused rather than read as some
+# other value.
 REFUSALS = {
     "spec-unknown-key": ("spec", SPEC + "abzorbing: [1]\n", ParseError,
                          "unknown key 'abzorbing' in model spec", None, None),
@@ -169,6 +179,12 @@ REFUSALS = {
                         "n must be an integer, got '1_0'", None, None),
     "spec-sexagesimal": ("spec", "states: [0, 1]\nk: 1\nn: 1:20\n", ParseError,
                          "n must be an integer, got '1:20'", None, None),
+    "spec-homogeneous-on": ("spec", SPEC + "homogeneous: on\n", ParseError,
+                            "homogeneous must be true or false, got 'on'", None, None),
+    "spec-homogeneous-yes": ("spec", SPEC + "homogeneous: yes\n", ParseError,
+                             "homogeneous must be true or false, got 'yes'", None, None),
+    "spec-homogeneous-off": ("spec", SPEC + "homogeneous: off\n", ParseError,
+                             "homogeneous must be true or false, got 'off'", None, None),
     "corpus-unknown-key": ("corpus-config", "pad: '_'\npadd: '_'\n", ParseError,
                            "unknown key 'padd' in corpus spec", None, None),
     "corpus-missing-pad": ("corpus-config", "alphabet: letters\n", ParseError,

@@ -164,6 +164,28 @@ class TestNonhomogeneousGenerators:
         rs = nonhomogeneous_generators(illness_death)
         assert len(set(rs.binomials)) == len(rs.binomials)
 
+    def test_the_grid_gives_the_split_scan_binomial_for_binomial(self):
+        # criterion 04's grid, the bundled nonhomogeneous specs, and one
+        # restriction each for k = 1, 2, 3; some quadrics recur at a later
+        # split (binary k=1 n=4 has them), so the dedup across splits counts
+        specs = [ModelSpec(("0", "1", "2")[:size], k, n)
+                 for size in (2, 3) for k in (1, 2) for n in range(k + 1, 6)]
+        specs += [spec for spec in (parse_model_spec(DATA / f"{name}.yaml")
+                                    for name in BUNDLED_SPECS) if not spec.homogeneous]
+        for k in (1, 2, 3):
+            states = ["2", "0", "1"]
+            blocks = ModelSpec(states, k, k + 1).initial_blocks
+            specs += [ModelSpec(states, k, k + 3, forbidden=[("1", "0")]),
+                      ModelSpec(states, k, k + 3, absorbing=["1"]),
+                      ModelSpec(states, k, k + 3, initial=blocks[1::2])]
+        for spec in specs:
+            got = nonhomogeneous_generators(spec)
+            want = nonhomogeneous_generators_reference(spec)
+            assert got.binomials == want.binomials, repr(spec)
+            assert got.provenance == want.provenance
+            for b in got.binomials:
+                assert b == canonicalize(dict(b.plus), dict(b.minus))
+
 
 class TestSliceLinearGenerators:
     def test_complement_of_path_table(self, illness_death):

@@ -395,8 +395,12 @@ def test_assignment_values_are_probabilities(seed):
                      st.integers(0, 10**4), st.integers(0, 40))))
 @example(widths=[1, 2, 97, 98, 200], seed=0)
 @example(widths=[200, 98, 97, 2, 1], seed="1:0:0")
+@example(widths=[0, 0, 0], seed=1)
+@example(widths=[300], seed=4)  # the first bulk draw falls short: a refill
+@example(widths=[3], seed=2)  # the first two draws are rejected
 def test_weights_are_the_randint_stream(widths, seed):
-    assert _draw_weights(widths, seed) == randint_weights(widths, seed)
+    assert [list(row) for row in _draw_weights(widths, seed)] == \
+        randint_weights(widths, seed)
 
 
 def _fraction_route(binomial, spec, table, trials, seed, idx):
