@@ -383,9 +383,17 @@ def cmd_ingest(args, spec):
                                             spec if fine is None else fine)
     if args.collapse:
         cm = iofiles.read_collapse_map(args.collapse)
-        if args.corpus and (image := cm.apply((cs.pad,))[0]) not in spec.absorbing:
-            raise SpecificationError(f"pad symbol {cs.pad!r} maps to {image!r}, which "
-                                     f"is not an absorbing state of the target spec")
+        if args.corpus:
+            image = cm.apply((cs.pad,))[0]
+            if image not in spec.absorbing:
+                raise SpecificationError(f"pad symbol {cs.pad!r} maps to {image!r}, which "
+                                         f"is not an absorbing state of the target spec")
+            padded = next((b for b in cs.alphabet.values() if cm.mapping.get(b) == image),
+                          None)
+            if padded is not None:
+                raise SpecificationError(
+                    f"alphabet state {padded!r} maps to {image!r}, the image of pad "
+                    f"symbol {cs.pad!r}, so it would read as padding")
         trajs = iofiles.collapse_states(trajs, cm, spec, fine)
     if args.emit == "counts":
         counts = counts_from_trajectories(trajs, spec, n=args.n)

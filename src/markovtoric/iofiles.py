@@ -346,15 +346,15 @@ class CorpusSpec:
     """How to turn raw text into padded trajectories.
 
     alphabet maps characters, each one that lowercasing leaves unchanged,
-    to state labels; pad is the absorbing pad state appended after each
-    word.  horizon fixes L, or None takes the longest surviving word.
-    Words shorter than min_word_length are dropped; with max_word_length
-    set, longer words are excluded before L is chosen.  overlong says
-    what to do with words longer than a fixed horizon: "error" or
-    "drop".  drop_chars, a string, are removed from words before mapping
-    (case is always lowered first), so none may be an alphabet key.
-    Labels are stored as strings; any other value, or a min_word_length
-    above max_word_length, raises SpecificationError.
+    to state labels other than pad; pad is the absorbing pad state
+    appended after each word.  horizon fixes L, or None takes the
+    longest surviving word.  Words shorter than min_word_length or longer
+    than max_word_length are dropped before L is chosen, and a kept word
+    longer than a fixed horizon is an error.  drop_chars, a string, are
+    removed from words before mapping (case is always lowered first), so
+    none may be an alphabet key.  Labels are stored as strings; any other
+    value, or a min_word_length above max_word_length, raises
+    SpecificationError.
     """
 
     alphabet: dict
@@ -362,7 +362,6 @@ class CorpusSpec:
     horizon: object = None
     min_word_length: int = 1
     max_word_length: object = None
-    overlong: str = "error"
     drop_chars: str = DEFAULT_DROP_CHARS
 
     def __post_init__(self):
@@ -382,9 +381,6 @@ class CorpusSpec:
         if dropped is not None:
             raise SpecificationError(f"alphabet key {dropped!r} is also in drop_chars, "
                                      f"which are removed before mapping")
-        if self.overlong not in ("error", "drop"):
-            raise SpecificationError(
-                f"overlong policy must be 'error' or 'drop', got {self.overlong!r}")
         for name, optional in (("horizon", True), ("min_word_length", False),
                                ("max_word_length", True)):
             value = getattr(self, name)
@@ -401,6 +397,10 @@ class CorpusSpec:
         object.__setattr__(self, "alphabet",
                            {str(a): str(b) for a, b in self.alphabet.items()})
         object.__setattr__(self, "pad", str(self.pad))
+        padded = next((a for a, b in self.alphabet.items() if b == self.pad), None)
+        if padded is not None:
+            raise SpecificationError(f"alphabet key {padded!r} maps to the pad symbol "
+                                     f"{self.pad!r}, so it would read as padding")
 
 
 CORPUS_KEYS = {f.name for f in fields(CorpusSpec)}
@@ -437,31 +437,33 @@ def tokenize_corpus(text, cs):
 def corpus_to_trajectories(text, cs, spec=None):
     """Words to pad-completed trajectories of common length L + 1.
 
-    Each surviving word contributes its mapped characters followed by
-    pad symbols up to length L + 1, so a word of length exactly L still
-    ends with one pad.  Per-word occurrence counts become multiplicities
-    in first-seen order.  When a target spec is given, the pad symbol
-    must be one of its absorbing states and every trajectory must be
-    admissible.
+    Each word the length filters keep contributes its mapped characters
+    followed by pad symbols up to length L + 1, so a word of length
+    exactly L still ends with one pad; a kept word longer than a fixed
+    horizon is a ParseError.  Words that map to the same trajectory (an
+    alphabet may send several characters to one state) merge their
+    occurrence counts into one multiplicity, in first-seen order.  When
+    a target spec is given, the pad symbol must be one of its absorbing
+    states and every trajectory must be admissible.
     """
     top = cs.max_word_length
     words = {w: m for w, m in tokenize_corpus(text, cs).items()
              if cs.min_word_length <= len(w) and (top is None or len(w) <= top)}
+    if not words:
+        raise ParseError("corpus contains no usable words")
     if cs.horizon is None:
-        L = max(map(len, words), default=0)
+        L = max(map(len, words))
     else:
         L = cs.horizon
         over = next((w for w in words if len(w) > L), None)
         if over is not None:
-            if cs.overlong == "error":
-                raise ParseError(f"word {over!r} has length {len(over)}, horizon is {L}")
-            words = {w: m for w, m in words.items() if len(w) <= L}
-    if not words:
-        raise ParseError("corpus contains no usable words")
+            raise ParseError(f"word {over!r} has length {len(over)}, horizon is {L}")
     state = cs.alphabet.__getitem__
     pads = [(cs.pad,) * (L + 1 - i) for i in range(L + 1)]  # by word length
-    trajs = TrajectorySet(tuple(
-        (tuple(map(state, w)) + pads[len(w)], m) for w, m in words.items()))
+    tally = Counter()  # letters that share a state can give two words one trajectory
+    for w, m in words.items():
+        tally[tuple(map(state, w)) + pads[len(w)]] += m
+    trajs = TrajectorySet(tuple(tally.items()))
     if spec is not None:
         if cs.pad not in spec.absorbing:
             raise SpecificationError(

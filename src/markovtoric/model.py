@@ -118,7 +118,8 @@ class ModelSpec:
         order: memory length k, at least 1.
         horizon: path length n, at least order + 1.
         forbidden: iterable of (from_state, to_state) pairs to disallow.
-        absorbing: iterable of states whose only successor is themselves.
+        absorbing: iterable of states whose only successor is themselves;
+            stored once each, in declaration order.
         initial: allowed initial k-blocks; states may be given directly
             when k = 1.  Defaults to every internally admissible block.
         homogeneous: whether one transition table is shared by all steps.
@@ -165,7 +166,7 @@ class ModelSpec:
         self._pairs = pairs = frozenset(
             (a, b) for a in states for b in states
             if (a, b) not in forbidden and (a not in absorbing or b == a))
-        self.absorbing = absorbing
+        self.absorbing = tuple(s for s in states if s in absorbing)
         # The one successor rule; histories grow through it in lex order.
         successors = {a: tuple(b for b in states if (a, b) in pairs) for a in states}
         histories = [(s,) for s in states]

@@ -238,8 +238,8 @@ def corpus_to_trajectories_reference(text, cs, spec=None):
     """The corpus pipeline over one entry per word occurrence.
 
     Every occurrence is cleaned and checked character by character, the
-    list is filtered by length, and only the survivors are counted, so
-    the records, their order and every error are the ones
+    list is filtered by length, and only the survivors' trajectories are
+    counted, so the records, their order and every error are the ones
     iofiles.corpus_to_trajectories must reproduce from its tally.
     """
     words = []
@@ -262,15 +262,14 @@ def corpus_to_trajectories_reference(text, cs, spec=None):
     else:
         L = cs.horizon
         over = [w for w in words if len(w) > L]
-        if over and cs.overlong == "error":
+        if over:
             raise ParseError(
                 f"word {over[0]!r} has length {len(over[0])}, horizon is {L}")
-        words = [w for w in words if len(w) <= L]
     if not words:
         raise ParseError("corpus contains no usable words")
-    trajs = TrajectorySet(tuple(
-        (tuple(cs.alphabet[ch] for ch in w) + (cs.pad,) * (L + 1 - len(w)), mult)
-        for w, mult in Counter(words).items()))
+    trajs = TrajectorySet(tuple(Counter(
+        tuple(cs.alphabet[ch] for ch in w) + (cs.pad,) * (L + 1 - len(w))
+        for w in words).items()))
     if spec is not None:
         if cs.pad not in spec.absorbing:
             raise SpecificationError(

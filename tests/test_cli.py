@@ -146,8 +146,9 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _spec_file(d, "states: [a, b]\nk: 1.5\nn: 3\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: true\n"),
     lambda d: _corpus_config(d, "alphabet: letters\npad: _\ndrop_chars: 5\n"),
-    lambda d: _corpus_config(d, "alphabet: letters\npad: _\noverlong: 5\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: _\noverlong: drop\n"),
     lambda d: _corpus_config(d, "alphabet: letters\npad:\n"),
+    lambda d: _corpus_config(d, "alphabet: letters\npad: a\n"),
     lambda d: _corpus_config(d, "alphabet: {a: V, b: [C]}\npad: _\n"),
     lambda d: _collapse_map(d, "b: ~\n"),
     lambda d: _collapse_map(d, "c: 1.5\n"),
@@ -183,7 +184,7 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\n1: a\nb: c\n"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
-        "n-bool", "drop-chars-int", "overlong-int", "pad-null",
+        "n-bool", "drop-chars-int", "corpus-unknown-key", "pad-null", "pad-is-a-letter",
         "alphabet-list-label", "collapse-null-label", "collapse-float-label",
         "states-bool", "forbid-bool", "initial-bool", "collapse-bool-label",
         "horizon-zero", "count-negative", "probability-negative",
@@ -933,6 +934,39 @@ class TestIngest:
         assert code == 0
         text = dest.read_text()
         assert "C,C,V,_,_ 4" in text
+
+    @pytest.mark.parametrize("emit", ["trajectories", "counts"])
+    def test_a_many_to_one_alphabet_is_the_collapsed_letters(self, capsys, tmp_path,
+                                                             emit):
+        # mapping letters straight to V and C merges words as --collapse does
+        config = tmp_path / "direct.yaml"
+        config.write_text('pad: "_"\nhorizon: max\nmin_word_length: 2\nalphabet:\n'
+                          + "".join(f"  {line}\n" for line in
+                                    (DATA / "vc_collapse.yaml").read_text().splitlines()
+                                    if not line.startswith('"_"')))
+        common = ["ingest", "--spec", VC_BOX, "--corpus", str(DATA / "sample_corpus.txt"),
+                  "--emit", emit]
+        direct = run(capsys, *common, "--corpus-config", str(config))
+        collapsed = run(capsys, *common, "--corpus-config", str(DATA / "vc_corpus.yaml"),
+                        "--collapse", str(DATA / "vc_collapse.yaml"))
+        assert direct == collapsed
+        code, out, _ = direct
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == len(set(line.split()[0] for line in lines))
+        assert sum(int(line.split()[1]) for line in lines) == 19
+
+    def test_collapsed_letters_may_not_meet_the_pad(self, capsys, tmp_path):
+        # z collapsing onto the pad's image would read as padding
+        cm = tmp_path / "collapse.yaml"
+        cm.write_text((DATA / "vc_collapse.yaml").read_text().replace("z: C", 'z: "_"'))
+        code, out, err = run(capsys, "ingest", "--spec", VC_BOX,
+                             "--corpus", str(DATA / "sample_corpus.txt"),
+                             "--corpus-config", str(DATA / "vc_corpus.yaml"),
+                             "--collapse", str(cm))
+        assert (code, out) == (1, "")
+        assert ("alphabet state 'z' maps to '_', the image of pad symbol '_', "
+                "so it would read as padding") in err
 
     def test_collapsed_corpus_is_checked_against_the_fine_spec(self, capsys, tmp_path):
         # a -> a is forbidden in the fine spec but a word of the corpus has it

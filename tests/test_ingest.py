@@ -394,8 +394,10 @@ class TestCorpusPipeline:
         assert "stop" in str(err.value)
 
     def test_fixed_horizon_overlong_drop(self):
+        # max_word_length is the one length filter: capped at the horizon,
+        # it drops the words a fixed horizon would refuse
         cs = CorpusSpec(alphabet=letters_alphabet(), pad="_", horizon=3,
-                        overlong="drop")
+                        max_word_length=3)
         trajs = corpus_to_trajectories("go stop", cs)
         assert dict(trajs.records) == {("g", "o", "_", "_"): 1}
 
@@ -404,10 +406,6 @@ class TestCorpusPipeline:
                         min_word_length=3)
         with pytest.raises(ParseError):
             corpus_to_trajectories("a be do", cs)
-
-    def test_bad_overlong_policy_rejected(self):
-        with pytest.raises(SpecificationError):
-            CorpusSpec(alphabet=letters_alphabet(), pad="_", overlong="keep")
 
     @pytest.mark.parametrize("field, value", [
         ("horizon", "abc"), ("horizon", True), ("horizon", 3.0),
@@ -468,9 +466,24 @@ class TestCorpusPipeline:
 
     def test_pad_must_be_absorbing_in_target_spec(self):
         spec = make_binary_chain(1, 3)  # no absorbing states
-        cs = CorpusSpec(alphabet={"a": "0", "b": "1"}, pad="0")
+        cs = CorpusSpec(alphabet={"a": "0", "b": "1"}, pad="2")
         with pytest.raises(SpecificationError):
             corpus_to_trajectories("bba", cs, spec)
+
+    @pytest.mark.parametrize("alphabet, pad, key", [
+        ({"a": "_", "b": "b"}, "_", "'a'"), ({"a": 0, "b": 1}, "0", "'a'"),
+        ({"a": "V", "b": 2}, 2, "'b'")], ids=["label", "integer-value", "integer-pad"])
+    def test_a_letter_may_not_map_onto_the_pad(self, alphabet, pad, key):
+        # ba would become ('b', '_', '_'), the trajectory of b
+        with pytest.raises(SpecificationError) as err:
+            CorpusSpec(alphabet=alphabet, pad=pad)
+        assert str(err.value) == (f"alphabet key {key} maps to the pad symbol "
+                                  f"'{pad}', so it would read as padding")
+
+    def test_words_with_one_trajectory_share_one_record(self):
+        cs = CorpusSpec(alphabet={"a": "V", "e": "V", "b": "C", "d": "C"}, pad="_")
+        trajs = corpus_to_trajectories("ab eb ab ed ba", cs)
+        assert trajs.records == ((("V", "C", "_"), 4), (("C", "V", "_"), 1))
 
     def test_absorbing_pad_passes_the_target_check(self):
         spec = ModelSpec(["a", "b", "_"], 1, 4, forbidden=[("b", "b")],
@@ -520,25 +533,26 @@ _word_lists = st.sampled_from(["aabbccnotABCNOT''019",
        gaps=st.lists(st.sampled_from([" ", "  ", "\n", "\t ", "\x0c", "\x1c", "\x85",
                                       "\u2028"]), min_size=14, max_size=14),
        drop_chars=st.sampled_from(["'023456789", "'0234", "x'023456789", "'"]),
-       pad=st.sampled_from(["_", "a"]),
+       # e is no alphabet value (CorpusSpec refuses one) and no target state
+       pad=st.sampled_from(["_", "e"]),
        horizon=st.none() | st.integers(1, 6),
        min_word_length=st.integers(0, 3),
        max_word_length=st.none() | st.integers(1, 6),
-       overlong=st.sampled_from(["error", "drop"]),
        target=st.sampled_from([None, 1, 2]))
 @example(words=["Don't", "dont", "ab", "DONT"], gaps=[" "] * 14, drop_chars="'",
-         pad="_", horizon=None, min_word_length=1, max_word_length=None,
-         overlong="error", target=None)
+         pad="_", horizon=None, min_word_length=1, max_word_length=None, target=None)
 @example(words=["ab", "Bx0", "0", "x"], gaps=[" "] * 14, drop_chars="'", pad="_",
-         horizon=2, min_word_length=1, max_word_length=None, overlong="error",
-         target=None)
+         horizon=2, min_word_length=1, max_word_length=None, target=None)
+# ab, no and Ab map to one trajectory, which must be one record of 3
+@example(words=["ab", "no", "tn", "Ab"], gaps=[" "] * 14, drop_chars="'", pad="_",
+         horizon=None, min_word_length=1, max_word_length=None, target=1)
 # the first offending word in text order is the last in sorted order
 @example(words=["Zb", "ab", "xA", "\u0130t"], gaps=["\x1c", "\u2028", "\x85", "\x0c"]
          + [" "] * 10, drop_chars="'", pad="_", horizon=None, min_word_length=1,
-         max_word_length=None, overlong="error", target=None)
+         max_word_length=None, target=None)
 def test_tally_pipeline_matches_the_occurrence_list(
         words, gaps, drop_chars, pad, horizon, min_word_length, max_word_length,
-        overlong, target):
+        target):
     # CorpusSpec rejects these settings, since they can keep no word
     assume(max_word_length is None or min_word_length <= max_word_length)
     text = "".join(w + g for w, g in zip(words, gaps))
@@ -546,7 +560,7 @@ def test_tally_pipeline_matches_the_occurrence_list(
                 "1": "b"}
     cs = CorpusSpec(alphabet=alphabet, pad=pad, horizon=horizon,
                     min_word_length=min_word_length, max_word_length=max_word_length,
-                    overlong=overlong, drop_chars=drop_chars)
+                    drop_chars=drop_chars)
     # order 1 or 2 over a, b, c and an absorbing pad, with c -> c forbidden
     spec = None if target is None else ModelSpec(
         ["a", "b", "c", "_"], target, target + 1, forbidden=[("c", "c")],
@@ -613,6 +627,14 @@ class TestCollapse:
             CollapseMap({"z": "X", "a": "Y"}).validate(fine, coarse)
         assert str(err.value) == ("allowed fine transition 'z' -> 'a' maps onto "
                                   "forbidden coarse transition 'X' -> 'Y'")
+
+    def test_validate_names_the_first_absorbing_fault_in_declaration_order(self):
+        # the absorbing states are given as x, _ but declared as _, x
+        fine = ModelSpec(["a", "_", "x"], 1, 2, absorbing=["x", "_"])
+        coarse = ModelSpec(["A", "B"], 1, 2)
+        with pytest.raises(SpecificationError) as err:
+            CollapseMap({"a": "A", "_": "B", "x": "B"}).validate(fine, coarse)
+        assert str(err.value) == "absorbing fine state '_' maps to non-absorbing 'B'"
 
     def test_collapse_commutes_with_counting(self, data_dir):
         # pooling words first and relabeling after gives the same counts

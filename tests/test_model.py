@@ -113,6 +113,10 @@ class TestModelSpec:
     def test_absorbing_state_only_self_loops(self, illness_death):
         assert illness_death.successors(("2",)) == ("2",)
 
+    def test_absorbing_states_are_stored_in_declaration_order(self):
+        spec = ModelSpec(["a", "_", "x"], 1, 3, absorbing=["x", "_", "x"])
+        assert spec.absorbing == ("_", "x")
+
     def test_histories_exclude_internally_forbidden_blocks(self):
         spec = make_survival()
         # order 1: every state is a history
