@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import iofiles
-from .errors import ModelError, ParseError, SpecificationError
+from .errors import ModelError, ParseError
 from .estimate import (
     TrajectorySet,
     birch_residual,
@@ -36,7 +36,7 @@ from .estimate import (
     mle_nonhomogeneous,
     recover_parameters,
 )
-from .iofiles import DEFAULT_DECIMALS, decimal_string, fraction_string
+from .iofiles import DEFAULT_DECIMALS, decimal_string, fraction_string, numeral
 from .model import format_symbol, validate_model
 from .paths import build_design_matrix, enumerate_paths
 from .relations import generators_for
@@ -72,18 +72,18 @@ def build_parser():
                         default="text", help="output format (default text)")
     checking = _Parser(add_help=False)
     checking.add_argument("--seed", default="0", type=_seed, help="random seed (default 0)")
-    checking.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    checking.add_argument("--trials", type=numeral, default=DEFAULT_TRIALS,
                           help=f"sampled points per relation (default {DEFAULT_TRIALS})")
     checking.add_argument("--relations", help="relation file (default: generate)")
     rounding = _Parser(add_help=False)
-    rounding.add_argument("--decimals", type=int, default=DEFAULT_DECIMALS,
+    rounding.add_argument("--decimals", type=numeral, default=DEFAULT_DECIMALS,
                           help="decimal places in rounded views "
                                f"(default {DEFAULT_DECIMALS})")
     data = _Parser(add_help=False)
     data.add_argument("--trajectories", help="trajectory file")
     data.add_argument("--counts", help="counts file")
-    data.add_argument("--n", type=int, help="analysis horizon (default: the shorter "
-                      "of the spec's n and the trajectory length)")
+    data.add_argument("--n", type=numeral, help="analysis horizon (default: the "
+                      "shorter of the spec's n and the trajectory length)")
     data.add_argument("--window", choices=("prefix", "slide"), default="prefix",
                       help="homogeneous pooling window (default prefix)")
 
@@ -118,7 +118,8 @@ def build_parser():
     p.add_argument("--fine-spec", dest="fine_spec",
                    help="spec of the pre-collapse chain, to validate --collapse; "
                         "requires --collapse")
-    p.add_argument("--n", type=int, help="--emit counts horizon (default: as for mle)")
+    p.add_argument("--n", type=numeral,
+                   help="--emit counts horizon (default: as for mle)")
     p.add_argument("--emit", choices=("trajectories", "counts"),
                    default="trajectories", help="output kind (default trajectories)")
     return top
@@ -139,7 +140,7 @@ def _emit(args, lines, jsonable):
 def _seed(text):
     # only an integer's canonical text is that int; 010 or 1_0 is a str seed
     try:
-        return int(text) if str(int(text)) == text else text
+        return numeral(text)
     except ValueError:
         return text
 
@@ -370,31 +371,25 @@ def cmd_ingest(args, spec):
         raise SystemExit_("--corpus requires --corpus-config" if args.corpus
                           else "--corpus-config requires --corpus")
     fine = iofiles.parse_model_spec(args.fine_spec) if args.fine_spec else None
+    cm = iofiles.read_collapse_map(args.collapse) if args.collapse else None
     if args.corpus:
+        # a collapsed corpus is read through the relabelled config, so each
+        # word is mapped once and the config's own pad rules apply
         cs = iofiles.read_corpus_spec(args.corpus_config)
         text = iofiles.read_text(args.corpus)
         try:
-            trajs = iofiles.corpus_to_trajectories(text, cs,
-                                                   fine if args.collapse else spec)
+            if fine is not None:
+                iofiles.corpus_to_trajectories(text, cs, fine)
+                cm.validate(fine, spec)
+            trajs = iofiles.corpus_to_trajectories(
+                text, cs if cm is None else cs.collapsed(cm), spec)
         except ParseError as exc:
             raise ParseError(str(exc), filename=args.corpus)
     else:
         trajs = iofiles.ingest_trajectories(args.trajectories,
                                             spec if fine is None else fine)
-    if args.collapse:
-        cm = iofiles.read_collapse_map(args.collapse)
-        if args.corpus:
-            image = cm.apply((cs.pad,))[0]
-            if image not in spec.absorbing:
-                raise SpecificationError(f"pad symbol {cs.pad!r} maps to {image!r}, which "
-                                         f"is not an absorbing state of the target spec")
-            padded = next((b for b in cs.alphabet.values() if cm.mapping.get(b) == image),
-                          None)
-            if padded is not None:
-                raise SpecificationError(
-                    f"alphabet state {padded!r} maps to {image!r}, the image of pad "
-                    f"symbol {cs.pad!r}, so it would read as padding")
-        trajs = iofiles.collapse_states(trajs, cm, spec, fine)
+        if cm is not None:
+            trajs = iofiles.collapse_states(trajs, cm, spec, fine)
     if args.emit == "counts":
         counts = counts_from_trajectories(trajs, spec, n=args.n)
         records = tuple(zip(counts.table, counts.counts))

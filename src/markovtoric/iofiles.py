@@ -18,7 +18,7 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import yaml
@@ -112,12 +112,29 @@ class _StrictLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
+# canonical decimal text: ASCII digits, no leading zero, + or _
+_INTEGER = "0|-?[1-9][0-9]*"
+_NUMERALS = {int: re.compile(_INTEGER),
+             Fraction: re.compile(rf"(?:{_INTEGER})(?:/[1-9][0-9]*)?"
+                                  r"|-?(?:0|[1-9][0-9]*)\.[0-9]+")}
+
+
+def numeral(text, kind=int):
+    """The int, or with kind=Fraction the Fraction, that text spells as
+    canonical decimal text: 0, 12 or -3, and for a Fraction also 469/685
+    or 0.55.  Any other text (010, +2, 1_0, 1e3, a non-ASCII digit) is a
+    ValueError, never the number it might be read as."""
+    if not _NUMERALS[kind].fullmatch(text):
+        raise ValueError(f"{text!r} is not canonical decimal text")
+    return kind(text)
+
+
 _INT_TAG = "tag:yaml.org,2002:int"
 _BOOL_TAG = "tag:yaml.org,2002:bool"
 _StrictLoader.yaml_implicit_resolvers = {
     first: [r for r in resolvers if r[0] not in (_INT_TAG, _BOOL_TAG)]
     for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
-_StrictLoader.add_implicit_resolver(_INT_TAG, re.compile(r"^(?:0|-?[1-9][0-9]*)$"),
+_StrictLoader.add_implicit_resolver(_INT_TAG, re.compile(rf"^(?:{_INTEGER})$"),
                                     list("-0123456789"))
 _StrictLoader.add_implicit_resolver(
     _BOOL_TAG, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF"))
@@ -217,10 +234,11 @@ def ingest_trajectories(path, spec):
     """Read a trajectory file and validate it against a spec.
 
     Each record is a comma-separated list of state labels, optionally
-    followed by a positive integer multiplicity as a second,
-    whitespace-separated column.  Every comma-separated token is a state
-    label, so an unknown one is an error rather than a multiplicity.
-    Every record has the first record's length.
+    followed by a positive integer multiplicity, in canonical decimal
+    text (numeral), as a second, whitespace-separated column.  Every
+    comma-separated token is a state label, so an unknown one is an
+    error rather than a multiplicity.  Every record has the first
+    record's length.
     """
     records = []
     for lineno, line in _data_lines(path):
@@ -232,7 +250,7 @@ def ingest_trajectories(path, spec):
         if "" in tokens:
             raise ParseError("empty state label", filename=path, line=lineno)
         try:
-            mult = int(columns[1]) if len(columns) == 2 else 1
+            mult = numeral(columns[1]) if len(columns) == 2 else 1
         except ValueError:
             raise ParseError(f"multiplicity {columns[1]!r} is not an integer",
                              filename=path, line=lineno)
@@ -266,13 +284,14 @@ def write_trajectories(trajs, path):
     _write_lines(path, record_lines(trajs.records))
 
 
-def _path_values(path, table, what, parse, kind):
-    """(path index, value) of each 'path value' line, the value read by parse.
+def _path_values(path, table, what, number, kind):
+    """(path index, value) of each 'path value' line, the value read by
+    numeral as number, int or Fraction.
 
-    what names the value in messages, and kind what parse reads.  A
-    line without exactly two fields, a path outside the table, a path
-    listed twice, or a value that parse rejects or that is negative
-    raises ParseError.
+    what names the value in messages, and kind says what number is.  A line
+    without exactly two fields, a path outside the table, a path listed
+    twice, or a value that numeral rejects or that is negative raises
+    ParseError.
     """
     seen = set()
     for lineno, line in _data_lines(path):
@@ -280,7 +299,7 @@ def _path_values(path, table, what, parse, kind):
         if len(fields) != 2:
             raise ParseError(f"expected 'path {what}'", filename=path, line=lineno)
         try:
-            j = table.index(tuple(t.strip() for t in fields[0].split(",")))
+            j = table.index(tuple(fields[0].split(",")))
         except InadmissiblePathError as exc:
             raise ParseError(str(exc), filename=path, line=lineno)
         if j in seen:
@@ -288,8 +307,8 @@ def _path_values(path, table, what, parse, kind):
                              filename=path, line=lineno)
         seen.add(j)
         try:
-            value = parse(fields[1])
-        except (ValueError, ZeroDivisionError):
+            value = numeral(fields[1], number)
+        except ValueError:
             raise ParseError(f"{what} {fields[1]!r} is not {kind}",
                              filename=path, line=lineno)
         if value < 0:
@@ -320,10 +339,11 @@ def write_counts(counts, path):
 def read_probabilities(path, table):
     """Read 'path value' lines into an assignment over the table.
 
-    Values may be rationals like 469/685 or decimal strings; both are
-    read exactly.  Paths absent from the file get probability zero; a
-    path listed twice or a negative value is an error rather than a
-    silent overwrite or reinterpretation.
+    Values may be rationals like 469/685 or decimals like 0.55, in
+    canonical decimal text (numeral); both are read exactly.  Paths
+    absent from the file get probability zero; a path listed twice or a
+    negative value is an error rather than a silent overwrite or
+    reinterpretation.
     """
     out = {j: Fraction(0) for j in range(len(table))}
     out.update(_path_values(path, table, "value", Fraction, "a rational"))
@@ -354,7 +374,8 @@ class CorpusSpec:
     removed from words before mapping (case is always lowered first), so
     none may be an alphabet key.  Labels are stored as strings; any other
     value, or a min_word_length above max_word_length, raises
-    SpecificationError.
+    SpecificationError.  collapsed relabels the states through a collapse
+    map, and these same rules check the relabelled config.
     """
 
     alphabet: dict
@@ -401,6 +422,13 @@ class CorpusSpec:
         if padded is not None:
             raise SpecificationError(f"alphabet key {padded!r} maps to the pad symbol "
                                      f"{self.pad!r}, so it would read as padding")
+
+    def collapsed(self, cm):
+        """This config with every alphabet state and the pad relabelled
+        through a CollapseMap, which must give each of them an image."""
+        states = cm.apply(self.alphabet.values())
+        return replace(self, alphabet=dict(zip(self.alphabet, states)),
+                       pad=cm.apply((self.pad,))[0])
 
 
 CORPUS_KEYS = {f.name for f in fields(CorpusSpec)}

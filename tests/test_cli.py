@@ -409,6 +409,16 @@ class TestUsageErrors:
         code, out, err = run(capsys, verb, "--spec", ILLNESS, *counts, *flags)
         assert (code, out, err) == (3, "", message + "\n")
 
+    # an integer flag reads only canonical decimal text, as a data file does
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--spec", ILLNESS, "--trials", "1_0"],
+        ["mle", "--spec", ILLNESS, "--decimals", "\u0663"],
+    ], ids=["trials-underscore", "decimals-arabic-indic"])
+    def test_an_integer_flag_takes_only_canonical_decimal_text(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert f"{argv[-2]}: invalid numeral value: {argv[-1]!r}" in err
+
     def test_ingest_needs_an_input(self, capsys):
         assert run(capsys, "ingest", "--spec", ILLNESS) == (
             3, "", "ingest needs --trajectories or --corpus\n")
@@ -935,10 +945,16 @@ class TestIngest:
         text = dest.read_text()
         assert "C,C,V,_,_ 4" in text
 
-    @pytest.mark.parametrize("emit", ["trajectories", "counts"])
+    @pytest.mark.parametrize("emit, fine", [
+        ("trajectories", False), ("counts", False), ("trajectories", True), ("counts", True),
+    ], ids=["trajectories", "counts", "trajectories-fine-spec", "counts-fine-spec"])
     def test_a_many_to_one_alphabet_is_the_collapsed_letters(self, capsys, tmp_path,
-                                                             emit):
-        # mapping letters straight to V and C merges words as --collapse does
+                                                             emit, fine):
+        # mapping letters straight to V and C merges words as --collapse does,
+        # with or without a fine spec that admits every letter word
+        fine_spec = tmp_path / "letters.yaml"
+        fine_spec.write_text(f'states: [{", ".join("abcdefghijklmnopqrstuvwxyz")}, "_"]\n'
+                             'k: 1\nn: 5\nabsorbing: ["_"]\n')
         config = tmp_path / "direct.yaml"
         config.write_text('pad: "_"\nhorizon: max\nmin_word_length: 2\nalphabet:\n'
                           + "".join(f"  {line}\n" for line in
@@ -948,7 +964,8 @@ class TestIngest:
                   "--emit", emit]
         direct = run(capsys, *common, "--corpus-config", str(config))
         collapsed = run(capsys, *common, "--corpus-config", str(DATA / "vc_corpus.yaml"),
-                        "--collapse", str(DATA / "vc_collapse.yaml"))
+                        "--collapse", str(DATA / "vc_collapse.yaml"),
+                        *(["--fine-spec", str(fine_spec)] if fine else []))
         assert direct == collapsed
         code, out, _ = direct
         lines = out.splitlines()
@@ -965,8 +982,21 @@ class TestIngest:
                              "--corpus-config", str(DATA / "vc_corpus.yaml"),
                              "--collapse", str(cm))
         assert (code, out) == (1, "")
-        assert ("alphabet state 'z' maps to '_', the image of pad symbol '_', "
+        assert ("alphabet key 'z' maps to the pad symbol '_', "
                 "so it would read as padding") in err
+
+    def test_an_unused_letter_needs_an_image(self, capsys, tmp_path):
+        # --collapse relabels the whole alphabet, so q needs an image though
+        # no word of the corpus holds a q
+        assert "q" not in (DATA / "sample_corpus.txt").read_text().lower()
+        cm = tmp_path / "collapse.yaml"
+        cm.write_text((DATA / "vc_collapse.yaml").read_text().replace("q: C\n", ""))
+        code, out, err = run(capsys, "ingest", "--spec", VC_BOX,
+                             "--corpus", str(DATA / "sample_corpus.txt"),
+                             "--corpus-config", str(DATA / "vc_corpus.yaml"),
+                             "--collapse", str(cm))
+        assert (code, out) == (1, "")
+        assert err == "error: collapse map has no image for state 'q'\n"
 
     def test_collapsed_corpus_is_checked_against_the_fine_spec(self, capsys, tmp_path):
         # a -> a is forbidden in the fine spec but a word of the corpus has it
@@ -1000,7 +1030,7 @@ class TestIngest:
 
     def test_collapsed_corpus_pad_must_map_to_an_absorbing_state(self, capsys,
                                                                  tmp_path):
-        # without --fine-spec the pad's image is checked against --spec
+        # without --fine-spec the relabelled pad is checked against --spec
         coarse = tmp_path / "coarse.yaml"
         coarse.write_text('states: [V, C, "_"]\nk: 1\nn: 9\n')
         common = ["ingest", "--spec", str(coarse),
@@ -1008,8 +1038,7 @@ class TestIngest:
                   "--corpus-config", str(DATA / "vc_corpus.yaml")]
         code, out, err = run(capsys, *common, "--collapse", str(DATA / "vc_collapse.yaml"))
         assert (code, out) == (1, "")
-        assert ("pad symbol '_' maps to '_', which is not an absorbing state "
-                "of the target spec") in err
+        assert "pad symbol '_' is not an absorbing state of the target spec" in err
         # the same spec is refused without --collapse
         code, out, err = run(capsys, *common)
         assert (code, out) == (1, "")

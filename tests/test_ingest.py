@@ -155,9 +155,10 @@ def test_a_file_that_cannot_be_opened_or_decoded_is_a_parse_error(tmp_path, kind
 SPEC = "states: [0, 1]\nk: 1\nn: 3\n"
 # (reader, file text, error, message after the file's place, line, column);
 # the trajectory, count and probability readers read survival's paths 000,
-# 001 and 011.  A key given twice, or a YAML 1.1 numeral (010, 0x1, 1_0,
-# 1:20) or boolean (on, yes, off), is refused rather than read as some
-# other value.
+# 001 and 011.  A key given twice, a YAML 1.1 numeral (010, 0x1, 1_0,
+# 1:20) or boolean (on, yes, off), or a data file's numeral that is not
+# canonical decimal text (1_0, +2, 007, a non-ASCII digit, an exponent),
+# is refused rather than read as some other value.
 REFUSALS = {
     "spec-unknown-key": ("spec", SPEC + "abzorbing: [1]\n", ParseError,
                          "unknown key 'abzorbing' in model spec", None, None),
@@ -208,6 +209,14 @@ REFUSALS = {
     "trajectory-forbidden-step": (
         "trajectories", "0,0,0 1\n0,1,0 1\n", EstimationError,
         "record 2: transition ('1',) -> '0' into position 3 is forbidden", None, None),
+    "multiplicity-underscore": ("trajectories", "0,0,0 1_0\n", ParseError,
+                                "multiplicity '1_0' is not an integer", 1, None),
+    "multiplicity-plus": ("trajectories", "0,0,0 +2\n", ParseError,
+                          "multiplicity '+2' is not an integer", 1, None),
+    "multiplicity-leading-zero": ("trajectories", "0,0,0 007\n", ParseError,
+                                  "multiplicity '007' is not an integer", 1, None),
+    "multiplicity-arabic-indic": ("trajectories", "0,0,0 \u0663\n", ParseError,
+                                  "multiplicity '\u0663' is not an integer", 1, None),
     "counts-repeated-path": ("counts", "0,0,0 94\n0,0,0 1\n", ParseError,
                              "duplicate count for path 0,0,0", 2, None),
     "counts-inadmissible-path": ("counts", "0,1,0 3\n", ParseError,
@@ -216,10 +225,24 @@ REFUSALS = {
                               "count 'ninety' is not an integer", 1, None),
     "counts-negative": ("counts", "0,0,0 94\n0,0,1 -3\n", ParseError,
                         "count '-3' is negative", 2, None),
+    "counts-underscore": ("counts", "0,0,0 1_0\n", ParseError,
+                          "count '1_0' is not an integer", 1, None),
+    "counts-plus": ("counts", "0,0,0 +2\n", ParseError,
+                    "count '+2' is not an integer", 1, None),
+    "counts-leading-zero": ("counts", "0,0,0 007\n", ParseError,
+                            "count '007' is not an integer", 1, None),
+    "counts-arabic-indic": ("counts", "0,0,0 \u0663\n", ParseError,
+                            "count '\u0663' is not an integer", 1, None),
     "probabilities-not-a-rational": ("probabilities", "0,0,0 about-half\n", ParseError,
                                      "value 'about-half' is not a rational", 1, None),
     "probabilities-negative": ("probabilities", "0,0,0 5/4\n0,0,1 -1/4\n", ParseError,
                                "value '-1/4' is negative", 2, None),
+    "probabilities-underscore": ("probabilities", "0,0,0 1_0/3_0\n", ParseError,
+                                 "value '1_0/3_0' is not a rational", 1, None),
+    "probabilities-arabic-indic": ("probabilities", "0,0,0 \u0660.5\n", ParseError,
+                                   "value '\u0660.5' is not a rational", 1, None),
+    "probabilities-exponent": ("probabilities", "0,0,0 5e-1\n", ParseError,
+                               "value '5e-1' is not a rational", 1, None),
     "probabilities-repeated-path": ("probabilities", "0,0,0 1/2\n0,0,0 1/3\n",
                                     ParseError, "duplicate value for path 0,0,0", 2, None),
     "relations-repeated-key": ("relations", '{"relations": [], "relations": []}',
