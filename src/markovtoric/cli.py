@@ -13,12 +13,14 @@ decimal alongside.
 
 Exit codes: 0 success; 1 validation failure; 2 verification-style
 failure (a relation does not vanish, recovery is inconsistent, a Birch
-residual is nonzero); 3 I/O or parse failure.
+residual is nonzero); 3 I/O or parse failure.  A closed stdout keeps the
+verb's own code.
 """
 
 import argparse
 import functools
 import math
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -127,14 +129,31 @@ def build_parser():
 
 def _emit(args, lines, jsonable):
     """Write jsonable with --format structured, else lines (any iterable of
-    strings, written one at a time, each with a newline), to --out or stdout."""
+    strings, written one at a time, each with a newline), to --out or stdout.
+
+    A reader that closes stdout early, as `| head` does, ends the writing
+    quietly: the rest is unwanted, not an input fault.  stdout's descriptor
+    then points at the null device, so the flush at exit writes nowhere.
+    """
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    with out as fh:
-        if args.format == "structured":
-            iofiles.dump_json(jsonable, fh)
-        else:
-            for line in lines:
-                fh.write(line + "\n")
+    try:
+        with out as fh:
+            if args.format == "structured":
+                iofiles.dump_json(jsonable, fh)
+            else:
+                for line in lines:
+                    fh.write(line + "\n")
+            fh.flush()
+    except BrokenPipeError:
+        if args.out:
+            raise
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return  # a stream with no descriptor has nothing to flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _seed(text):

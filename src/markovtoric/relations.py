@@ -22,7 +22,7 @@ PROV_LINEAR = "hom-linear"
 PROV_SLICE = "slice"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binomial:
     """Canonical binomial p^plus - p^minus over path indices.
 
@@ -30,7 +30,10 @@ class Binomial:
     positive exponents, disjoint after common-factor removal, and plus
     is the lexicographically larger dense exponent vector.  Build
     instances through canonicalize(), unless, as for the nonhomogeneous
-    quadrics, the two sides are canonical as written.
+    quadrics, the two sides are canonical as written.  The class is
+    slotted, with no per-instance dict; repr, == and hash are the
+    dataclass ones, so a binomial hashes as (plus, minus) does, and its
+    (index, exponent) terms may be objects shared between binomials.
     """
 
     plus: tuple
@@ -137,13 +140,16 @@ def _exchanges(table, moves, tag):
     (i1, i2, j1, j2), in move order, each canonical form once: the
     homogeneous family's moves, which can share an index.
 
-    The canonical form depends only on the unordered quad {(i1, i2),
-    (j1, j2)}, so a repeated quad is skipped before canonicalizing; a
-    move that cancels to zero is skipped too.
+    Every move must have i1 <= i2, as homogeneous_family's do.  The
+    canonical form depends only on the unordered quad {(i1, i2),
+    (j1, j2)}, so a repeated quad is skipped before canonicalizing: it
+    is keyed by its two ordered index pairs, the smaller first, as one
+    4-tuple.  A move that cancels to zero is skipped too.
     """
     binomials, seen = {}, set()  # dict keys: first occurrence wins, in order
     for i1, i2, j1, j2 in moves:
-        quad = frozenset({(min(i1, i2), max(i1, i2)), (min(j1, j2), max(j1, j2))})
+        j = (j1, j2) if j1 <= j2 else (j2, j1)
+        quad = (i1, i2) + j if (i1, i2) <= j else j + (i1, i2)
         if quad in seen:
             continue
         seen.add(quad)
@@ -172,7 +178,8 @@ def nonhomogeneous_generators(spec):
     by canonical form, with no slice paths: generators_for adds those.
     The quadrics come out in the order of a scan over splits, separator
     blocks in first-seen order and member pairs in table order, each
-    at its first occurrence.
+    at its first occurrence.  Each path's term (i, 1) is built once and
+    shared by every quadric that holds the path.
     """
     if spec.homogeneous:
         raise RelationError("spec is homogeneous; use homogeneous_family")
@@ -204,7 +211,8 @@ def nonhomogeneous_generators(spec):
                                 yield i1, i2, j1, j2
 
     # dict keys: a quadric repeated at another split keeps its first place
-    binomials = tuple(Binomial(((i1, 1), (i2, 1)), ((j1, 1), (j2, 1)))
+    term = [(i, 1) for i in range(len(table))]
+    binomials = tuple(Binomial((term[i1], term[i2]), (term[j1], term[j2]))
                       for i1, i2, j1, j2 in dict.fromkeys(quadrics()))
     return RelationSet(table, binomials, (PROV_NONHOM,) * len(binomials))
 

@@ -12,7 +12,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from markovtoric import TrajectorySet, canonicalize, enumerate_paths, path_probability
+from markovtoric import (ModelSpec, TrajectorySet, canonicalize, enumerate_paths,
+                         path_probability)
 from markovtoric.errors import EstimationError, ParseError, RelationError, SpecificationError
 from markovtoric.relations import PROV_HOM, PROV_NONHOM, RelationSet
 from markovtoric.verify import DEFAULT_DENOMINATOR_BOUND
@@ -225,6 +226,38 @@ def nonhomogeneous_generators_reference(spec, table=None):
             seen.add(quad)
             binomials[canonicalize({i1: 1, i2: 1}, {j1: 1, j2: 1})] = None
     return RelationSet(table, tuple(binomials), (PROV_NONHOM,) * len(binomials))
+
+
+def lift(spec):
+    """spec seen as a restricted first-order spec on its k-blocks, or None
+    when a state label is longer than one character.
+
+    The lifted states are spec's histories, each labelled by its states
+    joined with no separator.  Block b may step to block c only when c
+    overlaps b in k-1 states (c[:-1] == b[1:]) and c's last state is a
+    successor of b; every other pair is forbidden.  The horizon is
+    n - k + 1 and the initial states are spec's initial blocks, so a path
+    p lifts to its windows (p[0:k], p[1:k+1], ...) and unlift inverts
+    that.  Nothing here reads the order-k separators or windows of the
+    package: only the states, histories, successors and initial blocks.
+    """
+    if any(len(s) != 1 for s in spec.states):
+        return None
+    label = "".join
+    states = [label(b) for b in spec.histories]
+    steps = {(label(b), label(b[1:] + (s,))) for b in spec.histories
+             for s in spec.successors(b)}
+    return ModelSpec(states, 1, spec.horizon - spec.order + 1,
+                     forbidden=[(b, c) for b in states for c in states
+                                if (b, c) not in steps],
+                     initial=[label(b) for b in spec.initial_blocks],
+                     homogeneous=spec.homogeneous)
+
+
+def unlift(path):
+    """The order-k path of a path of lift(spec): its first block, then the
+    last state of every later block."""
+    return tuple(path[0]) + tuple(block[-1] for block in path[1:])
 
 
 def _first_occurrences(table, raw, tag):

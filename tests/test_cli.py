@@ -1143,6 +1143,18 @@ class TestReport:
         assert "0/1 relations verified" in out
 
 
+def _run_module(argv, **kwargs):
+    """python -m markovtoric argv in a child process, with the source tree
+    on its path, UTF-8 streams and stdout buffered, as a pipe's is by
+    default."""
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "markovtoric", *argv], env=env,
+                          encoding="utf-8", **kwargs)
+
+
 def _exit_case(tmp_path, case):
     if case == "dead-end":
         f = tmp_path / "dead.yaml"
@@ -1169,11 +1181,7 @@ def test_module_entry_point_exits_with_the_documented_code(capsys, monkeypatch,
                                                            tmp_path, case, code):
     argv = _exit_case(tmp_path, case)
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "markovtoric", *argv], env=env,
-                          capture_output=True, encoding="utf-8")
+    proc = _run_module(argv, capture_output=True)
     try:
         in_process = main(argv)
     except SystemExit as exc:  # --help exits from argparse itself
@@ -1181,6 +1189,51 @@ def test_module_entry_point_exits_with_the_documented_code(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert (proc.returncode, in_process) == (code, code)
     assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as after `| head -n 1` exits."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("case, code", [("valid", 0), ("non-member", 2)])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_closed_stdout_keeps_the_verbs_exit_code(capsys, monkeypatch, tmp_path,
+                                                   case, code, fmt):
+    argv = _exit_case(tmp_path, case) + ["--format", fmt]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case, code", [("valid", 0), ("non-member", 2)])
+def test_a_child_writing_into_a_closed_pipe_exits_quietly(tmp_path, case, code):
+    # the pipe's read end is closed before the child starts, so its first
+    # write fails, and so would the interpreter's flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(_exit_case(tmp_path, case), stdout=write_end,
+                           stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_a_closed_out_file_is_still_an_io_fault(capsys, monkeypatch, tmp_path):
+    # only stdout's reader may stop early; --out names a file to be written
+    def dump_json(jsonable, fh):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(iofiles, "dump_json", dump_json)
+    code, _, err = run(capsys, "validate", "--spec", ILLNESS, "--format", "structured",
+                       "--out", str(tmp_path / "out.json"))
+    assert (code, err) == (3, "error: [Errno 32] Broken pipe\n")
 
 
 class TestSeedHandling:

@@ -25,7 +25,9 @@ from oracles import (
     homogeneous_family_reference,
     nonhomogeneous_generators_reference,
     lex_larger,
+    lift,
     permutation_classes,
+    unlift,
 )
 from reference_data import ILLNESS_DEATH_RELATIONS
 
@@ -122,6 +124,14 @@ class TestBinomial:
         assert b.degree() == 2
         assert b.support() == (0, 1, 2, 3)
 
+    def test_a_binomial_has_no_instance_dict(self):
+        assert not hasattr(canonicalize({0: 1, 3: 1}, {1: 1, 2: 1}), "__dict__")
+
+    def test_repr_and_hash_are_the_dataclass_ones(self):
+        b = canonicalize({0: 1, 3: 1}, {1: 1, 2: 1})
+        assert repr(b) == "Binomial(plus=((0, 1), (3, 1)), minus=((1, 1), (2, 1)))"
+        assert hash(b) == hash((b.plus, b.minus))
+
 
 class TestNonhomogeneousGenerators:
     def test_illness_death_matches_frozen_relations(self, illness_death):
@@ -163,6 +173,11 @@ class TestNonhomogeneousGenerators:
     def test_no_duplicate_relations(self, illness_death):
         rs = nonhomogeneous_generators(illness_death)
         assert len(set(rs.binomials)) == len(rs.binomials)
+
+    def test_each_path_has_one_term_object(self):
+        rs = nonhomogeneous_generators(ModelSpec(("0", "1", "2"), 1, 5))
+        terms = [t for b in rs.binomials for t in b.plus + b.minus]
+        assert len({id(t) for t in terms}) == len({i for i, _ in terms}) == len(rs.table)
 
     def test_the_grid_gives_the_split_scan_binomial_for_binomial(self):
         # criterion 04's grid, the bundled nonhomogeneous specs, and one
@@ -304,6 +319,55 @@ def test_nonhomogeneous_generators_keep_the_split_loop_order(spec):
     want = nonhomogeneous_generators_reference(spec, table)
     assert got.binomials == want.binomials
     assert got.provenance == want.provenance
+
+
+# criterion 04's nonhomogeneous specs
+CRITERION_04_NONHOMOGENEOUS = [ModelSpec(("0", "1", "2")[:size], k, n)
+                               for size in (2, 3) for k in (1, 2) for n in range(k + 1, 6)]
+CRITERION_04_NONHOMOGENEOUS += [make_illness_death(), make_survival()]
+
+
+def _lifted(spec):
+    lifted = lift(spec)
+    if lifted is None:
+        pytest.skip(f"the lift labels blocks of one-character states only: {spec!r}")
+    return lifted
+
+
+def _lifted_generators(spec, lifted):
+    """nonhomogeneous_generators(lifted) as binomials over spec's table."""
+    table = enumerate_paths(spec)
+    index = [table.index(unlift(p)) for p in enumerate_paths(lifted)]
+    relabel = lambda side: {index[i]: e for i, e in side}
+    return {canonicalize(relabel(b.plus), relabel(b.minus))
+            for b in nonhomogeneous_generators(lifted).binomials}
+
+
+@pytest.mark.parametrize("spec", CRITERION_04_NONHOMOGENEOUS, ids=repr)
+def test_the_lift_puts_the_paths_in_bijection(spec):
+    images = [unlift(p) for p in enumerate_paths(_lifted(spec))]
+    assert sorted(images) == sorted(enumerate_paths(spec))
+
+
+@pytest.mark.parametrize("spec", CRITERION_04_NONHOMOGENEOUS, ids=repr)
+def test_the_lift_gives_the_same_nonhomogeneous_generators(spec):
+    # the lifted family splits at one-block separators, so it shares no
+    # code with the order-k separators it is checked against
+    assert (_lifted_generators(spec, _lifted(spec))
+            == set(nonhomogeneous_generators(spec).binomials))
+
+
+@settings(max_examples=30, deadline=None)
+@given(restricted_specs(homogeneous=False))
+@example(ModelSpec(["1", "0"], 2, 6, initial=[("0", "1"), ("1", "1")]))
+def test_the_lift_gives_the_same_generators_on_restricted_specs(spec):
+    lifted = lift(spec)  # the strategy's labels are one character each
+    assert sorted(map(unlift, enumerate_paths(lifted))) == sorted(enumerate_paths(spec))
+    assert _lifted_generators(spec, lifted) == set(nonhomogeneous_generators(spec).binomials)
+
+
+def test_the_lift_refuses_a_label_longer_than_one_character():
+    assert lift(ModelSpec(["0", "10"], 2, 4)) is None
 
 
 @settings(max_examples=60, deadline=None)
