@@ -273,9 +273,16 @@ def cmd_paths(args, spec):
 
 
 def _verified_relations(args, spec):
-    """The --relations file, else the generated relations, and their verification."""
-    relset = (iofiles.read_relations(args.relations, enumerate_paths(spec))
-              if args.relations else generators_for(spec))
+    """The --relations file, else the generated relations, and their verification.
+    A file that holds no binomial would pass vacuously, so it is a ParseError
+    naming the file; a generated set may be empty."""
+    if args.relations:
+        relset = iofiles.read_relations(args.relations, enumerate_paths(spec))
+        if not relset.binomials:
+            raise ParseError("relation file holds no binomial relation",
+                             filename=args.relations)
+    else:
+        relset = generators_for(spec)
     return relset, verify_relation_set(relset, spec, trials=args.trials, seed=args.seed)
 
 

@@ -28,9 +28,11 @@ class Binomial:
 
     plus and minus are index-sorted ((index, exponent), ...) tuples with
     positive exponents, disjoint after common-factor removal, and plus
-    is the lexicographically larger dense exponent vector.  Build
-    instances through canonicalize(), unless, as for the nonhomogeneous
-    quadrics, the two sides are canonical as written.  The class is
+    is the lexicographically larger dense exponent vector.  The
+    nonhomogeneous quadrics and the permutation relations are built
+    canonical as written; canonicalize() normalises the rest: the
+    homogeneous exchange moves, whose sides can share a path, and
+    relations read from a file.  The class is
     slotted, with no per-instance dict; repr, == and hash are the
     dataclass ones, so a binomial hashes as (plus, minus) does, and its
     (index, exponent) terms may be objects shared between binomials.
@@ -133,31 +135,6 @@ class RelationSet:
         lines = [f"{b.text(self.table)}  [{t}]" for b, t in self]
         lines += [f"p_{_join(p)} = 0  [{PROV_SLICE}]" for p in self.slice_paths]
         return lines
-
-
-def _exchanges(table, moves, tag):
-    """RelationSet of the binomials p_i1 p_i2 - p_j1 p_j2 of moves
-    (i1, i2, j1, j2), in move order, each canonical form once: the
-    homogeneous family's moves, which can share an index.
-
-    Every move must have i1 <= i2, as homogeneous_family's do.  The
-    canonical form depends only on the unordered quad {(i1, i2),
-    (j1, j2)}, so a repeated quad is skipped before canonicalizing: it
-    is keyed by its two ordered index pairs, the smaller first, as one
-    4-tuple.  A move that cancels to zero is skipped too.
-    """
-    binomials, seen = {}, set()  # dict keys: first occurrence wins, in order
-    for i1, i2, j1, j2 in moves:
-        j = (j1, j2) if j1 <= j2 else (j2, j1)
-        quad = (i1, i2) + j if (i1, i2) <= j else j + (i1, i2)
-        if quad in seen:
-            continue
-        seen.add(quad)
-        try:
-            binomials[canonicalize(_pair(i1, i2), _pair(j1, j2))] = None
-        except RelationError:
-            continue
-    return RelationSet(table, tuple(binomials), (tag,) * len(binomials))
 
 
 def nonhomogeneous_generators(spec):
@@ -266,7 +243,12 @@ def homogeneous_family(spec):
     (G, D) and its letter; two slots can exchange exactly when their
     contexts are equal and their letters differ.  Moves are ordered by
     (path1, path2, r1, r2) with (path1, r1) < (path2, r2), which fixes
-    the order of the output.
+    the order of the output.  Each exchange is built once: a move's
+    mirror trades the exchanged paths back, so a move is kept only when
+    its own sorted index pair is smaller than its exchanged pair, which
+    also drops a move that cancels to zero.  Each kept move is put in
+    canonical form by canonicalize, and a binomial that another context
+    gives again keeps its first place.
     """
     if not spec.homogeneous:
         raise RelationError("spec is nonhomogeneous; use nonhomogeneous_generators")
@@ -288,15 +270,18 @@ def homogeneous_family(spec):
                     for i, r in ys]
             for a in to_y:
                 for b in to_x:
-                    lo, hi = (a, b) if a < b else (b, a)
-                    moves.append((lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]))
+                    (i1, r1, j1), (i2, r2, j2) = (a, b) if a < b else (b, a)
+                    # the mirror move trades j1, j2 back to i1, i2 and
+                    # sorts after this one exactly when this pair is the
+                    # smaller; equal pairs cancel to zero
+                    if (i1, i2) < ((j1, j2) if j1 <= j2 else (j2, j1)):
+                        moves.append((i1, i2, r1, r2, j1, j2))
     moves.sort()
-    return _exchanges(table, ((i1, i2, j1, j2) for i1, i2, _, _, j1, j2 in moves),
-                      PROV_HOM)
-
-
-def _pair(i, j):
-    return {i: 2} if i == j else {i: 1, j: 1}
+    # dict keys: a binomial another context gives again keeps its first place
+    binomials = tuple(dict.fromkeys(
+        canonicalize(((i1, 1), (i2, 1)), ((j1, 1), (j2, 1)))
+        for i1, i2, _, _, j1, j2 in moves))
+    return RelationSet(table, binomials, (PROV_HOM,) * len(binomials))
 
 
 def generators_for(spec, table=None):
@@ -331,6 +316,7 @@ def permutation_linear_relations(spec):
     if not spec.homogeneous:
         raise RelationError("permutation relations exist only for homogeneous specs")
     design = build_design_matrix(spec)
-    binomials = tuple(canonicalize({rep: 1}, {other: 1})
+    # rep, the fiber's first path, has the smaller index: canonical as written
+    binomials = tuple(Binomial(((rep, 1),), ((other, 1),))
                       for rep, *others in design.fibers() for other in others)
     return RelationSet(design.table, binomials, (PROV_LINEAR,) * len(binomials))

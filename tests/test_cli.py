@@ -118,15 +118,26 @@ def _collapse_map(tmp_path, text):
                "--collapse", str(f)]
 
 
-def _relation_file(tmp_path, edit, where=lambda doc: doc["relations"][0]["plus"][0]):
+def _relation_file(tmp_path, edit, where=lambda doc: doc["relations"][0]["plus"][0],
+                   verb="verify"):
     spec = parse_model_spec(ILLNESS)
     f = tmp_path / "relations.json"
     write_relations(generators_for(spec), f)
     doc = json.loads(f.read_text())
     edit(where(doc))
     f.write_text(json.dumps(doc))
-    return f, ["verify", "--spec", ILLNESS, "--relations", str(f),
+    return f, [verb, "--spec", ILLNESS, "--relations", str(f),
                "--trials", "1"]
+
+
+def _emptied(keep_slice):
+    """An edit that leaves a relation document no binomial: {"relations": []},
+    or its slice entries alone."""
+    def edit(doc):
+        doc["relations"] = []
+        if not keep_slice:
+            del doc["slice"]
+    return edit
 
 
 def _path_values(tmp_path, verb, flag, text):
@@ -182,6 +193,12 @@ def _path_values(tmp_path, verb, flag, text):
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\nabsorbing: false\n"),
     lambda d: _spec_file(d, "states: [0, 1]\nk: 1\nn: 3\ninitial: 0\n"),
     lambda d: _spec_file(d, "states: [a, b]\nk: 1\nn: 3\n1: a\nb: c\n"),
+    lambda d: _relation_file(d, _emptied(keep_slice=False), lambda doc: doc),
+    lambda d: _relation_file(d, _emptied(keep_slice=True), lambda doc: doc),
+    lambda d: _relation_file(d, _emptied(keep_slice=False), lambda doc: doc,
+                             verb="report"),
+    lambda d: _relation_file(d, _emptied(keep_slice=True), lambda doc: doc,
+                             verb="report"),
 ], ids=["states-not-a-list", "forbid-not-a-pair", "min-word-length-not-int",
         "term-without-path", "path-outside-table", "k-not-int", "k-float",
         "n-bool", "drop-chars-int", "corpus-unknown-key", "pad-null", "pad-is-a-letter",
@@ -193,7 +210,9 @@ def _path_values(tmp_path, verb, flag, text):
         "trajectories-ragged", "term-unknown-key", "relation-unknown-key",
         "document-unknown-key", "relation-degenerate", "forbid-zero", "forbid-false",
         "forbid-empty-mapping", "absorbing-zero", "absorbing-false", "initial-zero",
-        "unknown-keys-of-mixed-types"])
+        "unknown-keys-of-mixed-types", "verify-relations-empty",
+        "verify-relations-slice-only", "report-relations-empty",
+        "report-relations-slice-only"])
 def test_malformed_input_is_a_named_parse_error(capsys, tmp_path, make, request):
     f, argv = make(tmp_path)
     code, _, err = run(capsys, *argv)

@@ -115,16 +115,26 @@ def test_yaml_and_json_are_decoded_only_by_the_strict_readers():
         "iofiles.read_relations: json.loads(object_pairs_hook=unique_keys)"]
 
 
+def _callers(name):
+    """module.statement of every top-level statement that calls name."""
+    return {f"{module}.{getattr(stmt, 'name', '<module>')}"
+            for module, stmt in _top_level_statements() for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
 def test_only_generators_for_attaches_the_slice():
     # a model's generating set is its families plus its slice, assembled
     # in one place: the families return only their binomials
-    callers = set()
-    for module, stmt in _top_level_statements():
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and "slice_linear_generators" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                callers.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
-    assert callers == {"relations.generators_for"}
+    assert _callers("slice_linear_generators") == {"relations.generators_for"}
+
+
+def test_canonicalize_serves_only_the_exchange_moves_and_the_reader():
+    # the nonhomogeneous quadrics and the permutation relations are built
+    # canonical as written; a homogeneous exchange move, whose sides can
+    # share a path, and a relation read from a file are normalised by it
+    assert _callers("canonicalize") == {"relations.homogeneous_family",
+                                        "iofiles.read_relations"}
 
 
 BENCH = Path(__file__).parent.parent / "bench"

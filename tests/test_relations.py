@@ -376,6 +376,9 @@ def test_the_lift_refuses_a_label_longer_than_one_character():
 @example(ModelSpec(["2", "0", "3", "1"], 1, 5, forbidden=[("1", "0"), ("2", "0")],
                    absorbing=["3"], initial=["0", "1"], homogeneous=True))
 @example(ModelSpec(["1", "0"], 3, 7, homogeneous=True))
+# 48 kept moves give 36 quads: a quad recurs in a second context
+@example(make_binary_chain(1, 4, homogeneous=True))
+@example(ModelSpec(["0", "1", "2"], 1, 3, homogeneous=True))
 def test_homogeneous_family_keeps_the_all_pairs_order(spec):
     # ordered tuples, not sets: relation indices are part of the output
     table = enumerate_paths(spec)
